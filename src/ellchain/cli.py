@@ -12,12 +12,12 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.elliptic import AlgebraError, LineBundleClass
-from ellchain.independence import DEFAULT_PRIME
+from ellchain.independence import DEFAULT_PRIME, OracleConfig
 from ellchain.pipelines import Verdict, onto_certificate, petri_certificate
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
 
@@ -27,9 +27,41 @@ EXIT_NOT_PROVEN = 3
 EXIT_INCONSISTENT = 4
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+class _UsageError(Exception):
+    """Bad arguments or environment overrides, reported as one line with exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
+
+
+def _env_default(name: str, default: int) -> str:
+    # argparse converts and checks a string default with the option's type
+    return os.environ.get(name) or str(default)
+
+
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {raw!r}") from None
+
+
+def _trials(raw: str) -> int:
+    value = _int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least one trial, got {value}")
+    return value
+
+
+def _prime(raw: str) -> int:
+    value = _int(raw)
+    try:
+        OracleConfig(prime=value)
+    except AlgebraError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,25 +74,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--seed",
-        type=int,
-        default=_env_int("ELLCHAIN_SEED", 0),
+        type=_int,
+        default=_env_default("ELLCHAIN_SEED", 0),
         help="base oracle seed; three consecutive seeds are run (env ELLCHAIN_SEED)",
     )
     common.add_argument(
         "--trials",
-        type=int,
-        default=_env_int("ELLCHAIN_TRIALS", 1),
+        type=_trials,
+        default=_env_default("ELLCHAIN_TRIALS", 1),
         help="oracle trials per seed (env ELLCHAIN_TRIALS)",
     )
     common.add_argument(
         "--prime",
-        type=int,
-        default=_env_int("ELLCHAIN_PRIME", DEFAULT_PRIME),
+        type=_prime,
+        default=_env_default("ELLCHAIN_PRIME", DEFAULT_PRIME),
         help=f"oracle prime modulus (env ELLCHAIN_PRIME; default {DEFAULT_PRIME})",
     )
     common.add_argument("--out", type=Path, default=None, help="write output to a file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellchain",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -278,7 +310,7 @@ def _run_sweep(args, rows: list[Verdict]) -> int:
             + "\n"
         )
     _emit(text, args.out)
-    return EXIT_OK
+    return EXIT_OK if all(v.ok for v in rows) else EXIT_NOT_PROVEN
 
 
 def cmd_petri(args) -> int:
@@ -356,7 +388,11 @@ COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return COMMANDS[args.command](args)
 
 

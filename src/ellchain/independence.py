@@ -15,13 +15,17 @@ jet coefficients of the factor sections, hence implicitly the gluing
 scalars) as pseudo-random residues modulo a prime and computes the rank of
 the matrix of surviving leading-jet coordinates.  Identical factor pairs
 produce identical rows, so injected duplicates drop the rank; the oracle can
-confirm a certificate but never certify anything on its own.
+confirm a certificate but never certify anything on its own.  A factor's jet
+is hashed once per trial and memoised for every product sharing the factor,
+and columns are keyed by ``(component, slot, point, offset)`` tuples, so
+slots of different components never share a column however many there are.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ellchain.chain import LimitLinearSeries, Redistribution, generic_gluing
@@ -61,32 +65,43 @@ def product_bundle(ba: BundleOnComponent, bb: BundleOnComponent) -> BundleOnComp
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductRow:
-    """Aspect of one product section on one component."""
+    """Aspect of one product section on one component.
+
+    ``symbol`` is the product's own section symbol (orders add, an order is
+    exact only when both factors' are), derived from the factor rows once on
+    construction; ``dataclasses.replace`` derives it again, so it can never
+    go stale.
+    """
 
     slot: int
     row_a: SectionSymbol
     row_b: SectionSymbol
+    symbol: SectionSymbol = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a, b = self.row_a, self.row_b
+        object.__setattr__(self, "symbol", SectionSymbol(
+            self.slot, a.ord_p + b.ord_p, a.ord_q + b.ord_q,
+            a.exact_p and b.exact_p, a.exact_q and b.exact_q,
+        ))
 
     @property
     def ord_p(self) -> int:
-        return self.row_a.ord_p + self.row_b.ord_p
+        return self.symbol.ord_p
 
     @property
     def ord_q(self) -> int:
-        return self.row_a.ord_q + self.row_b.ord_q
+        return self.symbol.ord_q
 
     @property
     def exact_p(self) -> bool:
-        return self.row_a.exact_p and self.row_b.exact_p
+        return self.symbol.exact_p
 
     @property
     def exact_q(self) -> bool:
-        return self.row_a.exact_q and self.row_b.exact_q
-
-    def as_symbol(self) -> SectionSymbol:
-        return SectionSymbol(self.slot, self.ord_p, self.ord_q, self.exact_p, self.exact_q)
+        return self.symbol.exact_q
 
 
 @dataclass(frozen=True)
@@ -142,7 +157,7 @@ def product_series(
         product_bundle(ba, bb) for ba, bb in zip(series_a.bundles, series_b.bundles)
     )
     tables = tuple(
-        VanishingTable(tuple(p.rows[i].as_symbol() for p in products))
+        VanishingTable(tuple(p.rows[i].symbol for p in products))
         for i in range(series_a.chain.components)
     )
     return LimitLinearSeries(
@@ -232,10 +247,10 @@ def certify_independence(
     for i in range(len(redist.thresholds)):
         alive: list[Survivor] = []
         for idx in sorted(remaining):
-            row = products[idx].rows[i]
-            if redist.alive(i, row.as_symbol()):
+            sym = products[idx].rows[i].symbol
+            if redist.alive(i, sym):
                 alive.append(
-                    Survivor(idx, row.slot, row.ord_p, row.exact_p, row.ord_q, row.exact_q)
+                    Survivor(idx, sym.slot, sym.ord_p, sym.exact_p, sym.ord_q, sym.exact_q)
                 )
         if not alive:
             continue
@@ -275,7 +290,10 @@ def replay_certificate(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases; cached, since every
+    verdict checks the same modulus three times."""
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -320,7 +338,7 @@ def _coeff(prime: int, seed: int, trial: int, key: str, nonzero: bool) -> int:
 
 def _factor_jet(
     prime: int, seed: int, trial: int, tag: str, fid: int, comp: int,
-    point: str, level: int, row: SectionSymbol,
+    point: str, level: int, row: SectionSymbol, memo: dict[tuple, int],
 ) -> int:
     order = row.ord_p if point == "P" else row.ord_q
     exact = row.exact_p if point == "P" else row.exact_q
@@ -329,12 +347,20 @@ def _factor_jet(
     # an exact order has a nonzero leading coefficient; deeper jets, and all
     # jets of a bound-only order, are free residues (possibly zero)
     nonzero = exact and level == order
-    return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
+    # everything the scalar depends on: a mutated product that gives a
+    # factor another order than elsewhere must not reuse that factor's jets
+    key = (tag, fid, comp, point, level, nonzero)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _coeff(
+            prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero
+        )
+    return value
 
 
-def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
+def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
     """Gaussian elimination over F_p on sparse rows (dict: column -> value)."""
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[tuple, dict[tuple, int]] = {}
     rank = 0
     for row in rows:
         row = {c: v % prime for c, v in row.items() if v % prime}
@@ -362,22 +388,28 @@ def oracle_rank(
 ) -> int:
     """Rank of the surviving leading-jet matrix over F_prime; max over trials.
 
-    One row per product; columns are, per component and slot, the jets of
-    order threshold and threshold+1 at both marked points.  Each factor
-    section's jet coefficients are pseudo-random residues keyed by factor
-    id, so repeated factors repeat their coefficients, and each product row
-    is the bilinear convolution of its factors' jets.  A dead product
-    contributes nothing on the component.  The rank can only underestimate
-    the generic rank, never exceed the product count.
+    One row per product; columns are keyed ``(component, slot, point,
+    level - threshold)`` and hold, per component and slot, the jets of order
+    threshold and threshold+1 at both marked points.  Each factor section's
+    jet coefficients are pseudo-random residues keyed by factor id, so
+    repeated factors repeat their coefficients, and each product row is the
+    bilinear convolution of its factors' jets.  A factor jet is hashed once
+    per trial and memoised for every product sharing the factor.  A dead
+    product contributes nothing on the component.  The rank can only
+    underestimate the generic rank, never exceed the product count.
     """
+    prime, seed = cfg.prime, cfg.seed
+    live = [
+        [(i, prow) for i, prow in enumerate(prod.rows) if redist.alive(i, prow.symbol)]
+        for prod in products
+    ]
     best = 0
     for trial in range(cfg.trials):
-        rows: list[dict[int, int]] = []
-        for prod in products:
-            row: dict[int, int] = {}
-            for i, prow in enumerate(prod.rows):
-                if not redist.alive(i, prow.as_symbol()):
-                    continue
+        memo: dict[tuple, int] = {}
+        rows: list[dict[tuple, int]] = []
+        for prod, alive in zip(products, live):
+            row: dict[tuple, int] = {}
+            for i, prow in alive:
                 th_p, th_q = redist.thresholds[i]
                 for point, th in (("P", th_p), ("Q", th_q)):
                     ord_a = prow.row_a.ord_p if point == "P" else prow.row_a.ord_q
@@ -386,20 +418,18 @@ def oracle_rank(
                         total = 0
                         for la in range(ord_a, level - ord_b + 1):
                             ca = _factor_jet(
-                                cfg.prime, cfg.seed, trial, "A", prod.factor_a, i,
-                                point, la, prow.row_a,
+                                prime, seed, trial, "A", prod.factor_a, i,
+                                point, la, prow.row_a, memo,
                             )
                             if not ca:
                                 continue
                             cb = _factor_jet(
-                                cfg.prime, cfg.seed, trial, "B", prod.factor_b, i,
-                                point, level - la, prow.row_b,
+                                prime, seed, trial, "B", prod.factor_b, i,
+                                point, level - la, prow.row_b, memo,
                             )
-                            total = (total + ca * cb) % cfg.prime
+                            total = (total + ca * cb) % prime
                         if total:
-                            col = ((i * 4096 + prow.slot) * 2 + (point == "Q")) * 2
-                            col += level - th
-                            row[col] = total
+                            row[(i, prow.slot, point, level - th)] = total
             rows.append(row)
-        best = max(best, _rank_mod_p(rows, cfg.prime))
+        best = max(best, _rank_mod_p(rows, prime))
     return best

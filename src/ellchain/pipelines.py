@@ -169,6 +169,7 @@ class PetriBuild:
     block_width: int  # B: components per block
     special_width: int  # sigma: special slots on block-end components
     structured: int  # N = B * beta
+    primary_report: ValidationReport  # validate_lls(primary), checked by the build
 
 
 def _gen(name: str) -> Degree0Class:
@@ -402,7 +403,7 @@ def petri_build(p: PetriParams) -> PetriBuild:
         )
     else:
         dual = _petri_dual(p, primary, width, blocks)
-    return PetriBuild(p, primary, dual, blocks, width, sigma, width * blocks)
+    return PetriBuild(p, primary, dual, blocks, width, sigma, width * blocks, report)
 
 
 def _petri_dual_bundles_only(
@@ -608,7 +609,7 @@ def petri_certificate(
         notes.append("vacuous: complementary series is empty, zero products certified")
 
     audits = (
-        Audit("primary-series-valid", True, validate_lls(primary).ok),
+        Audit("primary-series-valid", True, build.primary_report.ok),
         Audit("product-series-valid", True, validate_lls(prod_series).ok),
         Audit("dual-series-valid", True, _validate_dual(dual).ok),
         Audit("dual-dimension", p.kbar, dual.dimension),

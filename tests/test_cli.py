@@ -151,3 +151,32 @@ def test_audit_mismatch_maps_to_exit_4():
     )
     assert _verdict_exit(broken) == 4
     assert _verdict_exit(replace(v, status="not-proven", certificate=None)) == 3
+
+
+def test_sweep_with_a_not_proven_row_exits_3(capsys, monkeypatch):
+    from dataclasses import replace
+
+    import ellchain.cli as cli
+    from ellchain.pipelines import petri_certificate
+
+    row = replace(petri_certificate(4, 2, 6, 2), status="not-proven")
+    monkeypatch.setattr(cli, "petri_certificate", lambda *args, **kwargs: row)
+    code, out, _ = run(
+        capsys, "petri", "--sweep", "--g", "4", "--r", "2", "--d", "6", "--k", "2"
+    )
+    assert code == 3
+    assert [r["status"] for r in json.loads(out)] == ["not-proven"]
+
+
+@pytest.mark.parametrize("env,argv", [
+    ({}, ("--trials", "0")),
+    ({}, ("--prime", "15")),
+    ({"ELLCHAIN_SEED": "abc"}, ()),
+], ids=["trials-0", "prime-15", "env-seed-abc"])
+def test_bad_oracle_input_is_usage_error(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "petri", "--g", "4", "--r", "2", "--d", "6", "--k", "2", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+

@@ -1,14 +1,21 @@
 """Product sections, elimination certificates, and the rank oracle."""
 
+from dataclasses import replace
+
 import pytest
 
-from ellchain.chain import canonical_series, redistribute
-from ellchain.elliptic import AlgebraError
+from ellchain.chain import Redistribution, canonical_series, redistribute
+from ellchain.elliptic import AlgebraError, SectionSymbol
 from ellchain.independence import (
     Certificate,
     CertificateFailure,
     DEFAULT_PRIME,
     OracleConfig,
+    ProductRow,
+    ProductSection,
+    _coeff,
+    _factor_jet,
+    _rank_mod_p,
     certify_independence,
     oracle_rank,
     product_bundle,
@@ -165,8 +172,6 @@ class TestOracle:
         reversed_products = tuple(
             type(p)(p.factor_a, p.factor_b, tuple(reversed(p.rows))) for p in products
         )
-        from dataclasses import replace
-
         reversed_redist = replace(
             redist,
             thresholds=tuple(reversed(redist.thresholds)),
@@ -177,3 +182,122 @@ class TestOracle:
             survivors=tuple(reversed(redist.survivors)),
         )
         assert oracle_rank(reversed_products, reversed_redist) == len(products)
+
+
+# The oracle as first written: one SHA-256 per product per jet level and
+# integer column keys.  Kept as the reference the memoised oracle must match.
+
+
+def _reference_symbol(prow):
+    return SectionSymbol(
+        prow.slot,
+        prow.row_a.ord_p + prow.row_b.ord_p,
+        prow.row_a.ord_q + prow.row_b.ord_q,
+        prow.row_a.exact_p and prow.row_b.exact_p,
+        prow.row_a.exact_q and prow.row_b.exact_q,
+    )
+
+
+def _reference_factor_jet(prime, seed, trial, tag, fid, comp, point, level, row):
+    order = row.ord_p if point == "P" else row.ord_q
+    exact = row.exact_p if point == "P" else row.exact_q
+    if level < order:
+        return 0
+    nonzero = exact and level == order
+    return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
+
+
+def _reference_oracle_rank(products, redist, cfg=OracleConfig()):
+    best = 0
+    for trial in range(cfg.trials):
+        rows = []
+        for prod in products:
+            row = {}
+            for i, prow in enumerate(prod.rows):
+                if not redist.alive(i, _reference_symbol(prow)):
+                    continue
+                th_p, th_q = redist.thresholds[i]
+                for point, th in (("P", th_p), ("Q", th_q)):
+                    ord_a = prow.row_a.ord_p if point == "P" else prow.row_a.ord_q
+                    ord_b = prow.row_b.ord_p if point == "P" else prow.row_b.ord_q
+                    for level in (th, th + 1):
+                        total = 0
+                        for la in range(ord_a, level - ord_b + 1):
+                            ca = _reference_factor_jet(
+                                cfg.prime, cfg.seed, trial, "A", prod.factor_a, i,
+                                point, la, prow.row_a,
+                            )
+                            if not ca:
+                                continue
+                            cb = _reference_factor_jet(
+                                cfg.prime, cfg.seed, trial, "B", prod.factor_b, i,
+                                point, level - la, prow.row_b,
+                            )
+                            total = (total + ca * cb) % cfg.prime
+                        if total:
+                            col = ((i * 4096 + prow.slot) * 2 + (point == "Q")) * 2
+                            col += level - th
+                            row[col] = total
+            rows.append(row)
+        best = max(best, _rank_mod_p(rows, cfg.prime))
+    return best
+
+
+def _raise_order(product):
+    # one product's first factor gets a deeper P-order than the same factor
+    # has in every other product: its jets must not be taken from theirs
+    rows = tuple(
+        replace(row, row_a=replace(row.row_a, ord_p=row.row_a.ord_p + 1))
+        for row in product.rows
+    )
+    return replace(product, rows=rows)
+
+
+class TestOracleReference:
+    @pytest.mark.parametrize("fixture", ["petri_5273", "endo_424"])
+    @pytest.mark.parametrize("mutant", ["none", "duplicate", "raised-order"])
+    def test_matches_reference(self, request, fixture, mutant):
+        products, redist = request.getfixturevalue(fixture)
+        if mutant == "duplicate":
+            products = products + (products[len(products) // 2],)
+        elif mutant == "raised-order":
+            products = (_raise_order(products[0]),) + products[1:]
+        for seed in range(5):
+            for trials in (1, 2):
+                cfg = OracleConfig(seed=seed, trials=trials)
+                assert oracle_rank(products, redist, cfg) == _reference_oracle_rank(
+                    products, redist, cfg
+                )
+
+    def test_jet_memo_keeps_orders_of_one_factor_apart(self):
+        # a mutated product can give a factor another order than it has
+        # elsewhere; at one level its leading jet is nonzero, the other's free
+        memo = {}
+        for row in (SectionSymbol(0, 3, 0), SectionSymbol(0, 2, 0), SectionSymbol(0, 3, 0)):
+            for level in (1, 3):
+                assert _factor_jet(
+                    DEFAULT_PRIME, 0, 0, "A", 0, 0, "P", level, row, memo
+                ) == _reference_factor_jet(DEFAULT_PRIME, 0, 0, "A", 0, 0, "P", level, row)
+
+    def test_slot_4096_does_not_collide_with_next_component(self):
+        # product A lives only on component 0 in slot 4096, product B only on
+        # component 1 in slot 0; the integer key i * 4096 + slot merged them
+        redist = Redistribution((), (), ((2, 0), (2, 0)), (), (), (), 0, 1)
+        live, dead, unit = SectionSymbol(0, 3, 5), SectionSymbol(0, 0, 5), SectionSymbol(0, 0, 0)
+        products = (
+            ProductSection(0, 0, (ProductRow(4096, live, unit), ProductRow(0, dead, unit))),
+            ProductSection(1, 1, (ProductRow(4096, dead, unit), ProductRow(0, live, unit))),
+        )
+        for seed in range(3):
+            cfg = OracleConfig(seed=seed)
+            assert _reference_oracle_rank(products, redist, cfg) == 1
+            assert oracle_rank(products, redist, cfg) == 2
+
+
+def test_product_row_symbol_follows_replace(petri_5273):
+    products, _ = petri_5273
+    row = products[0].rows[0]
+    lowered = replace(row, row_a=replace(row.row_a, ord_q=row.row_a.ord_q - 3))
+    assert lowered.symbol == _reference_symbol(lowered)
+    assert lowered.ord_q == row.ord_q - 3
+
