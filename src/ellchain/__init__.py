@@ -21,7 +21,6 @@ from ellchain.elliptic import (
     h0_component,
     section_basis,
     section_space,
-    twist_sections,
 )
 from ellchain.chain import (
     ChainCurve,

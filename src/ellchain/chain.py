@@ -34,27 +34,25 @@ from ellchain.elliptic import (
 )
 
 ELLIPTIC = "elliptic"
-RATIONAL = "rational"
 
 
 @dataclass(frozen=True)
 class ChainCurve:
-    """Components in order; Q_i is glued to P_{i+1} for i = 1..M-1."""
+    """Components in order; Q_i is glued to P_{i+1} for i = 1..M-1.
+
+    Every component is an elliptic curve, so the genus is the component count.
+    """
 
     kinds: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        bad = [k for k in self.kinds if k not in (ELLIPTIC, RATIONAL)]
+        bad = [k for k in self.kinds if k != ELLIPTIC]
         if bad:
             raise AlgebraError(f"unknown component kinds {bad}")
 
     @property
     def components(self) -> int:
         return len(self.kinds)
-
-    @property
-    def genus(self) -> int:
-        return sum(1 for k in self.kinds if k == ELLIPTIC)
 
 
 def elliptic_chain(g: int) -> ChainCurve:
@@ -230,8 +228,6 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
 
     cond3 = True
     for i, bundle in enumerate(series.bundles):
-        if series.chain.kinds[i] != ELLIPTIC:
-            continue
         d_i = bundle.degree
         if not series.a * series.rank <= d_i < (series.a + 1) * series.rank:
             cond3 = False

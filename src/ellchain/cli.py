@@ -12,13 +12,13 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.elliptic import AlgebraError, LineBundleClass
 from ellchain.independence import DEFAULT_PRIME, OracleConfig
-from ellchain.pipelines import Verdict, onto_certificate, petri_certificate
+from ellchain.pipelines import HYPOTHESIS_NOT_MET, Verdict, onto_certificate, petri_certificate
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
 
 EXIT_OK = 0
@@ -151,16 +151,17 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _span(raw: str | None, fallback: tuple[int, int] | None = None) -> tuple[int, int]:
+def _span(raw: str | None, fallback: tuple[int, int] | None = None) -> range:
+    """``a..b`` or ``a`` as an inclusive range; ``fallback`` when absent."""
     if raw is None:
         if fallback is None:
             raise ValueError("missing required range")
-        return fallback
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return (int(lo), int(hi))
-    v = int(raw)
-    return (v, v)
+        lo, hi = fallback
+    elif ".." in raw:
+        lo, hi = (int(x) for x in raw.split("..", 1))
+    else:
+        lo = hi = int(raw)
+    return range(lo, hi + 1)
 
 
 def _single(raw: str | None, name: str) -> int:
@@ -184,7 +185,7 @@ def _class_label(cls: LineBundleClass) -> str:
 def _canonical_table(series, report, rank1) -> str:
     width = max(len("bundle"), max(len(_class_label(b.slots[0])) for b in series.bundles))
     lines = [
-        f"canonical series  g={series.chain.genus}  degree={series.degree}"
+        f"canonical series  g={series.chain.components}  degree={series.degree}"
         f"  dimension={series.dimension}  a={series.a}"
     ]
     header = f"{'component':<11}{'bundle':<{width + 2}}" + "".join(
@@ -213,7 +214,7 @@ def _verdict_line(v: Verdict) -> str:
 
 
 def _verdict_exit(v: Verdict) -> int:
-    if v.status in ("proven", "vacuous"):
+    if v.ok:
         return EXIT_OK
     cert_ok = v.certificate is not None and v.certificate.eliminated == v.product_count
     oracle_ok = v.oracle is not None and v.oracle.agreed
@@ -299,82 +300,51 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_NOT_PROVEN
 
 
-def _run_sweep(args, rows: list[Verdict]) -> int:
+def _sweep(args) -> Iterator[tuple[int, ...]]:
+    """The (g, r, d[, k]) tuples of a sweep, in g -> r -> d (-> k) order."""
+    gs, rs = _span(args.g), _span(args.r)
+    for g in gs:
+        if args.command == "petri":
+            ds, ks = _span(args.d, (1, 4 * g)), _span(args.k, (1, 4 * g))
+            yield from ((g, r, d, k) for r in rs for d in ds for k in ks)
+        else:
+            yield from ((g, r, d) for r in rs for d in _span(args.d, (g, g + r - 1)))
+
+
+def cmd_certify(args) -> int:
+    """``petri`` and ``endo``: one verdict, or the admitted verdicts of a sweep."""
+    # looked up per call, so a rebound module attribute takes effect
+    certify = petri_certificate if args.command == "petri" else onto_certificate
+
+    def verdict(t: tuple[int, ...]) -> Verdict:
+        return certify(*t, prime=args.prime, seed=args.seed, trials=args.trials)
+
+    try:
+        if args.sweep:
+            # most tuples of a grid are rejected: keep none of their verdicts
+            rows = [v for v in map(verdict, _sweep(args)) if v.status != HYPOTHESIS_NOT_MET]
+        else:
+            names = "grdk" if args.command == "petri" else "grd"
+            single = tuple(_single(getattr(args, n), n) for n in names)
+    except (TypeError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not args.sweep:
+        v = verdict(single)
+        text = _verdict_line(v) + "\n" if args.format == "table" else serialize.dumps(v)
+        _emit(text, args.out)
+        return _verdict_exit(v)
     if args.format == "table":
         text = "\n".join(_verdict_line(v) for v in rows) + "\n"
+    elif rows:
+        # the text of json.dumps(list, indent=2), encoded one verdict at a time:
+        # the indenting encoder yields millions of chunks for a whole grid
+        items = (serialize.dumps(v)[:-1].replace("\n", "\n  ") for v in rows)
+        text = "[\n  " + ",\n  ".join(items) + "\n]\n"
     else:
-        import json
-
-        text = (
-            json.dumps([serialize.to_payload(v) for v in rows], sort_keys=True, indent=2)
-            + "\n"
-        )
+        text = "[]\n"
     _emit(text, args.out)
     return EXIT_OK if all(v.ok for v in rows) else EXIT_NOT_PROVEN
-
-
-def cmd_petri(args) -> int:
-    try:
-        if args.sweep:
-            g_lo, g_hi = _span(args.g)
-            r_lo, r_hi = _span(args.r)
-            rows = []
-            for g in range(g_lo, g_hi + 1):
-                d_lo, d_hi = _span(args.d, (1, 4 * g))
-                k_lo, k_hi = _span(args.k, (1, 4 * g))
-                for r in range(r_lo, r_hi + 1):
-                    for d in range(d_lo, d_hi + 1):
-                        for k in range(k_lo, k_hi + 1):
-                            v = petri_certificate(
-                                g, r, d, k, prime=args.prime, seed=args.seed,
-                                trials=args.trials,
-                            )
-                            if v.status != "hypothesis-not-met":
-                                rows.append(v)
-            return _run_sweep(args, rows)
-        g = _single(args.g, "g")
-        r = _single(args.r, "r")
-        d = _single(args.d, "d")
-        k = _single(args.k, "k")
-    except (TypeError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    v = petri_certificate(g, r, d, k, prime=args.prime, seed=args.seed, trials=args.trials)
-    if args.format == "table":
-        _emit(_verdict_line(v) + "\n", args.out)
-    else:
-        _emit(serialize.dumps(v), args.out)
-    return _verdict_exit(v)
-
-
-def cmd_endo(args) -> int:
-    try:
-        if args.sweep:
-            g_lo, g_hi = _span(args.g)
-            r_lo, r_hi = _span(args.r)
-            rows = []
-            for g in range(g_lo, g_hi + 1):
-                for r in range(r_lo, r_hi + 1):
-                    d_lo, d_hi = _span(args.d, (g, g + r - 1))
-                    for d in range(d_lo, d_hi + 1):
-                        v = onto_certificate(
-                            g, r, d, prime=args.prime, seed=args.seed, trials=args.trials
-                        )
-                        if v.status != "hypothesis-not-met":
-                            rows.append(v)
-            return _run_sweep(args, rows)
-        g = _single(args.g, "g")
-        r = _single(args.r, "r")
-        d = _single(args.d, "d")
-    except (TypeError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    v = onto_certificate(g, r, d, prime=args.prime, seed=args.seed, trials=args.trials)
-    if args.format == "table":
-        _emit(_verdict_line(v) + "\n", args.out)
-    else:
-        _emit(serialize.dumps(v), args.out)
-    return _verdict_exit(v)
 
 
 COMMANDS = {
@@ -382,8 +352,8 @@ COMMANDS = {
     "tableaux": cmd_tableaux,
     "redistribute": cmd_redistribute,
     "validate": cmd_validate,
-    "petri": cmd_petri,
-    "endo": cmd_endo,
+    "petri": cmd_certify,
+    "endo": cmd_certify,
 }
 
 

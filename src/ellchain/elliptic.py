@@ -114,13 +114,6 @@ class Degree0Class:
     def __sub__(self, other: "Degree0Class") -> "Degree0Class":
         return self + (-other)
 
-    def scaled(self, n: int) -> "Degree0Class":
-        return Degree0Class(
-            pq=n * self.pq,
-            generic=tuple((s, n * c) for s, c in self.generic),
-            torsion=tuple((name, o, n * r) for name, o, r in self.torsion),
-        )
-
 
 # ---------------------------------------------------------------------------
 # bundle slots
@@ -240,10 +233,6 @@ class SectionSymbol:
     ord_q: int
     exact_p: bool = True
     exact_q: bool = True
-
-    @property
-    def order_sum(self) -> int:
-        return self.ord_p + self.ord_q
 
     def shifted(self, dp: int, dq: int) -> "SectionSymbol":
         return replace(self, ord_p=self.ord_p - dp, ord_q=self.ord_q - dq)
@@ -387,35 +376,6 @@ def section_space(l: LineBundleClass, u: int, t: int, slot: int = 0) -> Vanishin
                 f"window [{u}, {u + t - 1}] touches the coincidence pair at {a}"
             )
         rows = [SectionSymbol(slot, u + j, d - u - j - 1) for j in range(t)]
-    return VanishingTable(tuple(rows))
-
-
-def twist_sections(e: BundleOnComponent, alpha: int) -> VanishingTable:
-    """Sections of e vanishing to order >= alpha at P, for a balanced e.
-
-    e must be a direct sum of h slots of equal rank r/h and equal degree d/h
-    (line slots count as rank 1).  Writing d = r*d1 + d2 with 0 <= d2 < r and
-    k1 = d1 - alpha, the space has dimension r*k1 + d2 and P-orders d1
-    (d2 times) followed by d1-1 .. d1-k1, r times each; Q-orders are
-    unconstrained and flagged inexact.  Rows are listed by descending
-    P-order, grouped by slot within each order.
-    """
-    if not e.slots:
-        raise AlgebraError("twist_sections needs a nonempty bundle")
-    shapes = {(slot_rank(s), slot_degree(s)) for s in e.slots}
-    if len(shapes) != 1:
-        raise AlgebraError(f"twist_sections needs uniform slots, got shapes {sorted(shapes)}")
-    r, d = e.rank, e.degree
-    d1, d2 = divmod(d, r)
-    k1 = d1 - alpha
-    (r_sub, d_sub) = next(iter(shapes))
-    d2_sub = d_sub - r_sub * d1
-    rows: list[SectionSymbol] = []
-    for level in range(d1, d1 - max(k1, 0) - 1, -1):
-        per_slot = d2_sub if level == d1 else r_sub
-        for slot_index in range(len(e.slots)):
-            for _ in range(per_slot):
-                rows.append(SectionSymbol(slot_index, level, 0, exact_p=True, exact_q=False))
     return VanishingTable(tuple(rows))
 
 

@@ -112,10 +112,6 @@ class ProductSection:
     factor_b: int
     rows: tuple[ProductRow, ...]
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.factor_a, self.factor_b)
-
 
 def product_sections(
     series_a: LimitLinearSeries,
@@ -275,14 +271,6 @@ def certify_independence(
             reason=f"{len(remaining)} products never meet the thresholds anywhere",
         )
     return Certificate(tuple(passes), len(products), redist.thresholds)
-
-
-def replay_certificate(
-    cert: Certificate, products: Sequence[ProductSection], redist: Redistribution
-) -> bool:
-    """Certificates are deterministic replays: re-run and compare."""
-    again = certify_independence(products, redist)
-    return isinstance(again, Certificate) and again == cert
 
 
 # ---------------------------------------------------------------------------

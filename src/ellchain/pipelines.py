@@ -14,17 +14,17 @@ sections times traceless-endomorphism sections span the full target space
 
 Builders follow fixed numeric templates; every table row they emit is
 checked against the exact section calculus, and the elimination engine plus
-the rank oracle, not the builder, decide the verdict.
+the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
+``endo_instance`` turn a build into an :class:`Instance` (products,
+redistribution, audits); one :func:`decide` judges either statement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from ellchain.chain import (
-    ChainCurve,
     GluingData,
     LimitLinearSeries,
     NodeGluing,
@@ -49,12 +49,10 @@ from ellchain.elliptic import (
     end_decomposition,
     iter_trivial_slots,
     section_space,
-    slot_degree,
-    slot_rank,
 )
 from ellchain.independence import (
+    DEFAULT_PRIME,
     Certificate,
-    CertificateFailure,
     OracleConfig,
     ProductSection,
     certify_independence,
@@ -152,6 +150,8 @@ def poin_params(g: int, r: int, d: int) -> PoinParams:
         raise ParamsError(f"need g >= 2, got g = {g}")
     if not g <= d < g + r:
         raise ParamsError(f"need g <= d < g + r, got d = {d} for g = {g}, r = {r}")
+    if g < 4:
+        raise ParamsError(f"the product list needs g >= 4, got {g}")
     return PoinParams(g, r, d, math.gcd(r, d - g + 1))
 
 
@@ -165,10 +165,6 @@ class PetriBuild:
     params: PetriParams
     primary: LimitLinearSeries
     dual: LimitLinearSeries
-    blocks: int  # beta: number of structured blocks
-    block_width: int  # B: components per block
-    special_width: int  # sigma: special slots on block-end components
-    structured: int  # N = B * beta
     primary_report: ValidationReport  # validate_lls(primary), checked by the build
 
 
@@ -278,6 +274,23 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
     )
 
 
+def _dual_bundles(p: PetriParams, primary: LimitLinearSeries) -> tuple[BundleOnComponent, ...]:
+    """K_i tensor the dual of each primary slot, K_i = O(2(i-1)P + 2(g-i)Q).
+
+    On the last component K_g = O(2(g-1)P); an indecomposable slot of rank
+    r' and degree e dualizes to rank r', degree r'(2g-2) - e, negated twist.
+    """
+    out: list[BundleOnComponent] = []
+    for i, bundle in enumerate(primary.bundles, start=1):
+        k_i = LineBundleClass(2 * (i - 1), 2 * (p.g - i))
+        out.append(BundleOnComponent(tuple(
+            k_i.tensor(s.inverse()) if isinstance(s, LineBundleClass)
+            else IndecomposableSlot(s.rank, s.rank * (2 * p.g - 2) - s.degree, -s.twist)
+            for s in bundle.slots
+        )))
+    return tuple(out)
+
+
 def _petri_dual(
     p: PetriParams, primary: LimitLinearSeries, width: int, blocks: int
 ) -> LimitLinearSeries:
@@ -286,31 +299,14 @@ def _petri_dual(
     Slot classes are forced (K_i tensor the inverse of each primary slot);
     the k*bar = r*alpha rows are laid out by walking each row left to right,
     advancing its P-order by one per node except directly after a component
-    where the row sits at its slot's coincidence.
+    where the row sits at its slot's coincidence.  With alpha = 0 every table
+    is empty.
     """
     g, r = p.g, p.r
     dbar1 = 2 * g - 2 - p.d1
     kbar = p.kbar
     n_struct = width * blocks
-
-    dual_bundles: list[BundleOnComponent] = []
-    for i in range(1, g):
-        k_i = LineBundleClass(2 * (i - 1), 2 * (g - i))
-        dual_bundles.append(
-            BundleOnComponent(
-                tuple(k_i.tensor(s.inverse()) for s in primary.bundles[i - 1].slots)
-            )
-        )
-    k_g = LineBundleClass(2 * (g - 1), 0)
-    last_slots: list[Slot] = []
-    for s in primary.bundles[g - 1].slots:
-        if isinstance(s, LineBundleClass):
-            last_slots.append(k_g.tensor(s.inverse()))
-        else:
-            last_slots.append(
-                IndecomposableSlot(s.rank, s.rank * (2 * g - 2) - s.degree, -s.twist)
-            )
-    dual_bundles.append(BundleOnComponent(tuple(last_slots)))
+    dual_bundles = _dual_bundles(p, primary)
 
     tables: list[list[SectionSymbol | None]] = [[None] * kbar for _ in range(g)]
     required_level: dict[tuple[int, int], int] = {}
@@ -365,7 +361,7 @@ def _petri_dual(
         degree=r * (2 * g - 2) - p.d,
         dimension=kbar,
         a=dbar1,
-        bundles=tuple(dual_bundles),
+        bundles=dual_bundles,
         tables=final_tables,
         gluing=primary.gluing,
     )
@@ -390,38 +386,7 @@ def petri_build(p: PetriParams) -> PetriBuild:
     report = validate_lls(primary)
     if not report.ok:
         raise BuildError(0, f"primary series invalid: {report}")
-    if p.alpha == 0:
-        dual = LimitLinearSeries(
-            chain=primary.chain,
-            rank=p.r,
-            degree=p.r * (2 * p.g - 2) - p.d,
-            dimension=0,
-            a=2 * p.g - 2 - p.d1,
-            bundles=_petri_dual_bundles_only(p, primary),
-            tables=tuple(VanishingTable(()) for _ in range(p.g)),
-            gluing=primary.gluing,
-        )
-    else:
-        dual = _petri_dual(p, primary, width, blocks)
-    return PetriBuild(p, primary, dual, blocks, width, sigma, width * blocks, report)
-
-
-def _petri_dual_bundles_only(
-    p: PetriParams, primary: LimitLinearSeries
-) -> tuple[BundleOnComponent, ...]:
-    out: list[BundleOnComponent] = []
-    for i in range(1, p.g + 1):
-        k_i = LineBundleClass(2 * (i - 1), 2 * (p.g - i))
-        slots: list[Slot] = []
-        for s in primary.bundles[i - 1].slots:
-            if isinstance(s, LineBundleClass):
-                slots.append(k_i.tensor(s.inverse()))
-            else:
-                slots.append(
-                    IndecomposableSlot(s.rank, s.rank * (2 * p.g - 2) - s.degree, -s.twist)
-                )
-        out.append(BundleOnComponent(tuple(slots)))
-    return tuple(out)
+    return PetriBuild(p, primary, _petri_dual(p, primary, width, blocks), report)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +458,80 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VACUOUS = "vacuous"
 
 
+def _early(
+    kind: str,
+    params: dict,
+    status: str,
+    case: str | None = None,
+    expected_products: int = 0,
+    error: str | None = None,
+    notes: tuple[str, ...] = (),
+) -> Verdict:
+    """A verdict reached before any product is formed."""
+    return Verdict(
+        kind, params, case, status, expected_products, 0, (), None, None, error, None, None,
+        notes,
+    )
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One statement's products and bookkeeping, ready for :func:`decide`.
+
+    The audits depend only on the build and the redistribution, not on the
+    certificate or the oracle, so the builders compute them up front.
+    """
+
+    kind: str
+    params: dict
+    case: str | None
+    expected_products: int
+    products: tuple[ProductSection, ...]
+    redist: Redistribution
+    quoted_thresholds: tuple[tuple[int, int], ...] | None
+    audits: tuple[Audit, ...]
+    stability: StabilityVerdict | None
+    notes: tuple[str, ...]
+
+
+def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
+    """Certify, cross-check with the oracle on seeds seed..seed+2, and judge.
+
+    Proven needs every product eliminated, every audit passed and every
+    oracle rank equal to the product count.
+    """
+    products, redist = instance.products, instance.redist
+    outcome = certify_independence(products, redist)
+    certificate = outcome if isinstance(outcome, Certificate) else None
+    seeds = (seed, seed + 1, seed + 2)
+    ranks = tuple(
+        oracle_rank(products, redist, OracleConfig(prime=prime, seed=s, trials=trials))
+        for s in seeds
+    )
+    oracle = OracleBlock(prime, trials, seeds, ranks, len(products))
+    certified = certificate is not None and certificate.eliminated == len(products)
+    status = PROVEN if (
+        certified and all(a.ok for a in instance.audits) and oracle.agreed
+    ) else NOT_PROVEN
+    return Verdict(
+        kind=instance.kind,
+        params=instance.params,
+        case=instance.case,
+        status=status,
+        expected_products=instance.expected_products,
+        product_count=len(products),
+        audits=instance.audits,
+        distribution=DistributionInfo(
+            redist.dprime, redist.thresholds, instance.quoted_thresholds
+        ),
+        certificate=certificate,
+        certificate_error=None if certificate else outcome.reason,
+        oracle=oracle,
+        stability=instance.stability,
+        notes=instance.notes,
+    )
+
+
 def _validate_dual(series: LimitLinearSeries) -> ValidationReport:
     """Dual-series validation: condition (3) in its evaluation form.
 
@@ -518,22 +557,6 @@ def _validate_dual(series: LimitLinearSeries) -> ValidationReport:
     )
 
 
-def _run_oracle(
-    products: Sequence[ProductSection],
-    redist: Redistribution,
-    prime: int,
-    seed: int,
-    trials: int,
-    seeds: int = 3,
-) -> OracleBlock:
-    seed_list = tuple(seed + i for i in range(max(seeds, 1)))
-    ranks = tuple(
-        oracle_rank(products, redist, OracleConfig(prime=prime, seed=s, trials=trials))
-        for s in seed_list
-    )
-    return OracleBlock(prime, trials, seed_list, ranks, len(products))
-
-
 def petri_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
     """The survivor thresholds as quoted for the product redistribution."""
     out = []
@@ -544,63 +567,25 @@ def petri_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _petri_destabilizing(primary: LimitLinearSeries) -> list[tuple[int, ...]]:
-    """Every slot has the bundle's slope, so each is a destabilizing sub-slot."""
-    return [tuple(range(len(b.slots))) for b in primary.bundles]
-
-
-def petri_certificate(
-    g: int,
-    r: int,
-    d: int,
-    k: int,
-    prime: int = 0,
-    seed: int = 0,
-    trials: int = 1,
-) -> Verdict:
-    """Build, redistribute, certify and cross-check the k * kbar products."""
-    from ellchain.independence import DEFAULT_PRIME
-
-    prime = prime or DEFAULT_PRIME
-    params_dict = {"g": g, "r": r, "d": d, "k": k}
-    try:
-        p = petri_params(g, r, d, k)
-    except ParamsError as exc:
-        return Verdict(
-            "petri", params_dict, None, HYPOTHESIS_NOT_MET, 0, 0, (), None, None,
-            str(exc), None, None, (),
-        )
-    notes: list[str] = []
-    try:
-        build = petri_build(p)
-    except (BuildError, AlgebraError) as exc:
-        return Verdict(
-            "petri", params_dict, p.case, NOT_PROVEN, p.k * p.kbar, 0, (), None, None,
-            f"build failed: {exc}", None, None, (),
-        )
-    primary, dual = build.primary, build.dual
-
+def petri_instance(build: PetriBuild) -> Instance:
+    """The k * kbar products of the two series, spread r^2 on the end
+    components and 2r^2 on the others."""
+    p, primary, dual = build.params, build.primary, build.dual
+    g, r = p.g, p.r
     products = product_sections(primary, dual)
     prod_series = product_series(primary, dual, products)
     rho = r * r
-    dprime = tuple(
-        rho if i in (1, g) else 2 * rho for i in range(1, g + 1)
-    )
+    dprime = tuple(rho if i in (1, g) else 2 * rho for i in range(1, g + 1))
     redist = redistribute(prod_series, dprime)
     quoted = petri_quoted_thresholds(g)
-
-    outcome = certify_independence(products, redist)
-    certificate = outcome if isinstance(outcome, Certificate) else None
-    cert_error = None if certificate else outcome.reason
-
-    oracle = _run_oracle(products, redist, prime, seed, trials)
+    # every slot has the bundle's slope, so each is a destabilizing sub-slot
     stability = check_stability(
-        primary.bundles, primary.gluing, _petri_destabilizing(primary)
+        primary.bundles, primary.gluing, [tuple(range(len(b.slots))) for b in primary.bundles]
     )
 
-    notes.append(f"series built with a = {p.d1} (primary) and a = {2 * g - 2 - p.d1} (dual)")
-    dual_h0 = p.kbar + p.k2 - p.d2  # ambient dimension of the complementary space
+    notes = [f"series built with a = {p.d1} (primary) and a = {2 * g - 2 - p.d1} (dual)"]
     if p.k2 != p.d2:
+        dual_h0 = p.kbar + p.k2 - p.d2  # ambient dimension of the complementary space
         notes.append(
             f"complementary space has ambient dimension {dual_h0}; the built series"
             f" tracks kbar = {p.kbar} rows"
@@ -619,25 +604,34 @@ def petri_certificate(
         Audit("image-bound-within-ambient", True, p.k * p.kbar <= rho * (g - 1)),
         Audit("stability", "stable-by-criterion", stability.verdict),
     )
-    certified = certificate is not None and certificate.eliminated == len(products)
-    status = PROVEN if (
-        certified and all(a.ok for a in audits) and oracle.agreed
-    ) else NOT_PROVEN
-    return Verdict(
-        kind="petri",
-        params=params_dict,
-        case=p.case,
-        status=status,
-        expected_products=p.k * p.kbar,
-        product_count=len(products),
-        audits=audits,
-        distribution=DistributionInfo(dprime, redist.thresholds, quoted),
-        certificate=certificate,
-        certificate_error=cert_error,
-        oracle=oracle,
-        stability=stability,
-        notes=tuple(notes),
+    return Instance(
+        "petri", {"g": g, "r": r, "d": p.d, "k": p.k}, p.case, p.k * p.kbar, products,
+        redist, quoted, audits, stability, tuple(notes),
     )
+
+
+def petri_certificate(
+    g: int,
+    r: int,
+    d: int,
+    k: int,
+    prime: int = DEFAULT_PRIME,
+    seed: int = 0,
+    trials: int = 1,
+) -> Verdict:
+    """Build, redistribute, certify and cross-check the k * kbar products."""
+    params = {"g": g, "r": r, "d": d, "k": k}
+    try:
+        p = petri_params(g, r, d, k)
+    except ParamsError as exc:
+        return _early("petri", params, HYPOTHESIS_NOT_MET, error=str(exc))
+    try:
+        build = petri_build(p)
+    except (BuildError, AlgebraError) as exc:
+        return _early(
+            "petri", params, NOT_PROVEN, p.case, p.k * p.kbar, f"build failed: {exc}"
+        )
+    return decide(petri_instance(build), prime, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +642,6 @@ def petri_certificate(
 @dataclass(frozen=True)
 class EndoBuild:
     params: PoinParams
-    e0_bundles: tuple[BundleOnComponent, ...]
     end_bundles: tuple[BundleOnComponent, ...]  # full Hom(E0, E0) per component
     hom_gluing: GluingData  # identity sub-line-bundle matched at every node
     endo_series: LimitLinearSeries  # canonical (x) traceless endomorphisms
@@ -711,7 +704,7 @@ def endo_build(p: PoinParams) -> EndoBuild:
         tables=tuple(tables),
         gluing=GluingData(tuple(NodeGluing() for _ in range(g - 1))),
     )
-    return EndoBuild(p, tuple(e0), ends, hom_gluing, series, trivial_counts)
+    return EndoBuild(p, ends, hom_gluing, series, trivial_counts)
 
 
 def endo_h0(build: EndoBuild) -> int:
@@ -744,8 +737,6 @@ def colsec_pairs(g: int, rho: int) -> tuple[tuple[int, int], ...]:
     with windows g-2 and g-1.  Ids are 0-based: canonical section l is l-1,
     window j of slot s is s*(g-1) + (j-1).
     """
-    if g < 4:
-        raise ParamsError(f"product list needs g >= 4, got {g}")
     pairs: list[tuple[int, int]] = []
     for s in range(rho):
         for l in range(1, g - 3 + 1):
@@ -757,79 +748,56 @@ def colsec_pairs(g: int, rho: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def onto_certificate(
-    g: int,
-    r: int,
-    d: int,
-    prime: int = 0,
-    seed: int = 0,
-    trials: int = 1,
-) -> Verdict:
-    """Certify surjectivity of canonical x traceless-endomorphism products."""
-    from ellchain.independence import DEFAULT_PRIME
-
-    prime = prime or DEFAULT_PRIME
-    params_dict = {"g": g, "r": r, "d": d}
-    try:
-        p = poin_params(g, r, d)
-        if g < 4:
-            raise ParamsError(f"the product list needs g >= 4, got {g}")
-    except ParamsError as exc:
-        return Verdict(
-            "endo-onto", params_dict, None, HYPOTHESIS_NOT_MET, 0, 0, (), None, None,
-            str(exc), None, None, (),
-        )
-    if r == 1:
-        return Verdict(
-            "endo-onto", params_dict, None, VACUOUS, 0, 0, (), None, None, None, None,
-            None, ("rank 1: traceless part has rank 0, nothing to prove",),
-        )
-    build = endo_build(p)
+def endo_instance(build: EndoBuild) -> Instance:
+    """Canonical sections times traceless-endomorphism windows, spread 3rho
+    on the first and the last three components and 4rho elsewhere."""
+    p = build.params
+    g, r = p.g, p.r
     rho = r * r - 1
     canonical = canonical_series(g)
-    pairs = colsec_pairs(g, rho)
-    products = product_sections(canonical, build.endo_series, pairs)
+    products = product_sections(canonical, build.endo_series, colsec_pairs(g, rho))
     prod_series = product_series(canonical, build.endo_series, products)
     dprime = tuple(
         3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1)
     )
     redist = redistribute(prod_series, dprime)
-    outcome = certify_independence(products, redist)
-    certificate = outcome if isinstance(outcome, Certificate) else None
-    cert_error = None if certificate else outcome.reason
-    oracle = _run_oracle(products, redist, prime, seed, trials)
-
     target_dim = rho * (3 * g - 3)  # degree + rank*(1 - g) on the squared twist
-    h0_hom = endo_h0(build)
     audits = (
         Audit("endo-series-valid", True, validate_lls(build.endo_series).ok),
         Audit("product-series-valid", True, validate_lls(prod_series).ok),
-        Audit("hom-h0", 1, h0_hom),
+        Audit("hom-h0", 1, endo_h0(build)),
         Audit("table-dimension", rho * (g - 1), build.endo_series.dimension),
         Audit("trivial-summands-last", p.h, build.trivial_counts[-1]),
         Audit("distribution-total", rho * (4 * g - 4), sum(dprime)),
         Audit("target-dimension", target_dim, len(products)),
     )
-    certified = certificate is not None and certificate.eliminated == len(products)
-    status = PROVEN if (
-        certified and all(a.ok for a in audits) and oracle.agreed
-    ) else NOT_PROVEN
     notes = (
         "last-component canonical classes recomputed from the canonical series:"
         " O(2(g-1)P); h-1 traceless windows there gain one vanishing order",
     )
-    return Verdict(
-        kind="endo-onto",
-        params=params_dict,
-        case=None,
-        status=status,
-        expected_products=target_dim,
-        product_count=len(products),
-        audits=audits,
-        distribution=DistributionInfo(dprime, redist.thresholds, None),
-        certificate=certificate,
-        certificate_error=cert_error,
-        oracle=oracle,
-        stability=None,
-        notes=notes,
+    return Instance(
+        "endo-onto", {"g": g, "r": r, "d": p.d}, None, target_dim, products, redist, None,
+        audits, None, notes,
     )
+
+
+def onto_certificate(
+    g: int,
+    r: int,
+    d: int,
+    prime: int = DEFAULT_PRIME,
+    seed: int = 0,
+    trials: int = 1,
+) -> Verdict:
+    """Certify surjectivity of canonical x traceless-endomorphism products."""
+    params = {"g": g, "r": r, "d": d}
+    try:
+        p = poin_params(g, r, d)
+    except ParamsError as exc:
+        return _early("endo-onto", params, HYPOTHESIS_NOT_MET, error=str(exc))
+    if r == 1:
+        return _early(
+            "endo-onto", params, VACUOUS,
+            notes=("rank 1: traceless part has rank 0, nothing to prove",),
+        )
+    return decide(endo_instance(endo_build(p)), prime, seed, trials)

@@ -25,17 +25,16 @@ from ellchain.independence import (
     OracleConfig,
     certify_independence,
     oracle_rank,
-    product_sections,
-    product_series,
 )
 from ellchain.pipelines import (
     ParamsError,
-    colsec_pairs,
     endo_build,
     endo_h0,
+    endo_instance,
     onto_certificate,
     petri_build,
     petri_certificate,
+    petri_instance,
     petri_params,
     petri_quoted_thresholds,
     poin_params,
@@ -256,21 +255,14 @@ def test_criterion_5_endomorphism_grid():
 
 def _petri_instance(g, r, d, k):
     build = petri_build(petri_params(g, r, d, k))
-    products = product_sections(build.primary, build.dual)
-    series = product_series(build.primary, build.dual, products)
-    rho = r * r
-    dprime = tuple(rho if i in (1, g) else 2 * rho for i in range(1, g + 1))
-    return build, products, redistribute(series, dprime)
+    x = petri_instance(build)
+    return build, x.products, x.redist
 
 
 def _endo_instance(g, r, d):
     build = endo_build(poin_params(g, r, d))
-    canonical = canonical_series(g)
-    rho = r * r - 1
-    products = product_sections(canonical, build.endo_series, colsec_pairs(g, rho))
-    series = product_series(canonical, build.endo_series, products)
-    dprime = tuple(3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1))
-    return build, products, redistribute(series, dprime)
+    x = endo_instance(build)
+    return build, x.products, x.redist
 
 
 def _lower_orders(product, drop):

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism, golden output."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -180,3 +181,40 @@ def test_bad_oracle_input_is_usage_error(capsys, monkeypatch, env, argv):
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("petri", "--sweep", "--g", "2..5", "--r", "1..2"),
+     "8c7b6822d3a82cb2e6dee22024f5ab7fd8b32a3362e8e5ca03e48e2e6e8f2648"),
+    (("endo", "--sweep", "--g", "4..7", "--r", "2..3"),
+     "91e0fc8b11b4ffc24bb4fc16e8b7d1e322cd5775d51bad14d18cbe310bfb52a5"),
+], ids=["petri", "endo"])
+def test_sweep_json_is_pinned(capsys, argv, digest):
+    # seed 0, default trials and prime: any change to a byte of the sweep fails
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_sweep_admitting_nothing_prints_an_empty_list(capsys):
+    code, out, _ = run(capsys, "endo", "--sweep", "--g", "2..3", "--r", "2")
+    assert code == 0 and out == "[]\n"
+
+
+def test_endo_below_genus_4_names_the_product_list(capsys):
+    code, out, _ = run(capsys, "endo", "--g", "3", "--r", "2", "--d", "3")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["status"] == "hypothesis-not-met"
+    assert payload["certificate_error"] == "the product list needs g >= 4, got 3"
+
+
+def test_validate_rejects_a_rational_component(capsys, tmp_path):
+    out_file = tmp_path / "series.json"
+    run(capsys, "canonical", "--g", "3", "--out", str(out_file))
+    payload = json.loads(out_file.read_text())
+    payload["series"]["chain"]["kinds"][1] = "rational"
+    out_file.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "validate", "--series", str(out_file))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -16,7 +16,6 @@ from ellchain.elliptic import (
     iter_trivial_slots,
     section_basis,
     section_space,
-    twist_sections,
 )
 
 
@@ -139,29 +138,6 @@ class TestSectionSpace:
             basis = {(s.ord_p, s.ord_q) for s in section_basis(l).sections}
             table = section_space(l, 1, 3)
             assert {(s.ord_p, s.ord_q) for s in table.rows} <= basis
-
-
-class TestTwistSections:
-    def test_rank_two_degree_five(self):
-        e = BundleOnComponent((IndecomposableSlot(2, 5),))
-        table = twist_sections(e, 1)
-        assert [r.ord_p for r in table.rows] == [2, 1, 1]
-        assert all(not r.exact_q for r in table.rows)
-
-    def test_three_line_slots(self):
-        # h0(E(-0*P)) = 3 by the degree count; one section per slot at order 0
-        slots = tuple(LineBundleClass(0, 1, Degree0Class.of_generic(f"L{i}")) for i in range(3))
-        table = twist_sections(BundleOnComponent(slots), 0)
-        assert [(r.slot, r.ord_p) for r in table.rows] == [(0, 0), (1, 0), (2, 0)]
-
-    def test_full_twist_empty(self):
-        e = BundleOnComponent((IndecomposableSlot(3, 6),))
-        assert twist_sections(e, 2).dimension == 0
-
-    def test_rejects_non_uniform(self):
-        e = BundleOnComponent((IndecomposableSlot(2, 5), IndecomposableSlot(2, 3)))
-        with pytest.raises(AlgebraError):
-            twist_sections(e, 0)
 
 
 class TestEndDecomposition:
