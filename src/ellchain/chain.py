@@ -21,7 +21,7 @@ table down to the rows that survive the new vanishing thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from ellchain.elliptic import (
     AlgebraError,
@@ -72,10 +72,6 @@ class NodeGluing:
 
     matched: tuple[tuple[int, int], ...] | None = None
 
-    @property
-    def is_generic(self) -> bool:
-        return self.matched is None
-
 
 @dataclass(frozen=True)
 class GluingData:
@@ -92,6 +88,21 @@ class GluingData:
 
 def generic_gluing(m: int) -> GluingData:
     return GluingData(tuple(NodeGluing() for _ in range(m - 1)))
+
+
+def matched_paths(gluing: GluingData, allowed: Sequence[Collection[int]]) -> set[int]:
+    """Last-component ends of the paths of allowed slots matched at every node.
+
+    A path starts at an allowed slot of the first component and crosses each
+    node along a matched pair into an allowed slot; a generic node ends every
+    path.  ``allowed`` holds one slot collection per component.
+    """
+    reachable = set(allowed[0])
+    for n, node in enumerate(gluing.nodes):
+        if node.matched is None:
+            return set()
+        reachable = {r for l, r in node.matched if l in reachable and r in allowed[n + 1]}
+    return reachable
 
 
 @dataclass(frozen=True)
@@ -207,6 +218,10 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
                     structural.append(f"node {n + 1}: matched slots of ranks {rl} != {rr}")
     if series.pairings is not None and len(series.pairings) != m - 1:
         structural.append("pairings do not cover every node")
+    elif series.pairings is not None:
+        for n, pairs in enumerate(series.pairings):
+            if any(not 0 <= t < series.dimension for pair in pairs for t in pair):
+                structural.append(f"node {n + 1}: paired row out of range")
     if structural:
         return ValidationReport(tuple(structural), False, False, False, ())
 
@@ -504,16 +519,7 @@ def check_stability(
         raise AlgebraError("one destabilizing-slot list per component required")
     if any(_component_is_stable(b) for b in bundles):
         return StabilityVerdict(STABLE_BY_CRITERION, "a component bundle is stable")
-    reachable = set(destabilizing[0])
-    for n, node in enumerate(gluing.nodes):
-        if node.matched is None or not reachable:
-            reachable = set()
-            break
-        matched = {(l, r) for l, r in node.matched}
-        reachable = {
-            r for (l, r) in matched if l in reachable and r in destabilizing[n + 1]
-        }
-    if reachable:
+    if matched_paths(gluing, destabilizing):
         return StabilityVerdict(
             INCONCLUSIVE, "declared destabilizing sub-slots glue across every node"
         )

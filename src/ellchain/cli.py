@@ -272,7 +272,8 @@ def _read_series(path: Path):
     import json
 
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("type") != "series" and "series" in payload:
+    # a canonical wrapper holds the series; anything but an object is the decoder's to reject
+    if isinstance(payload, dict) and payload.get("type") != "series" and "series" in payload:
         payload = payload["series"]
     return serialize.from_payload(payload)
 

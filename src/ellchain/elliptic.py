@@ -181,10 +181,6 @@ def slot_rank(slot: Slot) -> int:
     return 1 if isinstance(slot, LineBundleClass) else slot.rank
 
 
-def slot_degree(slot: Slot) -> int:
-    return slot.degree
-
-
 @dataclass(frozen=True)
 class BundleOnComponent:
     """A vector bundle on one component as an ordered sum of slots.
@@ -201,7 +197,7 @@ class BundleOnComponent:
 
     @property
     def degree(self) -> int:
-        return sum(slot_degree(s) for s in self.slots)
+        return sum(s.degree for s in self.slots)
 
     def twisted(self, at_p: int, at_q: int) -> "BundleOnComponent":
         """Tensor by O(-at_p * P - at_q * Q), slot by slot."""
@@ -300,7 +296,7 @@ def class_isomorphic(l1: LineBundleClass, l2: LineBundleClass) -> bool:
 
 
 def h0_slot(slot: Slot) -> int:
-    d = slot_degree(slot)
+    d = slot.degree
     if d > 0:
         return d
     if d < 0:
@@ -396,7 +392,7 @@ def end_decomposition(e: BundleOnComponent) -> BundleOnComponent:
     for s in e.slots:
         if isinstance(s, IndecomposableSlot) and s.rank > 1 and s.gcd != 1:
             raise AlgebraError(f"slot of rank {s.rank}, degree {s.degree} has gcd {s.gcd} != 1")
-        shapes.add((slot_rank(s), slot_degree(s)))
+        shapes.add((slot_rank(s), s.degree))
     if len(shapes) != 1:
         raise AlgebraError(f"end_decomposition needs uniform slots, got shapes {sorted(shapes)}")
     (r_sub, d_sub) = next(iter(shapes))
@@ -426,5 +422,5 @@ def end_decomposition(e: BundleOnComponent) -> BundleOnComponent:
 
 def iter_trivial_slots(e: BundleOnComponent) -> Iterator[int]:
     for i, s in enumerate(e.slots):
-        if slot_degree(s) == 0 and h0_slot(s) == 1:
+        if s.degree == 0 and h0_slot(s) == 1:
             yield i

@@ -37,7 +37,6 @@ from ellchain.elliptic import (
     SectionSymbol,
     Slot,
     VanishingTable,
-    slot_degree,
     slot_rank,
 )
 
@@ -52,7 +51,7 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 def _product_slot(sa: Slot, sb: Slot) -> Slot:
     ra, rb = slot_rank(sa), slot_rank(sb)
-    da, db = slot_degree(sa), slot_degree(sb)
+    da, db = sa.degree, sb.degree
     if isinstance(sa, LineBundleClass) and isinstance(sb, LineBundleClass):
         return LineBundleClass(sa.a + sb.a, sa.b + sb.b, sa.twist + sb.twist)
     return IndecomposableSlot(ra * rb, ra * db + rb * da, sa.twist + sb.twist)

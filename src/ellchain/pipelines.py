@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from ellchain.chain import (
     GluingData,
@@ -34,6 +35,7 @@ from ellchain.chain import (
     canonical_series,
     check_stability,
     elliptic_chain,
+    matched_paths,
     redistribute,
     validate_lls,
 )
@@ -177,6 +179,30 @@ def _structured_position(i: int, width: int) -> tuple[int, int]:
     return (i - 1) // width, (i - 1) % width + 1
 
 
+def _fit_last(
+    g: int, r: int, degree: int, levels: Iterable[int], what: str
+) -> tuple[SectionSymbol, ...]:
+    """One row per P-order in ``levels`` on the balanced last component.
+
+    The bundle of rank r and the given degree is h = gcd(r, degree) atoms of
+    rank r/h.  With degree = top*r + extra it has r sections of each order
+    below ``top`` and ``extra`` of order ``top``, handed out atom by atom.
+    """
+    h = math.gcd(r, degree)
+    top, extra = divmod(degree, r)
+    used: dict[int, int] = {}
+    rows = []
+    for level in levels:
+        pos = used.get(level, 0)
+        capacity = extra if level == top else (r if level < top else 0)
+        if pos >= capacity:
+            raise BuildError(g, f"no {what} of vanishing order {level} left")
+        used[level] = pos + 1
+        per_atom = extra // h if level == top else r // h
+        rows.append(SectionSymbol(pos // per_atom, level, 0, exact_p=True, exact_q=False))
+    return tuple(rows)
+
+
 def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> LimitLinearSeries:
     g, r, d1, d2, k1, k2 = p.g, p.r, p.d1, p.d2, p.k1, p.k2
     n_struct = width * blocks
@@ -235,24 +261,9 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
             atom_slots.append(LineBundleClass(0, d_sub, tw))
         else:
             atom_slots.append(IndecomposableSlot(r_sub, d_sub, tw))
-    level_used: dict[int, int] = {}
-    last_rows: list[SectionSymbol] = []
-    d2_sub = d2 // h if h else 0
-    for m in range(1, k1 + 2):
-        level = g - blocks - 2 + m
-        cols = r if m <= k1 else k2
-        for c in range(cols):
-            pos = level_used.get(level, 0)
-            capacity = d2 if level == p.d1 else (r if level < p.d1 else 0)
-            if pos >= capacity:
-                raise BuildError(g, f"no section of vanishing order {level} left")
-            per_atom = d2_sub if level == p.d1 else r_sub
-            atom = pos // per_atom
-            level_used[level] = pos + 1
-            last_rows.append(SectionSymbol(atom, level, 0, exact_p=True, exact_q=False))
-    # reorder into global-id order: rows were emitted m-major already
+    levels = (g - blocks - 2 + m for m in range(1, k1 + 2) for _ in range(r if m <= k1 else k2))
     bundles.append(BundleOnComponent(tuple(atom_slots)))
-    tables.append(VanishingTable(tuple(last_rows)))
+    tables.append(VanishingTable(_fit_last(g, r, p.d, levels, "section")))
 
     nodes = [
         NodeGluing(tuple((c, c) for c in range(r))) if n + 2 <= n_struct else NodeGluing()
@@ -331,24 +342,12 @@ def _petri_dual(
                 pi = dbar1 - row.ord_q
             required_level[(mbar, c)] = pi
 
-    # fit the last component: levels must fit the balanced bundle's jumps
-    d_last = r * (2 * g - 2) - p.d
-    h = math.gcd(r, p.d)
-    r_sub = r // h
-    delta1, delta2 = divmod(d_last, r) if r else (0, 0)
-    level_used: dict[int, int] = {}
     order = sorted(required_level, key=lambda mc: (required_level[mc], mc))
-    for mbar, c in order:
-        level = required_level[(mbar, c)]
-        pos = level_used.get(level, 0)
-        capacity = delta2 if level == delta1 else (r if level < delta1 else 0)
-        if pos >= capacity:
-            raise BuildError(g, f"no dual section of vanishing order {level} left")
-        per_atom = (delta2 // h) if level == delta1 else r_sub
-        atom = pos // per_atom
-        level_used[level] = pos + 1
-        sid = (mbar - 1) * r + c
-        tables[g - 1][sid] = SectionSymbol(atom, level, 0, exact_p=True, exact_q=False)
+    last_rows = _fit_last(
+        g, r, r * (2 * g - 2) - p.d, (required_level[mc] for mc in order), "dual section"
+    )
+    for (mbar, c), row in zip(order, last_rows):
+        tables[g - 1][(mbar - 1) * r + c] = row
 
     final_tables = tuple(
         VanishingTable(tuple(row for row in t if row is not None)) for t in tables
@@ -714,19 +713,8 @@ def endo_h0(build: EndoBuild) -> int:
     on trivial summands matched across every node; the identity chain is the
     only matched one.
     """
-    reachable = {
-        s for s in iter_trivial_slots(build.end_bundles[0])
-    }
-    for n, node in enumerate(build.hom_gluing.nodes):
-        if node.matched is None:
-            reachable = set()
-            break
-        trivial_next = set(iter_trivial_slots(build.end_bundles[n + 1]))
-        reachable = {
-            right for (left, right) in node.matched
-            if left in reachable and right in trivial_next
-        }
-    return len(reachable)
+    trivial = [set(iter_trivial_slots(e)) for e in build.end_bundles]
+    return len(matched_paths(build.hom_gluing, trivial))
 
 
 def colsec_pairs(g: int, rho: int) -> tuple[tuple[int, int], ...]:

@@ -3,34 +3,27 @@
 Every top-level payload carries ``"schema": 1`` and a ``"type"`` tag; the
 full field-by-field layout is documented in ``docs/schema.md``.  Encoding is
 deterministic (sorted keys, no timestamps), and ``loads``/``from_payload``
-invert ``dumps``/``to_payload`` for every payload type:
-``from_payload(to_payload(x)) == x``.
+invert ``dumps``/``to_payload`` for every payload type.
+
+The dataclasses state the layout once: an object is written as its ``init``
+fields by name, tuples as lists, plus the tags, read-only properties and
+layout exceptions in the tables below.  Decoding follows the same fields'
+type hints; a missing key, a wrong type or a non-object raises
+:class:`SchemaError` naming the field path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from typing import Any
+import types
+import typing
+from typing import Any, NamedTuple
 
-from ellchain.chain import (
-    ChainCurve,
-    GluingData,
-    LimitLinearSeries,
-    NodeGluing,
-    Redistribution,
-    StabilityVerdict,
-    ValidationReport,
-)
-from ellchain.elliptic import (
-    BundleOnComponent,
-    Degree0Class,
-    IndecomposableSlot,
-    LineBundleClass,
-    SectionSymbol,
-    Slot,
-    VanishingTable,
-)
-from ellchain.independence import Certificate, EliminationPass, Survivor
+from ellchain.chain import LimitLinearSeries, Redistribution, ValidationReport
+from ellchain.elliptic import Degree0Class, IndecomposableSlot, LineBundleClass
+from ellchain.independence import Certificate
 from ellchain.pipelines import Audit, DistributionInfo, OracleBlock, Verdict
 
 SCHEMA_VERSION = 1
@@ -40,322 +33,184 @@ class SchemaError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# encoders
-# ---------------------------------------------------------------------------
+#: top-level payload types, written with ``schema`` and ``type`` keys
+TYPES = {
+    LimitLinearSeries: "series",
+    ValidationReport: "validation",
+    Redistribution: "redistribution",
+    Certificate: "certificate",
+    Verdict: "verdict",
+}
+#: read-only properties written after the fields and ignored on input
+DERIVED = {
+    ValidationReport: ("ok",),
+    Redistribution: ("empty_components",),
+    Audit: ("ok",),
+    DistributionInfo: ("matches_quoted",),
+    OracleBlock: ("agreed",),
+}
+#: the ``kind`` tag that tells the two slot types apart
+KINDS = {LineBundleClass: "line", IndecomposableSlot: "atom"}
+#: fields written under a sub-object: class -> (key, field-name prefix)
+NESTED = {ValidationReport: ("conditions", "condition_")}
+
+_BY_TYPE = {tag: cls for cls, tag in TYPES.items()}
+_SCALARS = frozenset({int, str, bool, type(None)})
+_UNIONS = (typing.Union, types.UnionType)
+_JSON_NAMES = {dict: "an object", list: "a list", type(None): "null"}
 
 
-def _class0(c: Degree0Class) -> dict:
-    return {
-        "pq": c.pq,
-        "generic": {name: coeff for name, coeff in c.generic},
-        "torsion": {name: [order, residue] for name, order, residue in c.torsion},
-    }
+class _Field(NamedTuple):
+    name: str
+    group: str | None  # key of the sub-object the field is written under
+    key: str
+    hint: Any
+    scalar: bool  # written as is, without walking the value
 
 
-def _slot(s: Slot) -> dict:
-    if isinstance(s, LineBundleClass):
-        return {"kind": "line", "a": s.a, "b": s.b, "twist": _class0(s.twist)}
-    return {"kind": "atom", "rank": s.rank, "degree": s.degree, "twist": _class0(s.twist)}
+def _is_scalar(hint: Any) -> bool:
+    if typing.get_origin(hint) in _UNIONS:
+        return all(_is_scalar(h) for h in typing.get_args(hint))
+    return hint in _SCALARS
 
 
-def _bundle(b: BundleOnComponent) -> dict:
-    return {"slots": [_slot(s) for s in b.slots]}
+@functools.cache
+def _layout(cls: type) -> tuple[dict, tuple[_Field, ...], tuple[str, ...]]:
+    """The tags a payload of ``cls`` starts with, its fields, its derived keys."""
+    if not dataclasses.is_dataclass(cls):
+        raise SchemaError(f"cannot serialize {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    group, prefix = NESTED.get(cls, (None, None))
+    fields = []
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        nested = prefix is not None and f.name.startswith(prefix)
+        key = f.name[len(prefix):] if nested else f.name
+        hint = hints[f.name]
+        fields.append(_Field(f.name, group if nested else None, key, hint, _is_scalar(hint)))
+    if cls in TYPES:
+        head = {"schema": SCHEMA_VERSION, "type": TYPES[cls]}
+    else:
+        head = {"kind": KINDS[cls]} if cls in KINDS else {}
+    return head, tuple(fields), DERIVED.get(cls, ())
 
 
-def _row(r: SectionSymbol) -> dict:
-    return {
-        "slot": r.slot,
-        "ord_p": r.ord_p,
-        "ord_q": r.ord_q,
-        "exact_p": r.exact_p,
-        "exact_q": r.exact_q,
-    }
-
-
-def _table(t: VanishingTable) -> dict:
-    return {"rows": [_row(r) for r in t.rows]}
-
-
-def _gluing(g: GluingData) -> dict:
-    return {
-        "nodes": [
-            {"matched": None if n.matched is None else [list(p) for p in n.matched]}
-            for n in g.nodes
-        ],
-        "distinguished": [[node, list(ids)] for node, ids in g.distinguished],
-    }
+def _plain(value: Any) -> Any:
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    if cls is tuple or cls is list:
+        return [v if type(v) in _SCALARS else _plain(v) for v in value]
+    if cls is dict:
+        return {k: _plain(v) for k, v in value.items()}
+    if cls is Degree0Class:  # symbol-keyed dicts, not pair lists
+        return {
+            "pq": value.pq,
+            "generic": dict(value.generic),
+            "torsion": {name: [order, res] for name, order, res in value.torsion},
+        }
+    head, fields, derived = _layout(cls)
+    out = dict(head)
+    for f in fields:
+        v = getattr(value, f.name)
+        if not f.scalar:
+            v = _plain(v)
+        (out if f.group is None else out.setdefault(f.group, {}))[f.key] = v
+    for name in derived:
+        out[name] = _plain(getattr(value, name))
+    return out
 
 
 def to_payload(obj: Any) -> dict:
     """Encode a supported object as a schema-tagged JSON payload."""
-    if isinstance(obj, LimitLinearSeries):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "series",
-            "chain": {"kinds": list(obj.chain.kinds)},
-            "rank": obj.rank,
-            "degree": obj.degree,
-            "dimension": obj.dimension,
-            "a": obj.a,
-            "bundles": [_bundle(b) for b in obj.bundles],
-            "tables": [_table(t) for t in obj.tables],
-            "gluing": _gluing(obj.gluing),
-            "pairings": None
-            if obj.pairings is None
-            else [[list(p) for p in node] for node in obj.pairings],
-        }
-    if isinstance(obj, ValidationReport):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "validation",
-            "structural_errors": list(obj.structural_errors),
-            "conditions": {
-                "degree": obj.condition_degree,
-                "nodes": obj.condition_nodes,
-                "determined": obj.condition_determined,
-            },
-            "failures": list(obj.failures),
-            "ok": obj.ok,
-        }
-    if isinstance(obj, Redistribution):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "redistribution",
-            "dprime": list(obj.dprime),
-            "a_parts": list(obj.a_parts),
-            "thresholds": [list(t) for t in obj.thresholds],
-            "bundles": [_bundle(b) for b in obj.bundles],
-            "tables": [_table(t) for t in obj.tables],
-            "survivors": [list(s) for s in obj.survivors],
-            "total_degree": obj.total_degree,
-            "rank": obj.rank,
-            "empty_components": list(obj.empty_components),
-        }
-    if isinstance(obj, Certificate):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "certificate",
-            "product_count": obj.product_count,
-            "thresholds": [list(t) for t in obj.thresholds],
-            "passes": [
-                {
-                    "component": p.component,
-                    "survivors": [
-                        {
-                            "product": s.product,
-                            "slot": s.slot,
-                            "ord_p": s.ord_p,
-                            "exact_p": s.exact_p,
-                            "ord_q": s.ord_q,
-                            "exact_q": s.exact_q,
-                        }
-                        for s in p.survivors
-                    ],
-                }
-                for p in obj.passes
-            ],
-        }
-    if isinstance(obj, Verdict):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "verdict",
-            "kind": obj.kind,
-            "params": dict(obj.params),
-            "case": obj.case,
-            "status": obj.status,
-            "expected_products": obj.expected_products,
-            "product_count": obj.product_count,
-            "audits": [
-                {"name": a.name, "expected": _plain(a.expected), "actual": _plain(a.actual), "ok": a.ok}
-                for a in obj.audits
-            ],
-            "distribution": None
-            if obj.distribution is None
-            else {
-                "dprime": list(obj.distribution.dprime),
-                "thresholds": [list(t) for t in obj.distribution.thresholds],
-                "quoted_thresholds": None
-                if obj.distribution.quoted_thresholds is None
-                else [list(t) for t in obj.distribution.quoted_thresholds],
-                "matches_quoted": obj.distribution.matches_quoted,
-            },
-            "certificate": None if obj.certificate is None else to_payload(obj.certificate),
-            "certificate_error": obj.certificate_error,
-            "oracle": None
-            if obj.oracle is None
-            else {
-                "prime": obj.oracle.prime,
-                "trials": obj.oracle.trials,
-                "seeds": list(obj.oracle.seeds),
-                "ranks": list(obj.oracle.ranks),
-                "expected": obj.oracle.expected,
-                "agreed": obj.oracle.agreed,
-            },
-            "stability": None
-            if obj.stability is None
-            else {"verdict": obj.stability.verdict, "reason": obj.stability.reason},
-            "notes": list(obj.notes),
-        }
-    raise SchemaError(f"cannot serialize {type(obj).__name__}")
-
-
-def _plain(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
+    if type(obj) not in TYPES:
+        raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    return _plain(obj)
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(to_payload(obj), sort_keys=True, indent=2) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# decoders
-# ---------------------------------------------------------------------------
+def _got(value: Any) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
 
 
-def _load_class0(p: dict) -> Degree0Class:
-    return Degree0Class(
-        pq=p["pq"],
-        generic=tuple(sorted(p["generic"].items())),
-        torsion=tuple(sorted((n, o, r) for n, (o, r) in p["torsion"].items())),
-    )
-
-
-def _load_slot(p: dict) -> Slot:
-    if p["kind"] == "line":
-        return LineBundleClass(p["a"], p["b"], _load_class0(p["twist"]))
-    if p["kind"] == "atom":
-        return IndecomposableSlot(p["rank"], p["degree"], _load_class0(p["twist"]))
-    raise SchemaError(f"unknown slot kind {p['kind']!r}")
-
-
-def _load_bundle(p: dict) -> BundleOnComponent:
-    return BundleOnComponent(tuple(_load_slot(s) for s in p["slots"]))
-
-
-def _load_row(p: dict) -> SectionSymbol:
-    return SectionSymbol(p["slot"], p["ord_p"], p["ord_q"], p["exact_p"], p["exact_q"])
-
-
-def _load_table(p: dict) -> VanishingTable:
-    return VanishingTable(tuple(_load_row(r) for r in p["rows"]))
-
-
-def _load_gluing(p: dict) -> GluingData:
-    nodes = tuple(
-        NodeGluing(
-            None if n["matched"] is None else tuple(tuple(pair) for pair in n["matched"])
-        )
-        for n in p["nodes"]
-    )
-    distinguished = tuple((node, tuple(ids)) for node, ids in p["distinguished"])
-    return GluingData(nodes, distinguished)
-
-
-def _deep_tuple(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_deep_tuple(v) for v in value)
+def _object(value: Any, path: str) -> dict:
+    if type(value) is not dict:
+        raise SchemaError(f"{path}: expected an object, got {_got(value)}")
     return value
 
 
-def from_payload(p: dict) -> Any:
+def _decode(hint: Any, value: Any, path: str) -> Any:
+    if hint is object:  # audit values: any JSON, lists read back as tuples
+        return tuple(_decode(object, v, path) for v in value) if type(value) is list else value
+    if hint in _SCALARS:
+        if type(value) is not hint:  # so a bool is not an int
+            raise SchemaError(f"{path}: expected {hint.__name__}, got {_got(value)}")
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        if value is None and type(None) in args:
+            return None
+        members = [a for a in args if a is not type(None)]
+        if len(members) > 1:  # the slot union, told apart by its kind tag
+            kind = _member(_object(value, path), "kind", str, path)
+            members = [m for m in members if KINDS.get(m) == kind]
+            if not members:
+                raise SchemaError(f"{path}: unknown slot kind {kind!r}")
+        return _decode(members[0], value, path)
+    if hint is dict or origin is dict:
+        obj = _object(value, path)
+        if not args:
+            return dict(obj)
+        return {k: _decode(args[1], v, f"{path}.{k}") for k, v in obj.items()}
+    if origin is tuple:
+        if type(value) is not list:
+            raise SchemaError(f"{path}: expected a list, got {_got(value)}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise SchemaError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_decode(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    obj = _object(value, path)
+    if hint is Degree0Class:  # symbol-keyed dicts, as _plain writes them
+        generic = _member(obj, "generic", dict[str, int], path)
+        torsion = _member(obj, "torsion", dict[str, tuple[int, int]], path)
+        return Degree0Class(
+            _member(obj, "pq", int, path),
+            tuple(sorted(generic.items())),
+            tuple(sorted((name, order, res) for name, (order, res) in torsion.items())),
+        )
+    head, fields, _ = _layout(hint)
+    for tag, expected in head.items():  # an embedded certificate keeps its tags
+        if obj.get(tag) != expected:
+            raise SchemaError(f"{path}.{tag}: expected {expected!r}, got {obj.get(tag)!r}")
+    kwargs = {}
+    for f in fields:
+        src, where = obj, path
+        if f.group is not None:
+            src, where = _member(obj, f.group, dict, path), f"{path}.{f.group}"
+        kwargs[f.name] = _member(src, f.key, f.hint, where)
+    return hint(**kwargs)
+
+
+def _member(obj: dict, key: str, hint: Any, path: str) -> Any:
+    if key not in obj:
+        raise SchemaError(f"{path}: missing key {key!r}")
+    return _decode(hint, obj[key], f"{path}.{key}")
+
+
+def from_payload(p: Any) -> Any:
     """Decode a schema-tagged payload back into its object."""
-    if p.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {p.get('schema')!r}")
-    kind = p.get("type")
-    if kind == "series":
-        return LimitLinearSeries(
-            chain=ChainCurve(tuple(p["chain"]["kinds"])),
-            rank=p["rank"],
-            degree=p["degree"],
-            dimension=p["dimension"],
-            a=p["a"],
-            bundles=tuple(_load_bundle(b) for b in p["bundles"]),
-            tables=tuple(_load_table(t) for t in p["tables"]),
-            gluing=_load_gluing(p["gluing"]),
-            pairings=None
-            if p["pairings"] is None
-            else tuple(tuple(tuple(q) for q in node) for node in p["pairings"]),
-        )
-    if kind == "validation":
-        return ValidationReport(
-            structural_errors=tuple(p["structural_errors"]),
-            condition_degree=p["conditions"]["degree"],
-            condition_nodes=p["conditions"]["nodes"],
-            condition_determined=p["conditions"]["determined"],
-            failures=tuple(p["failures"]),
-        )
-    if kind == "redistribution":
-        return Redistribution(
-            dprime=tuple(p["dprime"]),
-            a_parts=tuple(p["a_parts"]),
-            thresholds=tuple(tuple(t) for t in p["thresholds"]),
-            bundles=tuple(_load_bundle(b) for b in p["bundles"]),
-            tables=tuple(_load_table(t) for t in p["tables"]),
-            survivors=tuple(tuple(s) for s in p["survivors"]),
-            total_degree=p["total_degree"],
-            rank=p["rank"],
-        )
-    if kind == "certificate":
-        return Certificate(
-            passes=tuple(
-                EliminationPass(
-                    q["component"],
-                    tuple(
-                        Survivor(
-                            s["product"], s["slot"], s["ord_p"], s["exact_p"],
-                            s["ord_q"], s["exact_q"],
-                        )
-                        for s in q["survivors"]
-                    ),
-                )
-                for q in p["passes"]
-            ),
-            product_count=p["product_count"],
-            thresholds=tuple(tuple(t) for t in p["thresholds"]),
-        )
-    if kind == "verdict":
-        return Verdict(
-            kind=p["kind"],
-            params=dict(p["params"]),
-            case=p["case"],
-            status=p["status"],
-            expected_products=p["expected_products"],
-            product_count=p["product_count"],
-            audits=tuple(
-                Audit(a["name"], _deep_tuple(a["expected"]), _deep_tuple(a["actual"]))
-                for a in p["audits"]
-            ),
-            distribution=None
-            if p["distribution"] is None
-            else DistributionInfo(
-                dprime=tuple(p["distribution"]["dprime"]),
-                thresholds=tuple(tuple(t) for t in p["distribution"]["thresholds"]),
-                quoted_thresholds=None
-                if p["distribution"]["quoted_thresholds"] is None
-                else tuple(tuple(t) for t in p["distribution"]["quoted_thresholds"]),
-            ),
-            certificate=None
-            if p["certificate"] is None
-            else from_payload(p["certificate"]),
-            certificate_error=p["certificate_error"],
-            oracle=None
-            if p["oracle"] is None
-            else OracleBlock(
-                prime=p["oracle"]["prime"],
-                trials=p["oracle"]["trials"],
-                seeds=tuple(p["oracle"]["seeds"]),
-                ranks=tuple(p["oracle"]["ranks"]),
-                expected=p["oracle"]["expected"],
-            ),
-            stability=None
-            if p["stability"] is None
-            else StabilityVerdict(p["stability"]["verdict"], p["stability"]["reason"]),
-            notes=tuple(p["notes"]),
-        )
-    raise SchemaError(f"unknown payload type {kind!r}")
+    obj = _object(p, "payload")
+    if obj.get("schema") != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema version {obj.get('schema')!r}")
+    cls = _BY_TYPE.get(obj.get("type"))
+    if cls is None:
+        raise SchemaError(f"unknown payload type {obj.get('type')!r}")
+    return _decode(cls, obj, obj["type"])
 
 
 def loads(text: str) -> Any:

@@ -15,6 +15,7 @@ from ellchain.chain import (
     canonical_series,
     check_stability,
     elliptic_chain,
+    matched_paths,
     redistribute,
     validate_lls,
     validate_rank1,
@@ -97,6 +98,12 @@ class TestValidate:
         tables[0] = VanishingTable(tables[0].rows[:-1])
         report = validate_lls(replace(s, tables=tuple(tables)))
         assert report.structural_errors
+
+    def test_paired_row_out_of_range_is_structural(self):
+        s = canonical_series(3)
+        pairings = (tuple((t, t) for t in range(3)), ((0, 3),))
+        report = validate_lls(replace(s, pairings=pairings))
+        assert report.structural_errors == ("node 2: paired row out of range",)
 
     def test_rank1_perturbations(self):
         s = canonical_series(4)
@@ -243,6 +250,15 @@ class TestStability:
         gluing = GluingData((NodeGluing(((0, 0), (1, 1))),))
         verdict = check_stability(bundles, gluing, [(0, 1), (0, 1)])
         assert verdict.verdict == "inconclusive"
+
+
+def test_matched_paths_keep_to_allowed_slots():
+    gluing = GluingData((NodeGluing(((0, 1), (1, 0))), NodeGluing(((0, 0), (1, 2)))))
+    assert matched_paths(gluing, [{0, 1}, {0, 1}, {0, 1, 2}]) == {0, 2}
+    assert matched_paths(gluing, [{0}, {0, 1}, {0, 1, 2}]) == {2}
+    assert matched_paths(gluing, [{0}, {0}, {0, 1, 2}]) == set()
+    generic = GluingData((NodeGluing(), NodeGluing(((0, 0),))))
+    assert matched_paths(generic, [{0}, {0}, {0}]) == set()
 
 
 # -- property tests ---------------------------------------------------------

@@ -218,3 +218,28 @@ def test_validate_rejects_a_rational_component(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--series", str(out_file))
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _drop_rank(payload):
+    del payload["series"]["rank"]
+    return payload
+
+
+def _table_to_int(payload):
+    payload["series"]["tables"][1] = 5
+    return payload
+
+
+@pytest.mark.parametrize("command", [
+    ("validate",), ("redistribute", "--dprime", "4,0,0"),
+], ids=["validate", "redistribute"])
+@pytest.mark.parametrize("edit", [
+    _drop_rank, _table_to_int, lambda payload: [],
+], ids=["missing-key", "wrong-type", "not-an-object"])
+def test_malformed_series_is_usage_error(capsys, tmp_path, command, edit):
+    series_file = tmp_path / "series.json"
+    run(capsys, "canonical", "--g", "3", "--out", str(series_file))
+    series_file.write_text(json.dumps(edit(json.loads(series_file.read_text()))))
+    code, out, err = run(capsys, command[0], "--series", str(series_file), *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1

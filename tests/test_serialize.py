@@ -1,13 +1,28 @@
 """Round-trips for every payload type: parse(serialize(x)) == x."""
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls
-from ellchain.elliptic import Degree0Class, IndecomposableSlot, LineBundleClass
-from ellchain.pipelines import onto_certificate, petri_certificate
+from ellchain.elliptic import (
+    BundleOnComponent,
+    Degree0Class,
+    IndecomposableSlot,
+    LineBundleClass,
+)
+from ellchain.independence import DEFAULT_PRIME
+from ellchain.pipelines import (
+    decide,
+    onto_certificate,
+    petri_build,
+    petri_certificate,
+    petri_instance,
+    petri_params,
+)
 
 
 @pytest.mark.parametrize("g", [2, 3, 6])
@@ -56,10 +71,91 @@ def test_schema_version_enforced():
 
 def test_slots_and_classes_survive():
     twist = Degree0Class.of_pq(1) + Degree0Class.of_torsion("eta", 3, 2)
-    payload = serialize._slot(LineBundleClass(2, 1, twist))
-    assert serialize._load_slot(payload) == LineBundleClass(2, 1, twist)
+    line = LineBundleClass(2, 1, twist)
     atom = IndecomposableSlot(3, 2, Degree0Class.of_generic("x", -2))
-    assert serialize._load_slot(serialize._slot(atom)) == atom
+    s = canonical_series(2)
+    s = replace(s, bundles=(BundleOnComponent((line, atom)),) + s.bundles[1:])
+    back = serialize.loads(serialize.dumps(s))
+    assert back.bundles[0].slots == (line, atom)
+    assert back == s
+
+
+def _not_proven():
+    # a duplicated product cannot be discriminated: no certificate, low oracle rank
+    instance = petri_instance(petri_build(petri_params(4, 2, 6, 2)))
+    doubled = replace(instance, products=instance.products + instance.products[:1])
+    return decide(doubled, DEFAULT_PRIME, 0, 1)
+
+
+@pytest.mark.parametrize("make,status", [
+    (lambda: petri_certificate(3, 2, 4, 4), "hypothesis-not-met"),
+    (lambda: onto_certificate(4, 1, 4), "vacuous"),
+    (_not_proven, "not-proven"),
+], ids=["hypothesis-not-met", "vacuous", "not-proven"])
+def test_every_status_round_trips(make, status):
+    v = make()
+    assert v.status == status
+    assert serialize.loads(serialize.dumps(v)) == v
+
+
+def _top_level_payloads():
+    series = canonical_series(4)
+    verdict = petri_certificate(4, 2, 6, 2)
+    return {
+        "series": series,
+        "validation": validate_lls(series),
+        "redistribution": redistribute(series, (6, 0, 0, 0)),
+        "certificate": verdict.certificate,
+        "verdict": verdict,
+    }
+
+
+DERIVED_KEYS = {"ok", "empty_components"}
+
+
+@pytest.mark.parametrize("kind", sorted(_top_level_payloads()))
+def test_missing_key_is_schema_error(kind):
+    obj = _top_level_payloads()[kind]
+    payload = serialize.to_payload(obj)
+    assert payload["type"] == kind
+    for key in payload:
+        broken = {k: v for k, v in payload.items() if k != key}
+        if key in DERIVED_KEYS:  # written for readers, ignored on input
+            assert serialize.from_payload(broken) == obj
+            continue
+        with pytest.raises(serialize.SchemaError):
+            serialize.from_payload(broken)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda p: p["tables"].__setitem__(0, 5), "series.tables[0]: expected an object, got int"),
+    (lambda p: p.__setitem__("rank", True), "series.rank: expected int, got bool"),
+    (lambda p: p["tables"][1]["rows"][0].pop("ord_q"),
+     "series.tables[1].rows[0]: missing key 'ord_q'"),
+    (lambda p: p["bundles"][0]["slots"][0].__setitem__("kind", "blob"),
+     "series.bundles[0].slots[0]: unknown slot kind 'blob'"),
+    (lambda p: p["gluing"]["nodes"][0].__setitem__("matched", [[0]]),
+     "series.gluing.nodes[0].matched[0]: expected 2 entries, got 1"),
+], ids=["table", "bool-rank", "row-key", "slot-kind", "pair-length"])
+def test_errors_name_the_field_path(edit, message):
+    payload = serialize.to_payload(canonical_series(3))
+    edit(payload)
+    with pytest.raises(serialize.SchemaError, match=re.escape(message)):
+        serialize.from_payload(payload)
+
+
+def test_extra_keys_are_ignored():
+    s = canonical_series(3)
+    payload = serialize.to_payload(s)
+    payload["comment"] = "hand-edited"
+    payload["tables"][0]["rows"][0]["note"] = 1
+    assert serialize.from_payload(payload) == s
+
+
+@pytest.mark.parametrize("value", [[], "series", 3, None])
+def test_non_object_payload_is_schema_error(value):
+    with pytest.raises(serialize.SchemaError, match="expected an object"):
+        serialize.from_payload(value)
 
 
 def test_payloads_are_plain_json():
