@@ -20,7 +20,8 @@ table down to the rows that survive the new vanishing thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Collection, Sequence
 
 from ellchain.elliptic import (
@@ -30,7 +31,6 @@ from ellchain.elliptic import (
     SectionSymbol,
     Slot,
     VanishingTable,
-    slot_rank,
 )
 
 ELLIPTIC = "elliptic"
@@ -209,8 +209,8 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
                 continue
             for left, right in node.matched:
                 try:
-                    rl = slot_rank(series.bundles[n].slots[left])
-                    rr = slot_rank(series.bundles[n + 1].slots[right])
+                    rl = series.bundles[n].slots[left].rank
+                    rr = series.bundles[n + 1].slots[right].rank
                 except IndexError:
                     structural.append(f"node {n + 1}: matched slot out of range")
                     continue
@@ -326,12 +326,12 @@ def canonical_series(g: int) -> LimitLinearSeries:
 class Redistribution:
     """A series re-expressed with target component degrees d'_i.
 
-    ``a_parts`` are the integers with d'_i = a_i * r + (d_i mod r); the
+    ``a_parts`` are the node-twist parts applied to the series so far; every
+    state a re-target returns has d'_i = a_i * r + (d_i mod r).  The
     vanishing thresholds on component i are (sum of a_j for j < i, sum for
     j > i).  ``tables`` hold the surviving rows with thresholds subtracted,
-    ``survivors`` their original row ids.  Applying :meth:`redistribute`
-    with new targets twists relative to this state, so re-applying the same
-    targets is the identity.
+    ``survivors`` their original row ids.  :meth:`redistribute` twists
+    relative to this state, so re-applying the same targets is the identity.
     """
 
     dprime: tuple[int, ...]
@@ -355,97 +355,55 @@ class Redistribution:
         certify survival, never death.
         """
         th_p, th_q = self.thresholds[component]
-        if row.exact_p and row.ord_p < th_p:
-            return False
-        if row.exact_q and row.ord_q < th_q:
-            return False
-        return True
+        return not ((row.exact_p and row.ord_p < th_p) or (row.exact_q and row.ord_q < th_q))
 
     def redistribute(self, dprime: Sequence[int]) -> "Redistribution":
-        """Re-target this redistribution (delta twist against current state)."""
-        dprime = tuple(dprime)
-        _check_targets(dprime, self.dprime, self.total_degree, self.rank)
-        a2 = tuple((dp - (cur % self.rank)) // self.rank for dp, cur in zip(dprime, self.dprime))
-        delta = tuple(x - y for x, y in zip(a2, self.a_parts))
-        return _apply_parts(
-            base_bundles=self.bundles,
-            base_tables=self.tables,
-            base_ids=self.survivors,
-            parts=delta,
-            dprime=dprime,
-            a_parts=a2,
-            abs_thresholds=_thresholds(a2),
-            total_degree=self.total_degree,
-            rank=self.rank,
+        """Re-target: twist this state by the difference of the a-parts.
+
+        Targets must keep the total degree and each d'_i mod r.
+        """
+        dprime, r = tuple(dprime), self.rank
+        if len(dprime) != len(self.dprime):
+            raise AlgebraError("one target degree per component required")
+        if sum(dprime) != self.total_degree:
+            raise AlgebraError(f"target degrees sum to {sum(dprime)}, need {self.total_degree}")
+        for i, (dp, cur) in enumerate(zip(dprime, self.dprime)):
+            if (dp - cur) % r:
+                raise AlgebraError(
+                    f"component {i + 1}: target {dp} not congruent to {cur} mod {r}"
+                )
+        a_parts = tuple((dp - cur % r) // r for dp, cur in zip(dprime, self.dprime))
+        relative = _thresholds([new - old for new, old in zip(a_parts, self.a_parts)])
+        # this state's rows are stated on its twisted series, which the rest of
+        # the twist meets with the relative thresholds
+        survives = replace(self, thresholds=relative).alive
+        bundles: list[BundleOnComponent] = []
+        tables: list[VanishingTable] = []
+        survivors: list[tuple[int, ...]] = []
+        for i, (th_p, th_q) in enumerate(relative):
+            bundle = self.bundles[i].twisted(th_p, th_q)
+            if bundle.degree != dprime[i]:
+                raise AlgebraError(
+                    f"component {i + 1}: twisted degree {bundle.degree} != target {dprime[i]}"
+                )
+            kept_rows: list[SectionSymbol] = []
+            kept_ids: list[int] = []
+            for t, row in zip(self.survivors[i], self.tables[i].rows):
+                if survives(i, row):
+                    kept_rows.append(row.shifted(th_p, th_q))
+                    kept_ids.append(t)
+            bundles.append(bundle)
+            tables.append(VanishingTable(tuple(kept_rows)))
+            survivors.append(tuple(kept_ids))
+        return Redistribution(
+            dprime, a_parts, _thresholds(a_parts), tuple(bundles), tuple(tables),
+            tuple(survivors), self.total_degree, r,
         )
 
 
 def _thresholds(parts: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    m = len(parts)
-    prefix = [0]
-    for p in parts:
-        prefix.append(prefix[-1] + p)
-    total = prefix[-1]
-    return tuple((prefix[i], total - prefix[i + 1]) for i in range(m))
-
-
-def _check_targets(
-    dprime: tuple[int, ...], current: Sequence[int], total: int, rank: int
-) -> None:
-    if len(dprime) != len(current):
-        raise AlgebraError("one target degree per component required")
-    if sum(dprime) != total:
-        raise AlgebraError(f"target degrees sum to {sum(dprime)}, need {total}")
-    for i, (dp, cur) in enumerate(zip(dprime, current)):
-        if (dp - cur) % rank:
-            raise AlgebraError(
-                f"component {i + 1}: target {dp} not congruent to {cur} mod {rank}"
-            )
-
-
-def _apply_parts(
-    base_bundles: Sequence[BundleOnComponent],
-    base_tables: Sequence[VanishingTable],
-    base_ids: Sequence[Sequence[int]] | None,
-    parts: Sequence[int],
-    dprime: tuple[int, ...],
-    a_parts: tuple[int, ...],
-    abs_thresholds: tuple[tuple[int, int], ...],
-    total_degree: int,
-    rank: int,
-) -> Redistribution:
-    rel = _thresholds(parts)
-    bundles: list[BundleOnComponent] = []
-    tables: list[VanishingTable] = []
-    survivors: list[tuple[int, ...]] = []
-    for i, (bundle, table) in enumerate(zip(base_bundles, base_tables)):
-        th_p, th_q = rel[i]
-        new_bundle = bundle.twisted(th_p, th_q)
-        if new_bundle.degree != dprime[i]:
-            raise AlgebraError(
-                f"component {i + 1}: twisted degree {new_bundle.degree} != target {dprime[i]}"
-            )
-        kept_rows: list[SectionSymbol] = []
-        kept_ids: list[int] = []
-        for t, row in enumerate(table.rows):
-            dead = (row.exact_p and row.ord_p < th_p) or (row.exact_q and row.ord_q < th_q)
-            if dead:
-                continue
-            kept_rows.append(row.shifted(th_p, th_q))
-            kept_ids.append(base_ids[i][t] if base_ids is not None else t)
-        bundles.append(new_bundle)
-        tables.append(VanishingTable(tuple(kept_rows)))
-        survivors.append(tuple(kept_ids))
-    return Redistribution(
-        dprime=dprime,
-        a_parts=a_parts,
-        thresholds=abs_thresholds,
-        bundles=tuple(bundles),
-        tables=tuple(tables),
-        survivors=tuple(survivors),
-        total_degree=total_degree,
-        rank=rank,
-    )
+    prefix = list(accumulate(parts, initial=0))
+    return tuple((prefix[i], prefix[-1] - prefix[i + 1]) for i in range(len(parts)))
 
 
 def redistribute(series: LimitLinearSeries, dprime: Sequence[int]) -> Redistribution:
@@ -456,25 +414,21 @@ def redistribute(series: LimitLinearSeries, dprime: Sequence[int]) -> Redistribu
     O(-(sum_{j<i} a_j)*P_i - (sum_{j>i} a_j)*Q_i) and its table keeps exactly
     the rows meeting both thresholds, with the thresholds subtracted from the
     surviving orders.  An empty surviving table is legal (all sections die on
-    that component) and is reported by ``empty_components``.
+    that component) and is reported by ``empty_components``.  This is the
+    re-target of the series' untwisted state, in which every row survives.
     """
-    dprime = tuple(dprime)
-    _check_targets(dprime, series.component_degrees, series.degree, series.rank)
-    a_parts = tuple(
-        (dp - (d_i % series.rank)) // series.rank
-        for dp, d_i in zip(dprime, series.component_degrees)
-    )
-    return _apply_parts(
-        base_bundles=series.bundles,
-        base_tables=series.tables,
-        base_ids=None,
-        parts=a_parts,
-        dprime=dprime,
-        a_parts=a_parts,
-        abs_thresholds=_thresholds(a_parts),
+    m = len(series.bundles)
+    untwisted = Redistribution(
+        dprime=series.component_degrees,
+        a_parts=(0,) * m,
+        thresholds=((0, 0),) * m,
+        bundles=series.bundles,
+        tables=series.tables,
+        survivors=tuple(range(t.dimension) for t in series.tables),
         total_degree=series.degree,
         rank=series.rank,
     )
+    return untwisted.redistribute(dprime)
 
 
 # ---------------------------------------------------------------------------

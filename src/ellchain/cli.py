@@ -281,6 +281,9 @@ def _read_series(path: Path):
 def cmd_redistribute(args) -> int:
     try:
         series = _read_series(args.series)
+        broken = validate_lls(series).structural_errors
+        if broken:
+            raise ValueError(f"structurally invalid series: {broken[0]}")
         dprime = [int(x) for x in args.dprime.split(",")]
         redist = redistribute(series, dprime)
     except (OSError, ValueError, AlgebraError) as exc:

@@ -129,6 +129,10 @@ class LineBundleClass:
     twist: Degree0Class = Degree0Class()
 
     @property
+    def rank(self) -> int:
+        return 1
+
+    @property
     def degree(self) -> int:
         return self.a + self.b
 
@@ -177,10 +181,6 @@ class IndecomposableSlot:
 Slot = Union[LineBundleClass, IndecomposableSlot]
 
 
-def slot_rank(slot: Slot) -> int:
-    return 1 if isinstance(slot, LineBundleClass) else slot.rank
-
-
 @dataclass(frozen=True)
 class BundleOnComponent:
     """A vector bundle on one component as an ordered sum of slots.
@@ -193,7 +193,7 @@ class BundleOnComponent:
 
     @property
     def rank(self) -> int:
-        return sum(slot_rank(s) for s in self.slots)
+        return sum(s.rank for s in self.slots)
 
     @property
     def degree(self) -> int:
@@ -392,7 +392,7 @@ def end_decomposition(e: BundleOnComponent) -> BundleOnComponent:
     for s in e.slots:
         if isinstance(s, IndecomposableSlot) and s.rank > 1 and s.gcd != 1:
             raise AlgebraError(f"slot of rank {s.rank}, degree {s.degree} has gcd {s.gcd} != 1")
-        shapes.add((slot_rank(s), s.degree))
+        shapes.add((s.rank, s.degree))
     if len(shapes) != 1:
         raise AlgebraError(f"end_decomposition needs uniform slots, got shapes {sorted(shapes)}")
     (r_sub, d_sub) = next(iter(shapes))

@@ -37,7 +37,6 @@ from ellchain.elliptic import (
     SectionSymbol,
     Slot,
     VanishingTable,
-    slot_rank,
 )
 
 #: default modulus: the 61-bit Mersenne prime
@@ -50,7 +49,7 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 
 def _product_slot(sa: Slot, sb: Slot) -> Slot:
-    ra, rb = slot_rank(sa), slot_rank(sb)
+    ra, rb = sa.rank, sb.rank
     da, db = sa.degree, sb.degree
     if isinstance(sa, LineBundleClass) and isinstance(sb, LineBundleClass):
         return LineBundleClass(sa.a + sb.a, sa.b + sb.b, sa.twist + sb.twist)

@@ -219,27 +219,14 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
             u = i - j1 - 2
             special = LineBundleClass(u + j2, d1 - u - j2)
             block_end = k2 > 0 or d2 > 0  # block-end components exist only then
-            is_end = block_end and j2 == width
-            for c in range(r):
-                cls: LineBundleClass
-                if is_end and c >= sigma:
-                    cls = LineBundleClass(0, d1, _gen(f"P{i}.{c}"))
-                else:
-                    cls = special
-                rows = k1 + 1 if c < k2 else k1
-                slots.append(cls)
-                slot_tables.append(
-                    tuple(row for row in section_space(cls, u, rows, slot=c).rows)
-                )
+            generic_from = sigma if block_end and j2 == width else r
         else:
             u = i - blocks - 1
-            for c in range(r):
-                cls = LineBundleClass(0, d1, _gen(f"P{i}.{c}"))
-                rows = k1 + 1 if c < k2 else k1
-                slots.append(cls)
-                slot_tables.append(
-                    tuple(row for row in section_space(cls, u, rows, slot=c).rows)
-                )
+            generic_from = 0  # every slot generic, so no special class is needed
+        for c in range(r):
+            cls = LineBundleClass(0, d1, _gen(f"P{i}.{c}")) if c >= generic_from else special
+            slots.append(cls)
+            slot_tables.append(section_space(cls, u, k1 + 1 if c < k2 else k1, slot=c).rows)
         table: list[SectionSymbol] = []
         for m in range(1, k1 + 2):
             for c in range(r):
@@ -531,8 +518,8 @@ def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
     )
 
 
-def _validate_dual(series: LimitLinearSeries) -> ValidationReport:
-    """Dual-series validation: condition (3) in its evaluation form.
+def _dual_valid(series: LimitLinearSeries) -> bool:
+    """Dual-series validity: condition (3) in its evaluation form.
 
     The complementary series keeps the degree bookkeeping and node
     inequalities of a limit linear series, but on the last component its
@@ -540,19 +527,12 @@ def _validate_dual(series: LimitLinearSeries) -> ValidationReport:
     upper bound d_i < (a+1)*r (sections of the a-fold twist injective on
     fibers, vacuously so for negative twist degree) is required of it.
     """
-    base = validate_lls(series)
-    if base.structural_errors or base.condition_determined:
-        return base
-    ok3 = all(
-        b.degree < (series.a + 1) * series.rank for b in series.bundles
-    )
-    failures = tuple(f for f in base.failures if "outside" not in f)
-    return ValidationReport(
-        base.structural_errors,
-        base.condition_degree,
-        base.condition_nodes,
-        ok3,
-        failures,
+    report = validate_lls(series)
+    return (
+        not report.structural_errors
+        and report.condition_degree
+        and report.condition_nodes
+        and all(b.degree < (series.a + 1) * series.rank for b in series.bundles)
     )
 
 
@@ -595,7 +575,7 @@ def petri_instance(build: PetriBuild) -> Instance:
     audits = (
         Audit("primary-series-valid", True, build.primary_report.ok),
         Audit("product-series-valid", True, validate_lls(prod_series).ok),
-        Audit("dual-series-valid", True, _validate_dual(dual).ok),
+        Audit("dual-series-valid", True, _dual_valid(dual)),
         Audit("dual-dimension", p.kbar, dual.dimension),
         Audit("product-count", p.k * p.kbar, len(products)),
         Audit("distribution-total", rho * (2 * g - 2), sum(dprime)),

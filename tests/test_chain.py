@@ -209,6 +209,7 @@ def random_targets(rng, series):
 
 def test_randomized_redistribution_bookkeeping():
     rng = random.Random(20240817)
+    retarget_rng = random.Random(20240818)
     for _ in range(300):
         s = random_series(rng)
         dp = random_targets(rng, s)
@@ -220,6 +221,24 @@ def test_randomized_redistribution_bookkeeping():
                 assert row.ord_p >= 0 and row.ord_q >= 0
             assert table.dimension == sum(
                 1 for r in base.rows if r.ord_p >= th_p and r.ord_q >= th_q
+            )
+        # re-targeting the first result lands where the direct redistribution does,
+        # keeping only the rows that survived the first step
+        dp2 = random_targets(retarget_rng, s)
+        direct = redistribute(s, dp2)
+        two_step = redist.redistribute(dp2)
+        assert two_step.thresholds == direct.thresholds
+        assert two_step.a_parts == direct.a_parts
+        assert two_step.bundles == direct.bundles
+        for i, base in enumerate(s.tables):
+            first_ids = tuple(t for t, row in enumerate(base.rows) if redist.alive(i, row))
+            assert redist.survivors[i] == first_ids
+            assert two_step.survivors[i] == tuple(
+                t for t in first_ids if direct.alive(i, base.rows[t])
+            )
+            th_p, th_q = direct.thresholds[i]
+            assert two_step.tables[i].rows == tuple(
+                base.rows[t].shifted(th_p, th_q) for t in two_step.survivors[i]
             )
 
 

@@ -243,3 +243,28 @@ def test_malformed_series_is_usage_error(capsys, tmp_path, command, edit):
     code, out, err = run(capsys, command[0], "--series", str(series_file), *command[1:])
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _drop_third_table(payload):
+    del payload["series"]["tables"][2]
+    return payload
+
+
+def _row_in_missing_slot(payload):
+    payload["series"]["tables"][1]["rows"][0]["slot"] = 5
+    return payload
+
+
+@pytest.mark.parametrize("edit", [_drop_third_table, _row_in_missing_slot],
+                         ids=["dropped-table", "missing-slot"])
+def test_redistribute_rejects_a_structurally_broken_series(capsys, tmp_path, edit):
+    series_file = tmp_path / "series.json"
+    run(capsys, "canonical", "--g", "3", "--out", str(series_file))
+    series_file.write_text(json.dumps(edit(json.loads(series_file.read_text()))))
+    code, _, _ = run(capsys, "validate", "--series", str(series_file))
+    assert code == 3
+    code, out, err = run(
+        capsys, "redistribute", "--series", str(series_file), "--dprime", "4,0,0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
