@@ -13,13 +13,9 @@ from ellchain.elliptic import (
     Degree0Class,
     IndecomposableSlot,
     LineBundleClass,
-    SectionBasis,
     SectionSymbol,
     VanishingTable,
-    class_isomorphic,
     end_decomposition,
-    h0_component,
-    section_basis,
     section_space,
 )
 from ellchain.chain import (

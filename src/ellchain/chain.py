@@ -27,10 +27,12 @@ from typing import Collection, Sequence
 from ellchain.elliptic import (
     AlgebraError,
     BundleOnComponent,
+    IndecomposableSlot,
     LineBundleClass,
     SectionSymbol,
     Slot,
     VanishingTable,
+    section_space,
 )
 
 ELLIPTIC = "elliptic"
@@ -295,8 +297,6 @@ def canonical_series(g: int) -> LimitLinearSeries:
     for i = 1) and whose row i is the distinguished section of orders
     (2(i-1), 2(g-i)).
     """
-    from ellchain.elliptic import LineBundleClass, section_space
-
     if g < 2:
         raise AlgebraError(f"canonical series needs genus >= 2, got {g}")
     bundles: list[BundleOnComponent] = []
@@ -418,6 +418,8 @@ def redistribute(series: LimitLinearSeries, dprime: Sequence[int]) -> Redistribu
     re-target of the series' untwisted state, in which every row survives.
     """
     m = len(series.bundles)
+    if len(series.tables) != m:
+        raise AlgebraError(f"series has {m} bundles but {len(series.tables)} tables")
     untwisted = Redistribution(
         dprime=series.component_degrees,
         a_parts=(0,) * m,
@@ -450,8 +452,6 @@ def _component_is_stable(bundle: BundleOnComponent) -> bool:
     if len(bundle.slots) != 1:
         return False
     slot = bundle.slots[0]
-    from ellchain.elliptic import IndecomposableSlot
-
     return isinstance(slot, IndecomposableSlot) and slot.gcd == 1 and slot.rank >= 1
 
 

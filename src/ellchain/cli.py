@@ -9,6 +9,7 @@ certificate and the oracle both passed).  All randomness flows from one
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -65,32 +66,36 @@ def _prime(raw: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each command takes only the options it reads: --out everywhere, --format
+    # where a table renderer exists, the oracle options where an oracle runs
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None, help="write output to a file")
+    fmt = argparse.ArgumentParser(add_help=False, parents=[out])
+    fmt.add_argument(
         "--format",
         choices=("json", "table"),
         default=os.environ.get("ELLCHAIN_FORMAT", "json"),
         help="output format (env ELLCHAIN_FORMAT; default json)",
     )
-    common.add_argument(
+    oracle = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    oracle.add_argument(
         "--seed",
         type=_int,
         default=_env_default("ELLCHAIN_SEED", 0),
         help="base oracle seed; three consecutive seeds are run (env ELLCHAIN_SEED)",
     )
-    common.add_argument(
+    oracle.add_argument(
         "--trials",
         type=_trials,
         default=_env_default("ELLCHAIN_TRIALS", 1),
         help="oracle trials per seed (env ELLCHAIN_TRIALS)",
     )
-    common.add_argument(
+    oracle.add_argument(
         "--prime",
         type=_prime,
         default=_env_default("ELLCHAIN_PRIME", DEFAULT_PRIME),
         help=f"oracle prime modulus (env ELLCHAIN_PRIME; default {DEFAULT_PRIME})",
     )
-    common.add_argument("--out", type=Path, default=None, help="write output to a file")
 
     parser = _Parser(
         prog="ellchain",
@@ -100,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "canonical", parents=[common], help="the canonical series on a chain of g curves"
+        "canonical", parents=[fmt], help="the canonical series on a chain of g curves"
     )
     p.add_argument("--g", type=int, required=True)
 
     p = sub.add_parser(
-        "tableaux", parents=[common], help="count (or list) strict rectangular fillings"
+        "tableaux", parents=[out], help="count (or list) strict rectangular fillings"
     )
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -113,18 +118,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
 
     p = sub.add_parser(
-        "redistribute", parents=[common], help="re-spread the degrees of a series JSON"
+        "redistribute", parents=[out], help="re-spread the degrees of a series JSON"
     )
     p.add_argument("--series", type=Path, required=True, help="series JSON file")
     p.add_argument("--dprime", required=True, help="comma-separated target degrees")
 
     p = sub.add_parser(
-        "validate", parents=[common], help="check the three series conditions of a JSON file"
+        "validate", parents=[out], help="check the three series conditions of a JSON file"
     )
     p.add_argument("--series", type=Path, required=True)
 
     p = sub.add_parser(
-        "petri", parents=[common], help="certify independence of the k*kbar products"
+        "petri", parents=[oracle], help="certify independence of the k*kbar products"
     )
     p.add_argument("--g", help="value or range a..b (with --sweep)")
     p.add_argument("--r", help="value or range a..b")
@@ -134,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "endo",
-        parents=[common],
+        parents=[oracle],
         help="certify the canonical x traceless-endomorphism products",
     )
     p.add_argument("--g", help="value or range a..b (with --sweep)")
@@ -239,8 +244,6 @@ def cmd_canonical(args) -> int:
     if args.format == "table":
         _emit(_canonical_table(series, report, rank1), args.out)
     else:
-        import json
-
         payload = {
             "schema": serialize.SCHEMA_VERSION,
             "type": "canonical",
@@ -256,8 +259,6 @@ def cmd_tableaux(args) -> int:
     try:
         if args.enumerate_all:
             rows = [list(map(list, t.cells)) for t in enumerate_tableaux(args.g, args.r, args.d)]
-            import json
-
             text = json.dumps({"count": len(rows), "tableaux": rows}, sort_keys=True) + "\n"
         else:
             text = f"{count_tableaux(args.g, args.r, args.d)}\n"
@@ -269,8 +270,6 @@ def cmd_tableaux(args) -> int:
 
 
 def _read_series(path: Path):
-    import json
-
     payload = json.loads(path.read_text(encoding="utf-8"))
     # a canonical wrapper holds the series; anything but an object is the decoder's to reject
     if isinstance(payload, dict) and payload.get("type") != "series" and "series" in payload:

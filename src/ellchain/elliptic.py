@@ -244,94 +244,23 @@ class VanishingTable:
     def dimension(self) -> int:
         return len(self.rows)
 
-    def per_slot_orders_distinct(self) -> bool:
-        """Distinct exact P-orders within each slot (independence within a slot)."""
-        seen: set[tuple[int, int]] = set()
-        for row in self.rows:
-            key = (row.slot, row.ord_p)
-            if row.exact_p and key in seen:
-                return False
-            seen.add(key)
-        return True
-
-
-@dataclass(frozen=True)
-class SectionBasis:
-    """The sections s_0 .. s_{d-1} of a degree-d line class.
-
-    ``sections[k]`` vanishes to order k at P and d-k-1 at Q, except around a
-    coincidence index: when the class is O(c*P + (d-c)*Q) the entries at
-    c-1 and c are one and the same section, of orders (c, d-c).  At the
-    boundary values c = 0 and c = d no pair is merged; the edge entry is
-    promoted to order sum d instead.
-    """
-
-    sections: tuple[SectionSymbol, ...]
-    coincidence: int | None
-
-    @property
-    def distinct_rows(self) -> tuple[SectionSymbol, ...]:
-        out: list[SectionSymbol] = []
-        for s in self.sections:
-            if not out or out[-1] != s:
-                out.append(s)
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
 
-def class_difference(l1: LineBundleClass, l2: LineBundleClass) -> Degree0Class:
-    """The degree-0 class of l1 (x) l2^{-1}; requires equal degrees."""
-    if l1.degree != l2.degree:
-        raise AlgebraError("class_difference needs classes of equal degree")
-    return Degree0Class.of_pq(l1.a - l2.a) + l1.twist - l2.twist
+def slot_class(s: Slot) -> Degree0Class:
+    """The degree-0 class a slot carries.
 
-
-def class_isomorphic(l1: LineBundleClass, l2: LineBundleClass) -> bool:
-    """Equal degree and trivial difference class, under the genericity axioms."""
-    return l1.degree == l2.degree and class_difference(l1, l2).is_trivial
-
-
-def h0_slot(slot: Slot) -> int:
-    d = slot.degree
-    if d > 0:
-        return d
-    if d < 0:
-        return 0
-    if isinstance(slot, LineBundleClass):
-        return 1 if class_isomorphic(slot, LineBundleClass(0, 0)) else 0
-    # degree-0 indecomposable: the self-extension tower of O has a unique
-    # section; any nontrivial twist of it has none
-    return 1 if slot.twist.is_trivial else 0
-
-
-def h0_component(e: BundleOnComponent) -> int:
-    """Global sections on one elliptic component, slot by slot (Riemann-Roch)."""
-    return sum(h0_slot(s) for s in e.slots)
-
-
-def section_basis(l: LineBundleClass, slot: int = 0) -> SectionBasis:
-    """The distinguished sections s_0 .. s_{d-1} of a degree-d class.
-
-    s_k is the unique section vanishing to order at least k at P and at
-    least d-k-1 at Q; both orders are exact unless the class is special,
-    in which case the two entries adjacent to the coincidence index merge
-    into the single section of order sum d.
+    a*(P - Q) + twist for a line slot O(a*P + b*Q) (x) twist, the twist for
+    an atom.  Two slots of one shape differ by the difference of their
+    classes, and a degree-0 slot has a section exactly when its class is
+    trivial.
     """
-    d = l.degree
-    if d < 1:
-        raise AlgebraError(f"section_basis needs degree >= 1, got {d}")
-    c = l.special_index()
-    rows: list[SectionSymbol] = []
-    for k in range(d):
-        if c is not None and k in (c - 1, c):
-            rows.append(SectionSymbol(slot, c, d - c))
-        else:
-            rows.append(SectionSymbol(slot, k, d - k - 1))
-    return SectionBasis(tuple(rows), c)
+    if isinstance(s, LineBundleClass):
+        return Degree0Class.of_pq(s.a) + s.twist
+    return s.twist
 
 
 def section_space(l: LineBundleClass, u: int, t: int, slot: int = 0) -> VanishingTable:
@@ -396,12 +325,6 @@ def end_decomposition(e: BundleOnComponent) -> BundleOnComponent:
     if len(shapes) != 1:
         raise AlgebraError(f"end_decomposition needs uniform slots, got shapes {sorted(shapes)}")
     (r_sub, d_sub) = next(iter(shapes))
-
-    def base_class(s: Slot) -> Degree0Class:
-        if isinstance(s, LineBundleClass):
-            return Degree0Class.of_pq(s.a) + s.twist
-        return s.twist
-
     lattice: list[Degree0Class] = [Degree0Class.zero()]
     if r_sub > 1:
         tau_p = f"end{r_sub}d{d_sub}.p"
@@ -414,13 +337,14 @@ def end_decomposition(e: BundleOnComponent) -> BundleOnComponent:
     out: list[Slot] = []
     for si in e.slots:
         for sj in e.slots:
-            diff = base_class(sj) - base_class(si)
+            diff = slot_class(sj) - slot_class(si)
             for cls in lattice:
                 out.append(LineBundleClass(0, 0, diff + cls))
     return BundleOnComponent(tuple(out))
 
 
 def iter_trivial_slots(e: BundleOnComponent) -> Iterator[int]:
+    """Indices of the trivial summands: degree 0 and a trivial class."""
     for i, s in enumerate(e.slots):
-        if s.degree == 0 and h0_slot(s) == 1:
+        if s.degree == 0 and slot_class(s).is_trivial:
             yield i

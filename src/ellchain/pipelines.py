@@ -170,10 +170,6 @@ class PetriBuild:
     primary_report: ValidationReport  # validate_lls(primary), checked by the build
 
 
-def _gen(name: str) -> Degree0Class:
-    return Degree0Class.of_generic(name)
-
-
 def _structured_position(i: int, width: int) -> tuple[int, int]:
     """(block j1, position j2) of structured component i, 1-based position."""
     return (i - 1) // width, (i - 1) % width + 1
@@ -224,7 +220,8 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
             u = i - blocks - 1
             generic_from = 0  # every slot generic, so no special class is needed
         for c in range(r):
-            cls = LineBundleClass(0, d1, _gen(f"P{i}.{c}")) if c >= generic_from else special
+            cls = (LineBundleClass(0, d1, Degree0Class.of_generic(f"P{i}.{c}"))
+                   if c >= generic_from else special)
             slots.append(cls)
             slot_tables.append(section_space(cls, u, k1 + 1 if c < k2 else k1, slot=c).rows)
         table: list[SectionSymbol] = []
@@ -243,7 +240,7 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
     r_sub, d_sub = r // h, p.d // h
     atom_slots: list[Slot] = []
     for j in range(h):
-        tw = _gen(f"E{g}.{j}")
+        tw = Degree0Class.of_generic(f"E{g}.{j}")
         if r_sub == 1:
             atom_slots.append(LineBundleClass(0, d_sub, tw))
         else:
@@ -646,7 +643,7 @@ def endo_build(p: PoinParams) -> EndoBuild:
     r_sub, d_sub = r // h, (d - g + 1) // h
     last: list[Slot] = []
     for j in range(h):
-        tw = _gen(f"L{j + 1}")
+        tw = Degree0Class.of_generic(f"L{j + 1}")
         last.append(
             LineBundleClass(0, d_sub, tw) if r_sub == 1 else IndecomposableSlot(r_sub, d_sub, tw)
         )

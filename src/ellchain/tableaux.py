@@ -34,25 +34,6 @@ class Tableau:
         if len(widths) > 1:
             raise TableauError("ragged tableau")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        if not self.cells:
-            return (0, 0)
-        return (len(self.cells), len(self.cells[0]))
-
-    def is_standard_filling(self, g: int) -> bool:
-        """Distinct entries from 1..g, strictly increasing rows and columns."""
-        flat = [v for row in self.cells for v in row]
-        if len(set(flat)) != len(flat) or any(not 1 <= v <= g for v in flat):
-            return False
-        for row in self.cells:
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-                return False
-        for i in range(len(self.cells) - 1):
-            if any(self.cells[i][j] >= self.cells[i + 1][j] for j in range(len(self.cells[i]))):
-                return False
-        return True
-
 
 def _shape(g: int, r: int, d: int) -> tuple[int, int]:
     if r < 0:

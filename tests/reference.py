@@ -1,0 +1,128 @@
+"""Reference calculus the tests check the package against.
+
+Nothing under ``src/`` uses these: they restate, by a second route, what the
+package computes, so a test can compare the two.
+
+* ``section_basis`` lists the distinguished sections s_0 .. s_{d-1} of a line
+  class, the basis every ``section_space`` table must sit inside;
+  ``per_slot_orders_distinct`` is the within-slot independence check of a
+  table.
+* ``class_difference`` / ``class_isomorphic`` compare two line classes, and
+  ``h0_slot`` / ``h0_component`` count global sections by Riemann-Roch; a
+  degree-0 slot is trivial exactly when ``h0_slot`` is 1.
+* ``is_standard_filling`` checks a tableau cell by cell.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ellchain.elliptic import (
+    AlgebraError,
+    BundleOnComponent,
+    Degree0Class,
+    LineBundleClass,
+    SectionSymbol,
+    Slot,
+    VanishingTable,
+)
+from ellchain.tableaux import Tableau
+
+
+@dataclass(frozen=True)
+class SectionBasis:
+    """The sections s_0 .. s_{d-1} of a degree-d line class.
+
+    ``sections[k]`` vanishes to order k at P and d-k-1 at Q, except around a
+    coincidence index: when the class is O(c*P + (d-c)*Q) the entries at
+    c-1 and c are one and the same section, of orders (c, d-c).  At the
+    boundary values c = 0 and c = d no pair is merged; the edge entry is
+    promoted to order sum d instead.
+    """
+
+    sections: tuple[SectionSymbol, ...]
+    coincidence: int | None
+
+    @property
+    def distinct_rows(self) -> tuple[SectionSymbol, ...]:
+        out: list[SectionSymbol] = []
+        for s in self.sections:
+            if not out or out[-1] != s:
+                out.append(s)
+        return tuple(out)
+
+
+def section_basis(l: LineBundleClass, slot: int = 0) -> SectionBasis:
+    """The distinguished sections s_0 .. s_{d-1} of a degree-d class.
+
+    s_k is the unique section vanishing to order at least k at P and at
+    least d-k-1 at Q; both orders are exact unless the class is special,
+    in which case the two entries adjacent to the coincidence index merge
+    into the single section of order sum d.
+    """
+    d = l.degree
+    if d < 1:
+        raise AlgebraError(f"section_basis needs degree >= 1, got {d}")
+    c = l.special_index()
+    rows: list[SectionSymbol] = []
+    for k in range(d):
+        if c is not None and k in (c - 1, c):
+            rows.append(SectionSymbol(slot, c, d - c))
+        else:
+            rows.append(SectionSymbol(slot, k, d - k - 1))
+    return SectionBasis(tuple(rows), c)
+
+
+def per_slot_orders_distinct(table: VanishingTable) -> bool:
+    """Distinct exact P-orders within each slot (independence within a slot)."""
+    seen: set[tuple[int, int]] = set()
+    for row in table.rows:
+        key = (row.slot, row.ord_p)
+        if row.exact_p and key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def class_difference(l1: LineBundleClass, l2: LineBundleClass) -> Degree0Class:
+    """The degree-0 class of l1 (x) l2^{-1}; requires equal degrees."""
+    if l1.degree != l2.degree:
+        raise AlgebraError("class_difference needs classes of equal degree")
+    return Degree0Class.of_pq(l1.a - l2.a) + l1.twist - l2.twist
+
+
+def class_isomorphic(l1: LineBundleClass, l2: LineBundleClass) -> bool:
+    """Equal degree and trivial difference class, under the genericity axioms."""
+    return l1.degree == l2.degree and class_difference(l1, l2).is_trivial
+
+
+def h0_slot(slot: Slot) -> int:
+    d = slot.degree
+    if d > 0:
+        return d
+    if d < 0:
+        return 0
+    if isinstance(slot, LineBundleClass):
+        return 1 if class_isomorphic(slot, LineBundleClass(0, 0)) else 0
+    # degree-0 indecomposable: the self-extension tower of O has a unique
+    # section; any nontrivial twist of it has none
+    return 1 if slot.twist.is_trivial else 0
+
+
+def h0_component(e: BundleOnComponent) -> int:
+    """Global sections on one elliptic component, slot by slot (Riemann-Roch)."""
+    return sum(h0_slot(s) for s in e.slots)
+
+
+def is_standard_filling(t: Tableau, g: int) -> bool:
+    """Distinct entries from 1..g, strictly increasing rows and columns."""
+    flat = [v for row in t.cells for v in row]
+    if len(set(flat)) != len(flat) or any(not 1 <= v <= g for v in flat):
+        return False
+    for row in t.cells:
+        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(len(t.cells) - 1):
+        if any(t.cells[i][j] >= t.cells[i + 1][j] for j in range(len(t.cells[i]))):
+            return False
+    return True

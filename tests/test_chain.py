@@ -156,6 +156,11 @@ class TestRedistribute:
         redist = redistribute(s, (6, 0, 0, 0))
         assert redist.empty_components == (2, 3)
 
+    def test_rejects_a_missing_table(self):
+        s = canonical_series(3)
+        with pytest.raises(AlgebraError, match="3 bundles but 2 tables"):
+            redistribute(replace(s, tables=s.tables[:-1]), (4, 0, 0))
+
 
 def random_series(rng):
     m = rng.randint(1, 8)

@@ -182,6 +182,32 @@ def test_bad_oracle_input_is_usage_error(capsys, monkeypatch, env, argv):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("tableaux", "--g", "6", "--r", "1", "--d", "4"), ("canonical", "--g", "3"),
+], ids=["tableaux", "canonical"])
+@pytest.mark.parametrize("name,value", [
+    ("ELLCHAIN_PRIME", "15"), ("ELLCHAIN_TRIALS", "0"),
+], ids=["prime-15", "trials-0"])
+def test_oracle_overrides_leave_commands_without_an_oracle_alone(
+    capsys, monkeypatch, argv, name, value
+):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--series", "{series}", "--format", "table"),
+    ("tableaux", "--g", "6", "--r", "1", "--d", "4", "--seed", "1"),
+], ids=["validate-format", "tableaux-seed"])
+def test_an_option_the_command_does_not_read_is_usage_error(capsys, tmp_path, argv):
+    # a readable series file, so only the option can make validate fail
+    series_file = tmp_path / "series.json"
+    run(capsys, "canonical", "--g", "3", "--out", str(series_file))
+    code, out, err = run(capsys, *(a.format(series=series_file) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv,digest", [
     (("petri", "--sweep", "--g", "2..5", "--r", "1..2"),

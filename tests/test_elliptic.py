@@ -1,5 +1,9 @@
 """Single-component algebra: classes, section bases, twists, endomorphisms."""
 
+from functools import reduce
+from math import gcd
+from operator import add
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +14,16 @@ from ellchain.elliptic import (
     Degree0Class,
     IndecomposableSlot,
     LineBundleClass,
-    class_isomorphic,
     end_decomposition,
-    h0_component,
     iter_trivial_slots,
-    section_basis,
     section_space,
+)
+from reference import (
+    class_isomorphic,
+    h0_component,
+    h0_slot,
+    per_slot_orders_distinct,
+    section_basis,
 )
 
 
@@ -213,7 +221,7 @@ def test_section_space_spanned_by_basis(l, data):
     assert table.dimension == t
     basis = {(s.ord_p, s.ord_q) for s in section_basis(l).sections}
     assert {(s.ord_p, s.ord_q) for s in table.rows} <= basis
-    assert table.per_slot_orders_distinct()
+    assert per_slot_orders_distinct(table)
 
 
 @given(line_classes, line_classes, line_classes)
@@ -223,3 +231,69 @@ def test_isomorphism_is_equivalence(a, b, c):
     assert class_isomorphic(a, b) == class_isomorphic(b, a)
     if class_isomorphic(a, b) and class_isomorphic(b, c):
         assert class_isomorphic(a, c)
+
+
+# -- trivial summands against the reference h0 -------------------------------
+
+twists = st.lists(
+    st.one_of(
+        st.builds(Degree0Class.of_pq, st.integers(min_value=-3, max_value=3)),
+        st.builds(Degree0Class.of_generic, st.sampled_from(["g", "h"])),
+        st.builds(Degree0Class.of_torsion, st.just("eta"), st.just(3), st.integers(0, 2)),
+    ),
+    max_size=2,
+).map(lambda parts: reduce(add, parts, Degree0Class.zero()))
+
+
+@st.composite
+def degree0_lines(draw):
+    # O(a*P - a*Q) (x) t, trivial exactly when t = -a*(P - Q)
+    a = draw(st.integers(min_value=-3, max_value=3))
+    shift = draw(st.integers(min_value=-1, max_value=1))
+    return LineBundleClass(a, -a, Degree0Class.of_pq(shift - a) + draw(twists))
+
+
+any_slots = st.one_of(
+    degree0_lines(),
+    st.builds(IndecomposableSlot, st.integers(min_value=1, max_value=3), st.just(0), twists),
+    st.builds(LineBundleClass, st.integers(-2, 3), st.integers(-2, 3), twists),
+    st.builds(IndecomposableSlot, st.integers(min_value=1, max_value=3),
+              st.integers(-2, 3), twists),
+)
+
+
+@st.composite
+def uniform_bundles(draw):
+    """Bundles end_decomposition accepts: line slots of one degree, or coprime atoms."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=-2, max_value=4))
+        parts = [draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)]
+        return BundleOnComponent(tuple(LineBundleClass(a, d - a, draw(twists)) for a in parts))
+    rank, degree = draw(st.sampled_from(
+        [(r, d) for r in (1, 2, 3) for d in range(-2, 4) if gcd(r, d) == 1]
+    ))
+    return BundleOnComponent(
+        tuple(IndecomposableSlot(rank, degree, draw(twists)) for _ in range(n))
+    )
+
+
+def reference_trivial(e):
+    return [i for i, s in enumerate(e.slots) if s.degree == 0 and h0_slot(s) == 1]
+
+
+@given(st.lists(any_slots, min_size=1, max_size=6).map(lambda s: BundleOnComponent(tuple(s))))
+@settings(max_examples=300)
+def test_trivial_slots_match_reference_h0(e):
+    assert list(iter_trivial_slots(e)) == reference_trivial(e)
+
+
+@given(uniform_bundles())
+@settings(max_examples=150)
+def test_trivial_slots_of_end_decomposition_match_reference_h0(e):
+    out = end_decomposition(e)
+    trivial = list(iter_trivial_slots(out))
+    assert trivial == reference_trivial(out)
+    if isinstance(e.slots[0], LineBundleClass):
+        # Hom(L_i, L_j) is trivial exactly when L_i and L_j are isomorphic
+        assert len(trivial) == sum(class_isomorphic(si, sj) for si in e.slots for sj in e.slots)

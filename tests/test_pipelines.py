@@ -122,6 +122,26 @@ class TestPetriCertificate:
         assert v2.stability.verdict == "stable-by-criterion"
 
 
+def test_rank_one_is_the_line_bundle_technique():
+    # r = 1 is the refined rank-1 series of the line-bundle case, and a proven
+    # verdict there is classical Petri injectivity: not-proven is always a bug
+    admitted = non_empty_duals = 0
+    for g in range(1, 15):
+        for d in range(1, 4 * g + 1):
+            for k in range(1, 4 * g + 1):
+                try:
+                    build = petri_build(petri_params(g, 1, d, k))
+                except ParamsError:
+                    continue
+                admitted += 1
+                assert validate_rank1(build.primary).refined, (g, d, k)
+                if build.dual.dimension:
+                    non_empty_duals += 1
+                    assert validate_rank1(build.dual).refined, (g, d, k)
+                assert petri_certificate(g, 1, d, k).status == "proven", (g, d, k)
+    assert (admitted, non_empty_duals) == (516, 191)
+
+
 class TestPoinParams:
     def test_range(self):
         assert poin_params(4, 2, 5).h == 2

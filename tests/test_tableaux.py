@@ -12,6 +12,7 @@ from ellchain.tableaux import (
     enumerate_tableaux,
     rectangle_syt_count,
 )
+from reference import is_standard_filling
 
 
 def brute_force_count(g, r, d):
@@ -74,7 +75,7 @@ def test_enumerator_matches_count_and_is_valid():
     for (g, r, d) in [(4, 1, 3), (6, 1, 4), (5, 1, 4), (6, 2, 6)]:
         listed = list(enumerate_tableaux(g, r, d))
         assert len(listed) == count_tableaux(g, r, d)
-        assert all(t.is_standard_filling(g) for t in listed)
+        assert all(is_standard_filling(t, g) for t in listed)
         assert len(set(listed)) == len(listed)
 
 
