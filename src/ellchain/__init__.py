@@ -33,7 +33,7 @@ from ellchain.chain import (
     validate_lls,
     validate_rank1,
 )
-from ellchain.tableaux import Tableau, count_tableaux, enumerate_tableaux, rectangle_syt_count
+from ellchain.tableaux import Tableau, count_tableaux, enumerate_tableaux
 from ellchain.independence import (
     Certificate,
     CertificateFailure,

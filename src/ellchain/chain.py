@@ -20,7 +20,7 @@ table down to the rows that survive the new vanishing thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Collection, Sequence
 
@@ -322,6 +322,17 @@ def canonical_series(g: int) -> LimitLinearSeries:
 # ---------------------------------------------------------------------------
 
 
+def survives(threshold: tuple[int, int], row: SectionSymbol) -> bool:
+    """Whether a row clears one component's (P, Q) vanishing thresholds.
+
+    The row's orders are stated on the un-twisted series.  Exact orders below
+    a threshold mean the section dies on the component; inexact orders are
+    lower bounds, so they can only certify survival, never death.
+    """
+    th_p, th_q = threshold
+    return not ((row.exact_p and row.ord_p < th_p) or (row.exact_q and row.ord_q < th_q))
+
+
 @dataclass(frozen=True)
 class Redistribution:
     """A series re-expressed with target component degrees d'_i.
@@ -347,16 +358,6 @@ class Redistribution:
     def empty_components(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, t in enumerate(self.tables) if t.dimension == 0)
 
-    def alive(self, component: int, row: SectionSymbol) -> bool:
-        """Whether a row (with orders stated on the un-twisted series) survives.
-
-        Exact orders below a threshold mean the section dies on the
-        component; inexact orders are lower bounds, so they can only
-        certify survival, never death.
-        """
-        th_p, th_q = self.thresholds[component]
-        return not ((row.exact_p and row.ord_p < th_p) or (row.exact_q and row.ord_q < th_q))
-
     def redistribute(self, dprime: Sequence[int]) -> "Redistribution":
         """Re-target: twist this state by the difference of the a-parts.
 
@@ -373,10 +374,9 @@ class Redistribution:
                     f"component {i + 1}: target {dp} not congruent to {cur} mod {r}"
                 )
         a_parts = tuple((dp - cur % r) // r for dp, cur in zip(dprime, self.dprime))
-        relative = _thresholds([new - old for new, old in zip(a_parts, self.a_parts)])
         # this state's rows are stated on its twisted series, which the rest of
         # the twist meets with the relative thresholds
-        survives = replace(self, thresholds=relative).alive
+        relative = _thresholds([new - old for new, old in zip(a_parts, self.a_parts)])
         bundles: list[BundleOnComponent] = []
         tables: list[VanishingTable] = []
         survivors: list[tuple[int, ...]] = []
@@ -389,7 +389,7 @@ class Redistribution:
             kept_rows: list[SectionSymbol] = []
             kept_ids: list[int] = []
             for t, row in zip(self.survivors[i], self.tables[i].rows):
-                if survives(i, row):
+                if survives(relative[i], row):
                     kept_rows.append(row.shifted(th_p, th_q))
                     kept_ids.append(t)
             bundles.append(bundle)

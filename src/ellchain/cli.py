@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_default(name: str, default: int) -> str:
+def _env_default(name: str, default: object) -> str:
     # argparse converts and checks a string default with the option's type
     return os.environ.get(name) or str(default)
 
@@ -47,6 +47,12 @@ def _int(raw: str) -> int:
         return int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid integer {raw!r}") from None
+
+
+def _format(raw: str) -> str:
+    if raw not in ("json", "table"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {raw!r} (choose from 'json', 'table')")
+    return raw
 
 
 def _trials(raw: str) -> int:
@@ -73,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False, parents=[out])
     fmt.add_argument(
         "--format",
-        choices=("json", "table"),
-        default=os.environ.get("ELLCHAIN_FORMAT", "json"),
+        type=_format,
+        default=_env_default("ELLCHAIN_FORMAT", "json"),
+        metavar="{json,table}",
         help="output format (env ELLCHAIN_FORMAT; default json)",
     )
     oracle = argparse.ArgumentParser(add_help=False, parents=[fmt])
@@ -347,7 +354,7 @@ def cmd_certify(args) -> int:
     else:
         text = "[]\n"
     _emit(text, args.out)
-    return EXIT_OK if all(v.ok for v in rows) else EXIT_NOT_PROVEN
+    return max(map(_verdict_exit, rows), default=EXIT_OK)
 
 
 COMMANDS = {

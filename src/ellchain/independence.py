@@ -28,7 +28,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ellchain.chain import LimitLinearSeries, Redistribution, generic_gluing
+from ellchain.chain import LimitLinearSeries, generic_gluing, survives
 from ellchain.elliptic import (
     AlgebraError,
     BundleOnComponent,
@@ -84,22 +84,6 @@ class ProductRow:
             self.slot, a.ord_p + b.ord_p, a.ord_q + b.ord_q,
             a.exact_p and b.exact_p, a.exact_q and b.exact_q,
         ))
-
-    @property
-    def ord_p(self) -> int:
-        return self.symbol.ord_p
-
-    @property
-    def ord_q(self) -> int:
-        return self.symbol.ord_q
-
-    @property
-    def exact_p(self) -> bool:
-        return self.symbol.exact_p
-
-    @property
-    def exact_q(self) -> bool:
-        return self.symbol.exact_q
 
 
 @dataclass(frozen=True)
@@ -226,9 +210,9 @@ def _discriminated(group: Sequence[Survivor]) -> bool:
 
 
 def certify_independence(
-    products: Sequence[ProductSection], redist: Redistribution
+    products: Sequence[ProductSection], thresholds: Sequence[tuple[int, int]]
 ) -> Certificate | CertificateFailure:
-    """Left-to-right elimination of the products under the redistribution.
+    """Left-to-right elimination of the products under per-component thresholds.
 
     On each component the survivors are the not-yet-eliminated products
     meeting both vanishing thresholds (inexact orders are lower bounds and
@@ -238,18 +222,18 @@ def certify_independence(
     """
     remaining = set(range(len(products)))
     passes: list[EliminationPass] = []
-    for i in range(len(redist.thresholds)):
-        alive: list[Survivor] = []
+    for i, threshold in enumerate(thresholds):
+        survivors: list[Survivor] = []
         for idx in sorted(remaining):
             sym = products[idx].rows[i].symbol
-            if redist.alive(i, sym):
-                alive.append(
+            if survives(threshold, sym):
+                survivors.append(
                     Survivor(idx, sym.slot, sym.ord_p, sym.exact_p, sym.ord_q, sym.exact_q)
                 )
-        if not alive:
+        if not survivors:
             continue
         by_slot: dict[int, list[Survivor]] = {}
-        for s in alive:
+        for s in survivors:
             by_slot.setdefault(s.slot, []).append(s)
         bad = [s.product for g in by_slot.values() if not _discriminated(g) for s in g]
         if bad:
@@ -259,8 +243,8 @@ def certify_independence(
                 leftover=(),
                 reason=f"component {i + 1}: survivors not pairwise discriminated",
             )
-        passes.append(EliminationPass(i + 1, tuple(alive)))
-        remaining.difference_update(s.product for s in alive)
+        passes.append(EliminationPass(i + 1, tuple(survivors)))
+        remaining.difference_update(s.product for s in survivors)
     if remaining:
         return CertificateFailure(
             component=None,
@@ -268,7 +252,7 @@ def certify_independence(
             leftover=tuple(sorted(remaining)),
             reason=f"{len(remaining)} products never meet the thresholds anywhere",
         )
-    return Certificate(tuple(passes), len(products), redist.thresholds)
+    return Certificate(tuple(passes), len(products), tuple(thresholds))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +353,7 @@ def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
 
 def oracle_rank(
     products: Sequence[ProductSection],
-    redist: Redistribution,
+    thresholds: Sequence[tuple[int, int]],
     cfg: OracleConfig = OracleConfig(),
 ) -> int:
     """Rank of the surviving leading-jet matrix over F_prime; max over trials.
@@ -386,17 +370,17 @@ def oracle_rank(
     """
     prime, seed = cfg.prime, cfg.seed
     live = [
-        [(i, prow) for i, prow in enumerate(prod.rows) if redist.alive(i, prow.symbol)]
+        [(i, prow) for i, prow in enumerate(prod.rows) if survives(thresholds[i], prow.symbol)]
         for prod in products
     ]
     best = 0
     for trial in range(cfg.trials):
         memo: dict[tuple, int] = {}
         rows: list[dict[tuple, int]] = []
-        for prod, alive in zip(products, live):
+        for prod, live_rows in zip(products, live):
             row: dict[tuple, int] = {}
-            for i, prow in alive:
-                th_p, th_q = redist.thresholds[i]
+            for i, prow in live_rows:
+                th_p, th_q = thresholds[i]
                 for point, th in (("P", th_p), ("Q", th_q)):
                     ord_a = prow.row_a.ord_p if point == "P" else prow.row_a.ord_q
                     ord_b = prow.row_b.ord_p if point == "P" else prow.row_b.ord_q

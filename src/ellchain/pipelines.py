@@ -15,21 +15,21 @@ sections times traceless-endomorphism sections span the full target space
 Builders follow fixed numeric templates; every table row they emit is
 checked against the exact section calculus, and the elimination engine plus
 the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
-``endo_instance`` turn a build into an :class:`Instance` (products,
-redistribution, audits); one :func:`decide` judges either statement.
+``endo_instance`` turn a build into an :class:`Instance` (products, the
+redistribution's thresholds, audits); one :func:`decide` judges either
+statement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ellchain.chain import (
     GluingData,
     LimitLinearSeries,
     NodeGluing,
-    Redistribution,
     StabilityVerdict,
     ValidationReport,
     canonical_series,
@@ -175,6 +175,18 @@ def _structured_position(i: int, width: int) -> tuple[int, int]:
     return (i - 1) // width, (i - 1) % width + 1
 
 
+def _balanced(r: int, degree: int, twist: Callable[[int], str]) -> BundleOnComponent:
+    """The balanced last component: h = gcd(r, degree) slots of rank r/h and
+    degree degree/h, slot j generically twisted by ``twist(j)``; a line class
+    when r/h = 1, an atom otherwise."""
+    h = math.gcd(r, degree)
+    r_sub, d_sub = r // h, degree // h
+    return BundleOnComponent(tuple(
+        LineBundleClass(0, d_sub, tw) if r_sub == 1 else IndecomposableSlot(r_sub, d_sub, tw)
+        for tw in (Degree0Class.of_generic(twist(j)) for j in range(h))
+    ))
+
+
 def _fit_last(
     g: int, r: int, degree: int, levels: Iterable[int], what: str
 ) -> tuple[SectionSymbol, ...]:
@@ -236,17 +248,8 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
         tables.append(VanishingTable(tuple(table)))
 
     # last component: balanced bundle, sections picked by vanishing level
-    h = math.gcd(r, p.d)
-    r_sub, d_sub = r // h, p.d // h
-    atom_slots: list[Slot] = []
-    for j in range(h):
-        tw = Degree0Class.of_generic(f"E{g}.{j}")
-        if r_sub == 1:
-            atom_slots.append(LineBundleClass(0, d_sub, tw))
-        else:
-            atom_slots.append(IndecomposableSlot(r_sub, d_sub, tw))
     levels = (g - blocks - 2 + m for m in range(1, k1 + 2) for _ in range(r if m <= k1 else k2))
-    bundles.append(BundleOnComponent(tuple(atom_slots)))
+    bundles.append(_balanced(r, p.d, lambda j: f"E{g}.{j}"))
     tables.append(VanishingTable(_fit_last(g, r, p.d, levels, "section")))
 
     nodes = [
@@ -420,15 +423,16 @@ class Verdict:
     params: dict
     case: str | None
     status: str  # proven | not-proven | hypothesis-not-met | vacuous
-    expected_products: int
-    product_count: int
-    audits: tuple[Audit, ...]
-    distribution: DistributionInfo | None
-    certificate: Certificate | None
-    certificate_error: str | None
-    oracle: OracleBlock | None
-    stability: StabilityVerdict | None
-    notes: tuple[str, ...]
+    # a verdict reached before any product is formed leaves the rest empty
+    expected_products: int = 0
+    product_count: int = 0
+    audits: tuple[Audit, ...] = ()
+    distribution: DistributionInfo | None = None
+    certificate: Certificate | None = None
+    certificate_error: str | None = None
+    oracle: OracleBlock | None = None
+    stability: StabilityVerdict | None = None
+    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -441,28 +445,13 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VACUOUS = "vacuous"
 
 
-def _early(
-    kind: str,
-    params: dict,
-    status: str,
-    case: str | None = None,
-    expected_products: int = 0,
-    error: str | None = None,
-    notes: tuple[str, ...] = (),
-) -> Verdict:
-    """A verdict reached before any product is formed."""
-    return Verdict(
-        kind, params, case, status, expected_products, 0, (), None, None, error, None, None,
-        notes,
-    )
-
-
 @dataclass(frozen=True)
 class Instance:
     """One statement's products and bookkeeping, ready for :func:`decide`.
 
     The audits depend only on the build and the redistribution, not on the
-    certificate or the oracle, so the builders compute them up front.
+    certificate or the oracle, so the builders compute them up front.  The
+    verdict is judged against ``distribution.thresholds`` alone.
     """
 
     kind: str
@@ -470,8 +459,7 @@ class Instance:
     case: str | None
     expected_products: int
     products: tuple[ProductSection, ...]
-    redist: Redistribution
-    quoted_thresholds: tuple[tuple[int, int], ...] | None
+    distribution: DistributionInfo
     audits: tuple[Audit, ...]
     stability: StabilityVerdict | None
     notes: tuple[str, ...]
@@ -483,12 +471,12 @@ def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
     Proven needs every product eliminated, every audit passed and every
     oracle rank equal to the product count.
     """
-    products, redist = instance.products, instance.redist
-    outcome = certify_independence(products, redist)
+    products, thresholds = instance.products, instance.distribution.thresholds
+    outcome = certify_independence(products, thresholds)
     certificate = outcome if isinstance(outcome, Certificate) else None
     seeds = (seed, seed + 1, seed + 2)
     ranks = tuple(
-        oracle_rank(products, redist, OracleConfig(prime=prime, seed=s, trials=trials))
+        oracle_rank(products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials))
         for s in seeds
     )
     oracle = OracleBlock(prime, trials, seeds, ranks, len(products))
@@ -504,9 +492,7 @@ def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
         expected_products=instance.expected_products,
         product_count=len(products),
         audits=instance.audits,
-        distribution=DistributionInfo(
-            redist.dprime, redist.thresholds, instance.quoted_thresholds
-        ),
+        distribution=instance.distribution,
         certificate=certificate,
         certificate_error=None if certificate else outcome.reason,
         oracle=oracle,
@@ -552,7 +538,7 @@ def petri_instance(build: PetriBuild) -> Instance:
     prod_series = product_series(primary, dual, products)
     rho = r * r
     dprime = tuple(rho if i in (1, g) else 2 * rho for i in range(1, g + 1))
-    redist = redistribute(prod_series, dprime)
+    thresholds = redistribute(prod_series, dprime).thresholds
     quoted = petri_quoted_thresholds(g)
     # every slot has the bundle's slope, so each is a destabilizing sub-slot
     stability = check_stability(
@@ -576,13 +562,13 @@ def petri_instance(build: PetriBuild) -> Instance:
         Audit("dual-dimension", p.kbar, dual.dimension),
         Audit("product-count", p.k * p.kbar, len(products)),
         Audit("distribution-total", rho * (2 * g - 2), sum(dprime)),
-        Audit("quoted-thresholds", quoted, redist.thresholds),
+        Audit("quoted-thresholds", quoted, thresholds),
         Audit("image-bound-within-ambient", True, p.k * p.kbar <= rho * (g - 1)),
         Audit("stability", "stable-by-criterion", stability.verdict),
     )
     return Instance(
         "petri", {"g": g, "r": r, "d": p.d, "k": p.k}, p.case, p.k * p.kbar, products,
-        redist, quoted, audits, stability, tuple(notes),
+        DistributionInfo(dprime, thresholds, quoted), audits, stability, tuple(notes),
     )
 
 
@@ -600,12 +586,13 @@ def petri_certificate(
     try:
         p = petri_params(g, r, d, k)
     except ParamsError as exc:
-        return _early("petri", params, HYPOTHESIS_NOT_MET, error=str(exc))
+        return Verdict("petri", params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
     try:
         build = petri_build(p)
     except (BuildError, AlgebraError) as exc:
-        return _early(
-            "petri", params, NOT_PROVEN, p.case, p.k * p.kbar, f"build failed: {exc}"
+        return Verdict(
+            "petri", params, p.case, NOT_PROVEN, p.k * p.kbar,
+            certificate_error=f"build failed: {exc}",
         )
     return decide(petri_instance(build), prime, seed, trials)
 
@@ -636,18 +623,9 @@ def endo_build(p: PoinParams) -> EndoBuild:
     traceless part, whose canonical twist carries r^2 - 1 sections for each
     of the g - 1 vanishing windows.
     """
-    g, r, d, h = p.g, p.r, p.d, p.h
-    e0: list[BundleOnComponent] = []
-    for i in range(1, g):
-        e0.append(BundleOnComponent((IndecomposableSlot(r, 1),)))
-    r_sub, d_sub = r // h, (d - g + 1) // h
-    last: list[Slot] = []
-    for j in range(h):
-        tw = Degree0Class.of_generic(f"L{j + 1}")
-        last.append(
-            LineBundleClass(0, d_sub, tw) if r_sub == 1 else IndecomposableSlot(r_sub, d_sub, tw)
-        )
-    e0.append(BundleOnComponent(tuple(last)))
+    g, r = p.g, p.r
+    e0 = [BundleOnComponent((IndecomposableSlot(r, 1),))] * (g - 1)
+    e0.append(_balanced(r, p.d - g + 1, lambda j: f"L{j + 1}"))
 
     ends = tuple(end_decomposition(b) for b in e0)
     trivial_counts = tuple(sum(1 for _ in iter_trivial_slots(e)) for e in ends)
@@ -725,7 +703,7 @@ def endo_instance(build: EndoBuild) -> Instance:
     dprime = tuple(
         3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1)
     )
-    redist = redistribute(prod_series, dprime)
+    thresholds = redistribute(prod_series, dprime).thresholds
     target_dim = rho * (3 * g - 3)  # degree + rank*(1 - g) on the squared twist
     audits = (
         Audit("endo-series-valid", True, validate_lls(build.endo_series).ok),
@@ -741,8 +719,8 @@ def endo_instance(build: EndoBuild) -> Instance:
         " O(2(g-1)P); h-1 traceless windows there gain one vanishing order",
     )
     return Instance(
-        "endo-onto", {"g": g, "r": r, "d": p.d}, None, target_dim, products, redist, None,
-        audits, None, notes,
+        "endo-onto", {"g": g, "r": r, "d": p.d}, None, target_dim, products,
+        DistributionInfo(dprime, thresholds, None), audits, None, notes,
     )
 
 
@@ -759,10 +737,10 @@ def onto_certificate(
     try:
         p = poin_params(g, r, d)
     except ParamsError as exc:
-        return _early("endo-onto", params, HYPOTHESIS_NOT_MET, error=str(exc))
+        return Verdict("endo-onto", params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
     if r == 1:
-        return _early(
-            "endo-onto", params, VACUOUS,
+        return Verdict(
+            "endo-onto", params, None, VACUOUS,
             notes=("rank 1: traceless part has rank 0, nothing to prove",),
         )
     return decide(endo_instance(endo_build(p)), prime, seed, trials)

@@ -6,13 +6,11 @@ linear series of degree d and projective dimension r on a chain of g
 elliptic components.  When the rectangle has exactly g cells these are the
 standard Young tableaux of the rectangle.
 
-``count_tableaux`` counts by a column-by-column dynamic program;
-``rectangle_syt_count`` is the independent hook-length count used by audits.
+``count_tableaux`` counts by a column-by-column dynamic program.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -98,15 +96,3 @@ def enumerate_tableaux(g: int, r: int, d: int) -> Iterator[Tableau]:
                 prefix.pop()
 
     yield from grow([], set())
-
-
-def rectangle_syt_count(nrows: int, ncols: int) -> int:
-    """Standard Young tableaux of an nrows x ncols rectangle, by hook lengths."""
-    n = nrows * ncols
-    if n == 0:
-        return 1
-    hooks = 1
-    for i in range(nrows):
-        for j in range(ncols):
-            hooks *= (nrows - i) + (ncols - j) - 1
-    return math.factorial(n) // hooks

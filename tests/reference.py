@@ -10,11 +10,14 @@ package computes, so a test can compare the two.
 * ``class_difference`` / ``class_isomorphic`` compare two line classes, and
   ``h0_slot`` / ``h0_component`` count global sections by Riemann-Roch; a
   degree-0 slot is trivial exactly when ``h0_slot`` is 1.
-* ``is_standard_filling`` checks a tableau cell by cell.
+* ``is_standard_filling`` checks a tableau cell by cell, and
+  ``rectangle_syt_count`` counts standard fillings of a rectangle by hook
+  lengths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ellchain.elliptic import (
@@ -126,3 +129,15 @@ def is_standard_filling(t: Tableau, g: int) -> bool:
         if any(t.cells[i][j] >= t.cells[i + 1][j] for j in range(len(t.cells[i]))):
             return False
     return True
+
+
+def rectangle_syt_count(nrows: int, ncols: int) -> int:
+    """Standard Young tableaux of an nrows x ncols rectangle, by hook lengths."""
+    n = nrows * ncols
+    if n == 0:
+        return 1
+    hooks = 1
+    for i in range(nrows):
+        for j in range(ncols):
+            hooks *= (nrows - i) + (ncols - j) - 1
+    return math.factorial(n) // hooks

@@ -39,7 +39,8 @@ from ellchain.pipelines import (
     petri_quoted_thresholds,
     poin_params,
 )
-from ellchain.tableaux import count_tableaux, rectangle_syt_count
+from ellchain.tableaux import count_tableaux
+from reference import rectangle_syt_count
 
 
 @contextmanager
@@ -256,13 +257,13 @@ def test_criterion_5_endomorphism_grid():
 def _petri_instance(g, r, d, k):
     build = petri_build(petri_params(g, r, d, k))
     x = petri_instance(build)
-    return build, x.products, x.redist
+    return build, x.products, x.distribution.thresholds
 
 
 def _endo_instance(g, r, d):
     build = endo_build(poin_params(g, r, d))
     x = endo_instance(build)
-    return build, x.products, x.redist
+    return build, x.products, x.distribution.thresholds
 
 
 def _lower_orders(product, drop):
@@ -287,27 +288,27 @@ def test_criterion_6_negative_controls():
         mutants = 0
 
         # duplicated products: certificate fails, oracle rank drops
-        for _, products, redist in bases:
+        for _, products, thresholds in bases:
             for j in list(range(0, len(products), max(1, len(products) // 5)))[:5]:
                 doubled = products + (products[j],)
-                outcome = certify_independence(doubled, redist)
+                outcome = certify_independence(doubled, thresholds)
                 assert isinstance(outcome, CertificateFailure)
-                rank = oracle_rank(doubled, redist, OracleConfig(seed=mutants))
+                rank = oracle_rank(doubled, thresholds, OracleConfig(seed=mutants))
                 assert rank < len(doubled)
                 mutants += 1
 
         # lowered vanishing orders: every survivor has Q-slack at most 2, so
         # dropping 3 kills the product everywhere; the certificate leaves it
         # over and its oracle row goes to zero
-        for _, products, redist in bases:
+        for _, products, thresholds in bases:
             for j in range(0, len(products), max(1, len(products) // 5)):
                 mutated = tuple(
                     _lower_orders(p, 3) if idx == j else p for idx, p in enumerate(products)
                 )
-                outcome = certify_independence(mutated, redist)
+                outcome = certify_independence(mutated, thresholds)
                 assert isinstance(outcome, CertificateFailure)
                 assert j in outcome.leftover
-                rank = oracle_rank(mutated, redist, OracleConfig(seed=mutants))
+                rank = oracle_rank(mutated, thresholds, OracleConfig(seed=mutants))
                 assert rank < len(mutated)
                 mutants += 1
 

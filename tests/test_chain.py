@@ -17,6 +17,7 @@ from ellchain.chain import (
     elliptic_chain,
     matched_paths,
     redistribute,
+    survives,
     validate_lls,
     validate_rank1,
 )
@@ -236,10 +237,10 @@ def test_randomized_redistribution_bookkeeping():
         assert two_step.a_parts == direct.a_parts
         assert two_step.bundles == direct.bundles
         for i, base in enumerate(s.tables):
-            first_ids = tuple(t for t, row in enumerate(base.rows) if redist.alive(i, row))
+            first_ids = tuple(t for t, row in enumerate(base.rows) if survives(redist.thresholds[i], row))
             assert redist.survivors[i] == first_ids
             assert two_step.survivors[i] == tuple(
-                t for t in first_ids if direct.alive(i, base.rows[t])
+                t for t in first_ids if survives(direct.thresholds[i], base.rows[t])
             )
             th_p, th_q = direct.thresholds[i]
             assert two_step.tables[i].rows == tuple(

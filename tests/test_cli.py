@@ -154,18 +154,25 @@ def test_audit_mismatch_maps_to_exit_4():
     assert _verdict_exit(replace(v, status="not-proven", certificate=None)) == 3
 
 
-def test_sweep_with_a_not_proven_row_exits_3(capsys, monkeypatch):
+@pytest.mark.parametrize("forced_audit,exit_code", [
+    (False, 3), (True, 4),
+], ids=["not-proven", "inconsistent"])
+def test_sweep_with_a_not_proven_row_exits_3(capsys, monkeypatch, forced_audit, exit_code):
+    # a sweep exits as its worst row would alone: an audit failing while the
+    # certificate and the oracle pass is an inconsistency (4), not a plain 3
     from dataclasses import replace
 
     import ellchain.cli as cli
-    from ellchain.pipelines import petri_certificate
+    from ellchain.pipelines import Audit, petri_certificate
 
-    row = replace(petri_certificate(4, 2, 6, 2), status="not-proven")
+    v = petri_certificate(4, 2, 6, 2)
+    audits = v.audits + ((Audit("forced", 1, 2),) if forced_audit else ())
+    row = replace(v, status="not-proven", audits=audits)
     monkeypatch.setattr(cli, "petri_certificate", lambda *args, **kwargs: row)
     code, out, _ = run(
         capsys, "petri", "--sweep", "--g", "4", "--r", "2", "--d", "6", "--k", "2"
     )
-    assert code == 3
+    assert code == exit_code
     assert [r["status"] for r in json.loads(out)] == ["not-proven"]
 
 
@@ -173,7 +180,8 @@ def test_sweep_with_a_not_proven_row_exits_3(capsys, monkeypatch):
     ({}, ("--trials", "0")),
     ({}, ("--prime", "15")),
     ({"ELLCHAIN_SEED": "abc"}, ()),
-], ids=["trials-0", "prime-15", "env-seed-abc"])
+    ({"ELLCHAIN_FORMAT": "xml"}, ()),
+], ids=["trials-0", "prime-15", "env-seed-abc", "env-format-xml"])
 def test_bad_oracle_input_is_usage_error(capsys, monkeypatch, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)

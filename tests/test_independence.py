@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from ellchain.chain import Redistribution, canonical_series, redistribute
+from ellchain.chain import canonical_series, redistribute, survives
 from ellchain.elliptic import AlgebraError, SectionSymbol
 from ellchain.independence import (
     Certificate,
@@ -32,7 +32,7 @@ def petri_5273():
     series = product_series(build.primary, build.dual, products)
     rho = 4
     redist = redistribute(series, (rho, 2 * rho, 2 * rho, 2 * rho, rho))
-    return products, redist
+    return products, redist.thresholds
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def endo_424():
     products = product_sections(canonical, build.endo_series, pairs)
     series = product_series(canonical, build.endo_series, products)
     redist = redistribute(series, (9, 9, 9, 9))
-    return products, redist
+    return products, redist.thresholds
 
 
 class TestProducts:
@@ -51,7 +51,7 @@ class TestProducts:
         s = canonical_series(3)
         products = product_sections(s, s, [(0, 2)])
         row = products[0].rows[1]  # middle component: (0,3) x (3,0)
-        assert (row.ord_p, row.ord_q) == (3, 3)
+        assert (row.symbol.ord_p, row.symbol.ord_q) == (3, 3)
 
     def test_slot_pairing(self):
         s = canonical_series(2)
@@ -67,14 +67,14 @@ class TestProducts:
         products, _ = petri_5273
         for p in products:
             for row in p.rows:
-                assert row.ord_p == row.row_a.ord_p + row.row_b.ord_p
-                assert row.ord_q == row.row_a.ord_q + row.row_b.ord_q
+                assert row.symbol.ord_p == row.row_a.ord_p + row.row_b.ord_p
+                assert row.symbol.ord_q == row.row_a.ord_q + row.row_b.ord_q
 
     def test_endo_first_component_orders(self, endo_424):
         # canonical s_1 times the three windows: Q-orders 4g-5, 4g-6, 4g-7
         products, _ = endo_424
         first = [p for p in products if p.factor_a == 0 and p.factor_b < 3]
-        assert sorted(p.rows[0].ord_q for p in first) == [9, 10, 11]
+        assert sorted(p.rows[0].symbol.ord_q for p in first) == [9, 10, 11]
 
     def test_disjoint_support_product_is_dead_everywhere(self):
         # a section surviving only on the first component paired with one
@@ -104,8 +104,8 @@ class TestProducts:
 
 class TestCertify:
     def test_petri_spot_case(self, petri_5273):
-        products, redist = petri_5273
-        cert = certify_independence(products, redist)
+        products, thresholds = petri_5273
+        cert = certify_independence(products, thresholds)
         assert isinstance(cert, Certificate)
         assert cert.eliminated == 12
         assert [(p.component, len(p.survivors)) for p in cert.passes] == [
@@ -113,49 +113,49 @@ class TestCertify:
         ]
 
     def test_endo_spot_case(self, endo_424):
-        products, redist = endo_424
-        cert = certify_independence(products, redist)
+        products, thresholds = endo_424
+        cert = certify_independence(products, thresholds)
         assert isinstance(cert, Certificate)
         assert cert.eliminated == 27
 
     def test_duplicate_product_fails(self, petri_5273):
-        products, redist = petri_5273
+        products, thresholds = petri_5273
         doubled = products + (products[0],)
-        outcome = certify_independence(doubled, redist)
+        outcome = certify_independence(doubled, thresholds)
         assert isinstance(outcome, CertificateFailure)
         assert outcome.component == 1
         assert set(outcome.undiscriminated) >= {0, len(products)}
 
     def test_replay_is_deterministic(self, petri_5273):
-        products, redist = petri_5273
-        cert = certify_independence(products, redist)
-        assert certify_independence(products, redist) == cert
+        products, thresholds = petri_5273
+        cert = certify_independence(products, thresholds)
+        assert certify_independence(products, thresholds) == cert
 
     def test_every_product_in_exactly_one_pass(self, endo_424):
-        products, redist = endo_424
-        cert = certify_independence(products, redist)
+        products, thresholds = endo_424
+        cert = certify_independence(products, thresholds)
         seen = [s.product for p in cert.passes for s in p.survivors]
         assert sorted(seen) == list(range(len(products)))
 
 
 class TestOracle:
     def test_agrees_with_certificates(self, petri_5273):
-        products, redist = petri_5273
+        products, thresholds = petri_5273
         for seed in (0, 1, 7):
-            assert oracle_rank(products, redist, OracleConfig(seed=seed)) == 12
+            assert oracle_rank(products, thresholds, OracleConfig(seed=seed)) == 12
 
     def test_duplicate_drops_rank(self, petri_5273):
-        products, redist = petri_5273
+        products, thresholds = petri_5273
         doubled = products + (products[-1],)
-        assert oracle_rank(doubled, redist) == len(products)
+        assert oracle_rank(doubled, thresholds) == len(products)
 
     def test_empty_list(self, petri_5273):
-        _, redist = petri_5273
-        assert oracle_rank((), redist) == 0
+        _, thresholds = petri_5273
+        assert oracle_rank((), thresholds) == 0
 
     def test_endo_rank(self, endo_424):
-        products, redist = endo_424
-        assert oracle_rank(products, redist, OracleConfig(seed=3, trials=2)) == 27
+        products, thresholds = endo_424
+        assert oracle_rank(products, thresholds, OracleConfig(seed=3, trials=2)) == 27
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(AlgebraError):
@@ -167,20 +167,12 @@ class TestOracle:
     def test_independence_is_scan_order_free(self, petri_5273):
         # certifying right-to-left is a different proof strategy and may or
         # may not close, but the oracle sees the same matrix either way
-        products, redist = petri_5273
+        products, thresholds = petri_5273
         reversed_products = tuple(
             type(p)(p.factor_a, p.factor_b, tuple(reversed(p.rows))) for p in products
         )
-        reversed_redist = replace(
-            redist,
-            thresholds=tuple(reversed(redist.thresholds)),
-            dprime=tuple(reversed(redist.dprime)),
-            a_parts=tuple(reversed(redist.a_parts)),
-            bundles=tuple(reversed(redist.bundles)),
-            tables=tuple(reversed(redist.tables)),
-            survivors=tuple(reversed(redist.survivors)),
-        )
-        assert oracle_rank(reversed_products, reversed_redist) == len(products)
+        reversed_thresholds = tuple(reversed(thresholds))
+        assert oracle_rank(reversed_products, reversed_thresholds) == len(products)
 
 
 # The oracle as first written: one SHA-256 per product per jet level and
@@ -206,16 +198,16 @@ def _reference_factor_jet(prime, seed, trial, tag, fid, comp, point, level, row)
     return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
 
 
-def _reference_oracle_rank(products, redist, cfg=OracleConfig()):
+def _reference_oracle_rank(products, thresholds, cfg=OracleConfig()):
     best = 0
     for trial in range(cfg.trials):
         rows = []
         for prod in products:
             row = {}
             for i, prow in enumerate(prod.rows):
-                if not redist.alive(i, _reference_symbol(prow)):
+                if not survives(thresholds[i], _reference_symbol(prow)):
                     continue
-                th_p, th_q = redist.thresholds[i]
+                th_p, th_q = thresholds[i]
                 for point, th in (("P", th_p), ("Q", th_q)):
                     ord_a = prow.row_a.ord_p if point == "P" else prow.row_a.ord_q
                     ord_b = prow.row_b.ord_p if point == "P" else prow.row_b.ord_q
@@ -256,7 +248,7 @@ class TestOracleReference:
     @pytest.mark.parametrize("fixture", ["petri_5273", "endo_424"])
     @pytest.mark.parametrize("mutant", ["none", "duplicate", "raised-order"])
     def test_matches_reference(self, request, fixture, mutant):
-        products, redist = request.getfixturevalue(fixture)
+        products, thresholds = request.getfixturevalue(fixture)
         if mutant == "duplicate":
             products = products + (products[len(products) // 2],)
         elif mutant == "raised-order":
@@ -264,8 +256,8 @@ class TestOracleReference:
         for seed in range(5):
             for trials in (1, 2):
                 cfg = OracleConfig(seed=seed, trials=trials)
-                assert oracle_rank(products, redist, cfg) == _reference_oracle_rank(
-                    products, redist, cfg
+                assert oracle_rank(products, thresholds, cfg) == _reference_oracle_rank(
+                    products, thresholds, cfg
                 )
 
     def test_jet_memo_keeps_orders_of_one_factor_apart(self):
@@ -281,7 +273,7 @@ class TestOracleReference:
     def test_slot_4096_does_not_collide_with_next_component(self):
         # product A lives only on component 0 in slot 4096, product B only on
         # component 1 in slot 0; the integer key i * 4096 + slot merged them
-        redist = Redistribution((), (), ((2, 0), (2, 0)), (), (), (), 0, 1)
+        thresholds = ((2, 0), (2, 0))
         live, dead, unit = SectionSymbol(0, 3, 5), SectionSymbol(0, 0, 5), SectionSymbol(0, 0, 0)
         products = (
             ProductSection(0, 0, (ProductRow(4096, live, unit), ProductRow(0, dead, unit))),
@@ -289,8 +281,8 @@ class TestOracleReference:
         )
         for seed in range(3):
             cfg = OracleConfig(seed=seed)
-            assert _reference_oracle_rank(products, redist, cfg) == 1
-            assert oracle_rank(products, redist, cfg) == 2
+            assert _reference_oracle_rank(products, thresholds, cfg) == 1
+            assert oracle_rank(products, thresholds, cfg) == 2
 
 
 def test_product_row_symbol_follows_replace(petri_5273):
@@ -298,5 +290,5 @@ def test_product_row_symbol_follows_replace(petri_5273):
     row = products[0].rows[0]
     lowered = replace(row, row_a=replace(row.row_a, ord_q=row.row_a.ord_q - 3))
     assert lowered.symbol == _reference_symbol(lowered)
-    assert lowered.ord_q == row.ord_q - 3
+    assert lowered.symbol.ord_q == row.symbol.ord_q - 3
 

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellchain.tableaux import (
-    TableauError,
-    count_tableaux,
-    enumerate_tableaux,
-    rectangle_syt_count,
-)
-from reference import is_standard_filling
+from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
+from reference import is_standard_filling, rectangle_syt_count
 
 
 def brute_force_count(g, r, d):
