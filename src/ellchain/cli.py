@@ -9,11 +9,12 @@ certificate and the oracle both passed).  All randomness flows from one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence, TextIO
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
@@ -29,7 +30,8 @@ EXIT_INCONSISTENT = 4
 
 
 class _UsageError(Exception):
-    """Bad arguments or environment overrides, reported as one line with exit 2."""
+    """Bad arguments, environment overrides or an unwritable ``--out``,
+    reported as one line with exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,20 +158,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
+@contextlib.contextmanager
+def _writer(out: Path | None) -> Iterator[TextIO]:
+    """stdout, or a temporary file beside ``out`` that replaces it on success.
+
+    The temporary file is opened before the caller computes anything, so an
+    unwritable ``out`` is a usage error up front; it gets the mode a plain
+    ``open`` gives.  On any exception it is removed, so ``out`` is either
+    complete or as it was before.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text, encoding="utf-8")
+        yield sys.stdout
+        return
+    if out.is_dir():
+        raise _UsageError(f"cannot write {out}: is a directory")
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        f = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _span(raw: str | None, fallback: tuple[int, int] | None = None) -> range:
-    """``a..b`` or ``a`` as an inclusive range; ``fallback`` when absent."""
+def _emit(text: str, out: Path | None) -> None:
+    with _writer(out) as f:
+        f.write(text)
+
+
+def _span(raw: str | None) -> range | None:
+    """``a..b`` or ``a`` as an inclusive range; None when absent."""
     if raw is None:
-        if fallback is None:
-            raise ValueError("missing required range")
-        lo, hi = fallback
-    elif ".." in raw:
+        return None
+    if ".." in raw:
         lo, hi = (int(x) for x in raw.split("..", 1))
     else:
         lo = hi = int(raw)
@@ -311,50 +337,80 @@ def cmd_validate(args) -> int:
 
 
 def _sweep(args) -> Iterator[tuple[int, ...]]:
-    """The (g, r, d[, k]) tuples of a sweep, in g -> r -> d (-> k) order."""
-    gs, rs = _span(args.g), _span(args.r)
-    for g in gs:
-        if args.command == "petri":
-            ds, ks = _span(args.d, (1, 4 * g)), _span(args.k, (1, 4 * g))
-            yield from ((g, r, d, k) for r in rs for d in ds for k in ks)
-        else:
-            yield from ((g, r, d) for r in rs for d in _span(args.d, (g, g + r - 1)))
+    """The (g, r, d[, k]) tuples of a sweep, in g -> r -> d (-> k) order.
+
+    Every range is parsed here, so a bad one fails before the first tuple.
+    """
+    gs, rs, ds = _span(args.g), _span(args.r), _span(args.d)
+    if gs is None or rs is None:
+        raise ValueError("missing required range")
+    if args.command == "petri":
+        ks = _span(args.k)
+        return (
+            (g, r, d, k)
+            for g in gs
+            for r in rs
+            for d in (range(1, 4 * g + 1) if ds is None else ds)
+            for k in (range(1, 4 * g + 1) if ks is None else ks)
+        )
+    return (
+        (g, r, d) for g in gs for r in rs for d in (range(g, g + r) if ds is None else ds)
+    )
 
 
 def cmd_certify(args) -> int:
-    """``petri`` and ``endo``: one verdict, or the admitted verdicts of a sweep."""
+    """``petri`` and ``endo``: one verdict, or the admitted verdicts of a sweep.
+
+    A sweep writes each admitted verdict's text as soon as it is decided and
+    keeps only the worst exit code, so its memory does not grow with the grid.
+    The bytes are those of the whole list encoded at once.
+    """
     # looked up per call, so a rebound module attribute takes effect
     certify = petri_certificate if args.command == "petri" else onto_certificate
+    table = args.format == "table"
 
     def verdict(t: tuple[int, ...]) -> Verdict:
         return certify(*t, prime=args.prime, seed=args.seed, trials=args.trials)
 
     try:
         if args.sweep:
-            # most tuples of a grid are rejected: keep none of their verdicts
-            rows = [v for v in map(verdict, _sweep(args)) if v.status != HYPOTHESIS_NOT_MET]
+            tuples = _sweep(args)
         else:
             names = "grdk" if args.command == "petri" else "grd"
             single = tuple(_single(getattr(args, n), n) for n in names)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not args.sweep:
         v = verdict(single)
-        text = _verdict_line(v) + "\n" if args.format == "table" else serialize.dumps(v)
+        text = _verdict_line(v) + "\n" if table else serialize.dumps(v)
         _emit(text, args.out)
         return _verdict_exit(v)
-    if args.format == "table":
-        text = "\n".join(_verdict_line(v) for v in rows) + "\n"
-    elif rows:
-        # the text of json.dumps(list, indent=2), encoded one verdict at a time:
-        # the indenting encoder yields millions of chunks for a whole grid
-        items = (serialize.dumps(v)[:-1].replace("\n", "\n  ") for v in rows)
-        text = "[\n  " + ",\n  ".join(items) + "\n]\n"
-    else:
-        text = "[]\n"
-    _emit(text, args.out)
-    return max(map(_verdict_exit, rows), default=EXIT_OK)
+
+    def rendered(t: tuple[int, ...]) -> tuple[str, int] | None:
+        # the verdict dies on return: only its text and exit code outlive it
+        v = verdict(t)
+        if v.status == HYPOTHESIS_NOT_MET:  # most tuples of a grid
+            return None
+        if table:
+            return _verdict_line(v) + "\n", _verdict_exit(v)
+        # the text of json.dumps(list, indent=2), encoded one verdict at a time
+        return serialize.dumps(v)[:-1].replace("\n", "\n  "), _verdict_exit(v)
+
+    worst, written = EXIT_OK, 0
+    with _writer(args.out) as f:
+        for row in map(rendered, tuples):
+            if row is not None:
+                text, code = row
+                if not table:
+                    f.write(",\n  " if written else "[\n  ")
+                f.write(text)
+                worst, written = max(worst, code), written + 1
+        if not written:
+            f.write("\n" if table else "[]\n")
+        elif not table:
+            f.write("\n]\n")
+    return worst
 
 
 COMMANDS = {
@@ -370,10 +426,10 @@ COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

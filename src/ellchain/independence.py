@@ -351,10 +351,25 @@ def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
     return rank
 
 
+LiveRows = tuple[tuple[tuple[int, ProductRow], ...], ...]
+
+
+def live_rows(
+    products: Sequence[ProductSection], thresholds: Sequence[tuple[int, int]]
+) -> LiveRows:
+    """Per product, its ``(component, row)`` pairs that meet the component's
+    threshold: the rows the oracle reads, whatever its seed or trial."""
+    return tuple(
+        tuple((i, prow) for i, prow in enumerate(prod.rows) if survives(thresholds[i], prow.symbol))
+        for prod in products
+    )
+
+
 def oracle_rank(
     products: Sequence[ProductSection],
     thresholds: Sequence[tuple[int, int]],
     cfg: OracleConfig = OracleConfig(),
+    live: LiveRows | None = None,
 ) -> int:
     """Rank of the surviving leading-jet matrix over F_prime; max over trials.
 
@@ -367,19 +382,19 @@ def oracle_rank(
     per trial and memoised for every product sharing the factor.  A dead
     product contributes nothing on the component.  The rank can only
     underestimate the generic rank, never exceed the product count.
+    ``live`` is ``live_rows(products, thresholds)``, passed in by a caller
+    that ranks the same products under several seeds.
     """
     prime, seed = cfg.prime, cfg.seed
-    live = [
-        [(i, prow) for i, prow in enumerate(prod.rows) if survives(thresholds[i], prow.symbol)]
-        for prod in products
-    ]
+    if live is None:
+        live = live_rows(products, thresholds)
     best = 0
     for trial in range(cfg.trials):
         memo: dict[tuple, int] = {}
         rows: list[dict[tuple, int]] = []
-        for prod, live_rows in zip(products, live):
+        for prod, alive in zip(products, live):
             row: dict[tuple, int] = {}
-            for i, prow in live_rows:
+            for i, prow in alive:
                 th_p, th_q = thresholds[i]
                 for point, th in (("P", th_p), ("Q", th_q)):
                     ord_a = prow.row_a.ord_p if point == "P" else prow.row_a.ord_q

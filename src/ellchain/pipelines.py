@@ -58,6 +58,7 @@ from ellchain.independence import (
     OracleConfig,
     ProductSection,
     certify_independence,
+    live_rows,
     oracle_rank,
     product_sections,
     product_series,
@@ -475,8 +476,9 @@ def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
     outcome = certify_independence(products, thresholds)
     certificate = outcome if isinstance(outcome, Certificate) else None
     seeds = (seed, seed + 1, seed + 2)
+    live = live_rows(products, thresholds)
     ranks = tuple(
-        oracle_rank(products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials))
+        oracle_rank(products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), live)
         for s in seeds
     )
     oracle = OracleBlock(prime, trials, seeds, ranks, len(products))
@@ -627,8 +629,11 @@ def endo_build(p: PoinParams) -> EndoBuild:
     e0 = [BundleOnComponent((IndecomposableSlot(r, 1),))] * (g - 1)
     e0.append(_balanced(r, p.d - g + 1, lambda j: f"L{j + 1}"))
 
-    ends = tuple(end_decomposition(b) for b in e0)
-    trivial_counts = tuple(sum(1 for _ in iter_trivial_slots(e)) for e in ends)
+    # the g - 1 bundles off the last component are one bundle: decompose it once
+    distinct = {b: end_decomposition(b) for b in dict.fromkeys(e0)}
+    ends = tuple(distinct[b] for b in e0)
+    trivial = {b: sum(1 for _ in iter_trivial_slots(e)) for b, e in distinct.items()}
+    trivial_counts = tuple(trivial[b] for b in e0)
     hom_gluing = GluingData(tuple(NodeGluing(((0, 0),)) for _ in range(g - 1)))
 
     rho = r * r - 1

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import stat
+import weakref
 from pathlib import Path
 
 import pytest
 
+import ellchain.cli as cli
 from ellchain.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -233,6 +237,79 @@ def test_sweep_json_is_pinned(capsys, argv, digest):
 def test_sweep_admitting_nothing_prints_an_empty_list(capsys):
     code, out, _ = run(capsys, "endo", "--sweep", "--g", "2..3", "--r", "2")
     assert code == 0 and out == "[]\n"
+    code, out, _ = run(capsys, "endo", "--sweep", "--g", "2..3", "--r", "2", "--format", "table")
+    assert code == 0 and out == "\n"
+
+
+# six admitted, proven verdicts among the sweep's eight tuples
+SMALL_SWEEP = ("petri", "--sweep", "--g", "4..5", "--r", "2", "--d", "6..7", "--k", "2..3")
+
+
+def test_a_sweep_holds_no_verdict_after_writing_it(monkeypatch, tmp_path):
+    real, refs, alive = cli.petri_certificate, [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        v = real(*args, **kwargs)
+        refs.append(weakref.ref(v))
+        return v
+
+    monkeypatch.setattr(cli, "petri_certificate", tracked)
+    assert main([*SMALL_SWEEP, "--out", str(tmp_path / "sweep.json")]) == 0
+    assert len(json.loads((tmp_path / "sweep.json").read_text())) == 6
+    # when each verdict starts, every earlier one is gone
+    assert len(alive) == 8 and alive == [0] * 8
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier run's output\n"], ids=["new", "existing"])
+def test_a_failed_sweep_leaves_out_as_it_was(monkeypatch, tmp_path, earlier):
+    real, calls = cli.petri_certificate, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("verdict failed")
+        return real(*args, **kwargs)
+
+    out_file = tmp_path / "sweep.json"
+    if earlier is not None:
+        out_file.write_text(earlier, encoding="utf-8")
+    monkeypatch.setattr(cli, "petri_certificate", failing)
+    with pytest.raises(RuntimeError, match="verdict failed"):
+        main([*SMALL_SWEEP, "--out", str(out_file)])
+    # no temporary file is left beside it either
+    assert sorted(tmp_path.iterdir()) == ([] if earlier is None else [out_file])
+    if earlier is not None:
+        assert out_file.read_text(encoding="utf-8") == earlier
+
+
+@pytest.mark.parametrize("argv", [("canonical", "--g", "3"), SMALL_SWEEP],
+                         ids=["canonical", "sweep"])
+def test_out_is_written_like_stdout_with_a_plain_open_mode(capsys, tmp_path, argv):
+    out_file = tmp_path / "out.json"
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run(capsys, *argv, "--out", str(out_file))
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(out_file.stat().st_mode) == 0o666 & ~0o027
+    assert out_file.read_text(encoding="utf-8") == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("argv", [("canonical", "--g", "3"), SMALL_SWEEP],
+                         ids=["canonical", "sweep"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "a-dir"])
+def test_an_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv, target):
+    def never(*args, **kwargs):
+        raise AssertionError("a verdict was computed for an unwritable --out")
+
+    monkeypatch.setattr(cli, "petri_certificate", never)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_endo_below_genus_4_names_the_product_list(capsys):
