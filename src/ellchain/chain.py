@@ -137,20 +137,24 @@ class LimitLinearSeries:
 
 
 @dataclass(frozen=True)
+class Conditions:
+    """Conditions (1)-(3) of a limit linear series, in that order."""
+
+    degree: bool
+    nodes: bool
+    determined: bool
+
+
+@dataclass(frozen=True)
 class ValidationReport:
     structural_errors: tuple[str, ...]
-    condition_degree: bool
-    condition_nodes: bool
-    condition_determined: bool
+    conditions: Conditions
     failures: tuple[str, ...]
 
     @property
-    def conditions(self) -> tuple[bool, bool, bool]:
-        return (self.condition_degree, self.condition_nodes, self.condition_determined)
-
-    @property
     def ok(self) -> bool:
-        return not self.structural_errors and all(self.conditions)
+        c = self.conditions
+        return not self.structural_errors and c.degree and c.nodes and c.determined
 
 
 def _row_class_conflict(slot: Slot, row: SectionSymbol) -> str | None:
@@ -188,7 +192,9 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
             f"chain has {m} components but {len(series.bundles)} bundles"
             f" / {len(series.tables)} tables"
         )
-        return ValidationReport(tuple(structural), False, False, False, ())
+        return ValidationReport(tuple(structural), Conditions(False, False, False), ())
+    if series.rank < 1:
+        structural.append(f"series rank {series.rank} is below 1")
     for i, (bundle, table) in enumerate(zip(series.bundles, series.tables)):
         if bundle.rank != series.rank:
             structural.append(f"component {i + 1}: rank {bundle.rank} != {series.rank}")
@@ -209,13 +215,12 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
         for n, node in enumerate(series.gluing.nodes):
             if node.matched is None:
                 continue
+            lslots, rslots = series.bundles[n].slots, series.bundles[n + 1].slots
             for left, right in node.matched:
-                try:
-                    rl = series.bundles[n].slots[left].rank
-                    rr = series.bundles[n + 1].slots[right].rank
-                except IndexError:
+                if not (0 <= left < len(lslots) and 0 <= right < len(rslots)):
                     structural.append(f"node {n + 1}: matched slot out of range")
                     continue
+                rl, rr = lslots[left].rank, rslots[right].rank
                 if rl != rr:
                     structural.append(f"node {n + 1}: matched slots of ranks {rl} != {rr}")
     if series.pairings is not None and len(series.pairings) != m - 1:
@@ -225,7 +230,7 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
             if any(not 0 <= t < series.dimension for pair in pairs for t in pair):
                 structural.append(f"node {n + 1}: paired row out of range")
     if structural:
-        return ValidationReport(tuple(structural), False, False, False, ())
+        return ValidationReport(tuple(structural), Conditions(False, False, False), ())
 
     lhs = sum(series.component_degrees) - series.rank * (m - 1) * series.a
     cond1 = lhs == series.degree
@@ -252,7 +257,7 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
                 f"component {i + 1}: degree {d_i} outside"
                 f" [{series.a * series.rank}, {(series.a + 1) * series.rank})"
             )
-    return ValidationReport((), cond1, cond2, cond3, tuple(failures))
+    return ValidationReport((), Conditions(cond1, cond2, cond3), tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -420,6 +425,8 @@ def redistribute(series: LimitLinearSeries, dprime: Sequence[int]) -> Redistribu
     m = len(series.bundles)
     if len(series.tables) != m:
         raise AlgebraError(f"series has {m} bundles but {len(series.tables)} tables")
+    if series.rank < 1:
+        raise AlgebraError(f"series rank {series.rank} is below 1")
     untwisted = Redistribution(
         dprime=series.component_degrees,
         a_parts=(0,) * m,

@@ -13,6 +13,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Iterator, NoReturn, Sequence, TextIO
 
@@ -235,7 +236,7 @@ def _canonical_table(series, report, rank1) -> str:
         lines.append(f"{'C' + str(i + 1):<11}{_class_label(bundle.slots[0]):<{width + 2}}" + cells.rstrip())
     lines.append(
         "validation: degree={} nodes={} determined={} refined={}".format(
-            *("ok" if c else "FAIL" for c in report.conditions),
+            *("ok" if c else "FAIL" for c in astuple(report.conditions)),
             "yes" if rank1.refined else "no",
         )
     )

@@ -189,16 +189,16 @@ def _balanced(r: int, degree: int, twist: Callable[[int], str]) -> BundleOnCompo
 
 
 def _fit_last(
-    g: int, r: int, degree: int, levels: Iterable[int], what: str
+    g: int, last: BundleOnComponent, levels: Iterable[int], what: str
 ) -> tuple[SectionSymbol, ...]:
     """One row per P-order in ``levels`` on the balanced last component.
 
-    The bundle of rank r and the given degree is h = gcd(r, degree) atoms of
-    rank r/h.  With degree = top*r + extra it has r sections of each order
-    below ``top`` and ``extra`` of order ``top``, handed out atom by atom.
+    ``last`` is h equal atoms of total rank r.  With degree = top*r + extra
+    it has r sections of each order below ``top`` and ``extra`` of order
+    ``top``, handed out atom by atom.
     """
-    h = math.gcd(r, degree)
-    top, extra = divmod(degree, r)
+    h, r = len(last.slots), last.rank
+    top, extra = divmod(last.degree, r)
     used: dict[int, int] = {}
     rows = []
     for level in levels:
@@ -222,7 +222,7 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
     tables: list[VanishingTable] = []
     for i in range(1, g):
         slots: list[Slot] = []
-        slot_tables: list[tuple[SectionSymbol, ...]] = []
+        windows: list[tuple[SectionSymbol, ...]] = []
         if i <= n_struct:
             j1, j2 = _structured_position(i, width)
             u = i - j1 - 2
@@ -236,22 +236,17 @@ def _petri_primary(p: PetriParams, width: int, blocks: int, sigma: int) -> Limit
             cls = (LineBundleClass(0, d1, Degree0Class.of_generic(f"P{i}.{c}"))
                    if c >= generic_from else special)
             slots.append(cls)
-            slot_tables.append(section_space(cls, u, k1 + 1 if c < k2 else k1, slot=c).rows)
-        table: list[SectionSymbol] = []
-        for m in range(1, k1 + 2):
-            for c in range(r):
-                if m == k1 + 1 and c >= k2:
-                    continue
-                if len(slot_tables[c]) < m:
-                    raise BuildError(i, f"slot {c} is missing row {m}")
-                table.append(slot_tables[c][m - 1])
+            windows.append(section_space(cls, u, k1 + 1 if c < k2 else k1, slot=c).rows)
         bundles.append(BundleOnComponent(tuple(slots)))
-        tables.append(VanishingTable(tuple(table)))
+        # level by level: row m of every slot whose window reaches it
+        tables.append(VanishingTable(tuple(
+            rows[m] for m in range(k1 + 1) for rows in windows if m < len(rows)
+        )))
 
     # last component: balanced bundle, sections picked by vanishing level
     levels = (g - blocks - 2 + m for m in range(1, k1 + 2) for _ in range(r if m <= k1 else k2))
     bundles.append(_balanced(r, p.d, lambda j: f"E{g}.{j}"))
-    tables.append(VanishingTable(_fit_last(g, r, p.d, levels, "section")))
+    tables.append(VanishingTable(_fit_last(g, bundles[-1], levels, "section")))
 
     nodes = [
         NodeGluing(tuple((c, c) for c in range(r))) if n + 2 <= n_struct else NodeGluing()
@@ -303,11 +298,11 @@ def _petri_dual(
     """
     g, r = p.g, p.r
     dbar1 = 2 * g - 2 - p.d1
-    kbar = p.kbar
     n_struct = width * blocks
     dual_bundles = _dual_bundles(p, primary)
 
-    tables: list[list[SectionSymbol | None]] = [[None] * kbar for _ in range(g)]
+    # rows are appended in section-id order (mbar - 1) * r + c
+    tables: list[list[SectionSymbol]] = [[] for _ in range(g - 1)]
     required_level: dict[tuple[int, int], int] = {}
     for mbar in range(1, p.alpha + 1):
         for c in range(r):
@@ -326,30 +321,25 @@ def _petri_dual(
                     if abar is not None and pi == abar - 1:
                         raise BuildError(i, f"dual row {sid} hits a merged order")
                     row = SectionSymbol(c, pi, dbar1 - 1 - pi)
-                tables[i - 1][sid] = row
+                tables[i - 1].append(row)
                 pi = dbar1 - row.ord_q
             required_level[(mbar, c)] = pi
 
+    # the last component hands out its rows by level, then places them by (mbar, c)
     order = sorted(required_level, key=lambda mc: (required_level[mc], mc))
     last_rows = _fit_last(
-        g, r, r * (2 * g - 2) - p.d, (required_level[mc] for mc in order), "dual section"
+        g, dual_bundles[-1], (required_level[mc] for mc in order), "dual section"
     )
-    for (mbar, c), row in zip(order, last_rows):
-        tables[g - 1][(mbar - 1) * r + c] = row
-
-    final_tables = tuple(
-        VanishingTable(tuple(row for row in t if row is not None)) for t in tables
-    )
-    if any(t.dimension != kbar for t in final_tables):
-        raise BuildError(0, "dual table has missing rows")
+    placed = dict(zip(order, last_rows))
+    tables.append([placed[mc] for mc in required_level])
     return LimitLinearSeries(
         chain=primary.chain,
         rank=r,
         degree=r * (2 * g - 2) - p.d,
-        dimension=kbar,
+        dimension=p.kbar,
         a=dbar1,
         bundles=dual_bundles,
-        tables=final_tables,
+        tables=tuple(VanishingTable(tuple(t)) for t in tables),
         gluing=primary.gluing,
     )
 
@@ -367,8 +357,6 @@ def petri_build(p: PetriParams) -> PetriBuild:
     width = p.k1 if (p.k2 == 0 and p.d2 == 0) else p.k1 + 1
     blocks = p.alpha + (1 if p.k2 > p.d2 else 0)
     sigma = max(p.d2, p.k2)
-    if width == 0 and blocks > 0:
-        raise ParamsError("degenerate template: k < r with no block structure")
     primary = _petri_primary(p, width, blocks, sigma)
     report = validate_lls(primary)
     if not report.ok:
@@ -515,8 +503,8 @@ def _dual_valid(series: LimitLinearSeries) -> bool:
     report = validate_lls(series)
     return (
         not report.structural_errors
-        and report.condition_degree
-        and report.condition_nodes
+        and report.conditions.degree
+        and report.conditions.nodes
         and all(b.degree < (series.a + 1) * series.rank for b in series.bundles)
     )
 
@@ -607,10 +595,8 @@ def petri_certificate(
 @dataclass(frozen=True)
 class EndoBuild:
     params: PoinParams
-    end_bundles: tuple[BundleOnComponent, ...]  # full Hom(E0, E0) per component
-    hom_gluing: GluingData  # identity sub-line-bundle matched at every node
+    trivial: tuple[frozenset[int], ...]  # trivial summands of Hom(E0, E0) per component
     endo_series: LimitLinearSeries  # canonical (x) traceless endomorphisms
-    trivial_counts: tuple[int, ...]  # trivial summands of Hom per component
 
 
 def endo_build(p: PoinParams) -> EndoBuild:
@@ -630,11 +616,8 @@ def endo_build(p: PoinParams) -> EndoBuild:
     e0.append(_balanced(r, p.d - g + 1, lambda j: f"L{j + 1}"))
 
     # the g - 1 bundles off the last component are one bundle: decompose it once
-    distinct = {b: end_decomposition(b) for b in dict.fromkeys(e0)}
-    ends = tuple(distinct[b] for b in e0)
-    trivial = {b: sum(1 for _ in iter_trivial_slots(e)) for b, e in distinct.items()}
-    trivial_counts = tuple(trivial[b] for b in e0)
-    hom_gluing = GluingData(tuple(NodeGluing(((0, 0),)) for _ in range(g - 1)))
+    ends = {b: end_decomposition(b) for b in dict.fromkeys(e0)}
+    trivial = {b: frozenset(iter_trivial_slots(e)) for b, e in ends.items()}
 
     rho = r * r - 1
     bundles: list[BundleOnComponent] = []
@@ -642,7 +625,7 @@ def endo_build(p: PoinParams) -> EndoBuild:
     for i in range(1, g + 1):
         k_i = LineBundleClass(2 * (i - 1), 2 * (g - i))
         # drop the identity summand (slot 0 of the Hom decomposition)
-        tr0 = ends[i - 1].slots[1:]
+        tr0 = ends[e0[i - 1]].slots[1:]
         if len(tr0) != rho:
             raise BuildError(i, f"traceless part has {len(tr0)} slots, wanted {rho}")
         slots = tuple(
@@ -663,18 +646,18 @@ def endo_build(p: PoinParams) -> EndoBuild:
         tables=tuple(tables),
         gluing=GluingData(tuple(NodeGluing() for _ in range(g - 1))),
     )
-    return EndoBuild(p, ends, hom_gluing, series, trivial_counts)
+    return EndoBuild(p, tuple(trivial[b] for b in e0), series)
 
 
 def endo_h0(build: EndoBuild) -> int:
     """Global limit sections of Hom(E0, E0): chains of trivial summands.
 
     Nontrivial degree-0 classes have no sections, so a global section lives
-    on trivial summands matched across every node; the identity chain is the
-    only matched one.
+    on trivial summands matched across every node.  Only the identity
+    sub-line-bundle, slot 0 of each decomposition, is matched at the nodes.
     """
-    trivial = [set(iter_trivial_slots(e)) for e in build.end_bundles]
-    return len(matched_paths(build.hom_gluing, trivial))
+    identity = GluingData(tuple(NodeGluing(((0, 0),)) for _ in build.trivial[1:]))
+    return len(matched_paths(identity, build.trivial))
 
 
 def colsec_pairs(g: int, rho: int) -> tuple[tuple[int, int], ...]:
@@ -715,7 +698,7 @@ def endo_instance(build: EndoBuild) -> Instance:
         Audit("product-series-valid", True, validate_lls(prod_series).ok),
         Audit("hom-h0", 1, endo_h0(build)),
         Audit("table-dimension", rho * (g - 1), build.endo_series.dimension),
-        Audit("trivial-summands-last", p.h, build.trivial_counts[-1]),
+        Audit("trivial-summands-last", p.h, len(build.trivial[-1])),
         Audit("distribution-total", rho * (4 * g - 4), sum(dprime)),
         Audit("target-dimension", target_dim, len(products)),
     )

@@ -6,8 +6,8 @@ deterministic (sorted keys, no timestamps), and ``loads``/``from_payload``
 invert ``dumps``/``to_payload`` for every payload type.
 
 The dataclasses state the layout once: an object is written as its ``init``
-fields by name, tuples as lists, plus the tags, read-only properties and
-layout exceptions in the tables below.  Decoding follows the same fields'
+fields by name, tuples as lists, plus the tags and read-only properties in
+the tables below.  Decoding follows the same fields'
 type hints; a missing key, a wrong type or a non-object raises
 :class:`SchemaError` naming the field path.
 """
@@ -51,8 +51,6 @@ DERIVED = {
 }
 #: the ``kind`` tag that tells the two slot types apart
 KINDS = {LineBundleClass: "line", IndecomposableSlot: "atom"}
-#: fields written under a sub-object: class -> (key, field-name prefix)
-NESTED = {ValidationReport: ("conditions", "condition_")}
 
 _BY_TYPE = {tag: cls for cls, tag in TYPES.items()}
 _SCALARS = frozenset({int, str, bool, type(None)})
@@ -62,8 +60,6 @@ _JSON_NAMES = {dict: "an object", list: "a list", type(None): "null"}
 
 class _Field(NamedTuple):
     name: str
-    group: str | None  # key of the sub-object the field is written under
-    key: str
     hint: Any
     scalar: bool  # written as is, without walking the value
 
@@ -80,20 +76,16 @@ def _layout(cls: type) -> tuple[dict, tuple[_Field, ...], tuple[str, ...]]:
     if not dataclasses.is_dataclass(cls):
         raise SchemaError(f"cannot serialize {cls.__name__}")
     hints = typing.get_type_hints(cls)
-    group, prefix = NESTED.get(cls, (None, None))
-    fields = []
-    for f in dataclasses.fields(cls):
-        if not f.init:
-            continue
-        nested = prefix is not None and f.name.startswith(prefix)
-        key = f.name[len(prefix):] if nested else f.name
-        hint = hints[f.name]
-        fields.append(_Field(f.name, group if nested else None, key, hint, _is_scalar(hint)))
+    fields = tuple(
+        _Field(f.name, hints[f.name], _is_scalar(hints[f.name]))
+        for f in dataclasses.fields(cls)
+        if f.init
+    )
     if cls in TYPES:
         head = {"schema": SCHEMA_VERSION, "type": TYPES[cls]}
     else:
         head = {"kind": KINDS[cls]} if cls in KINDS else {}
-    return head, tuple(fields), DERIVED.get(cls, ())
+    return head, fields, DERIVED.get(cls, ())
 
 
 def _plain(value: Any) -> Any:
@@ -116,7 +108,7 @@ def _plain(value: Any) -> Any:
         v = getattr(value, f.name)
         if not f.scalar:
             v = _plain(v)
-        (out if f.group is None else out.setdefault(f.group, {}))[f.key] = v
+        out[f.name] = v
     for name in derived:
         out[name] = _plain(getattr(value, name))
     return out
@@ -187,13 +179,7 @@ def _decode(hint: Any, value: Any, path: str) -> Any:
     for tag, expected in head.items():  # an embedded certificate keeps its tags
         if obj.get(tag) != expected:
             raise SchemaError(f"{path}.{tag}: expected {expected!r}, got {obj.get(tag)!r}")
-    kwargs = {}
-    for f in fields:
-        src, where = obj, path
-        if f.group is not None:
-            src, where = _member(obj, f.group, dict, path), f"{path}.{f.group}"
-        kwargs[f.name] = _member(src, f.key, f.hint, where)
-    return hint(**kwargs)
+    return hint(**{f.name: _member(obj, f.name, f.hint, path) for f in fields})
 
 
 def _member(obj: dict, key: str, hint: Any, path: str) -> Any:

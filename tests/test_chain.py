@@ -70,7 +70,7 @@ class TestValidate:
         s = canonical_series(4)
         bad = replace(s, a=s.a + 1)
         report = validate_lls(bad)
-        assert not report.condition_determined
+        assert not report.conditions.determined
 
     def test_lowered_order_breaks_condition_two(self):
         s = canonical_series(4)
@@ -80,8 +80,8 @@ class TestValidate:
         tables[0] = VanishingTable(tuple(rows))
         report = validate_lls(replace(s, tables=tuple(tables)))
         assert not report.structural_errors
-        assert not report.condition_nodes
-        assert report.condition_degree
+        assert not report.conditions.nodes
+        assert report.conditions.degree
 
     def test_full_sum_row_needs_matching_class(self):
         # a claimed order sum equal to the degree in a generic class
@@ -161,6 +161,11 @@ class TestRedistribute:
         s = canonical_series(3)
         with pytest.raises(AlgebraError, match="3 bundles but 2 tables"):
             redistribute(replace(s, tables=s.tables[:-1]), (4, 0, 0))
+
+    def test_rejects_rank_zero(self):
+        s = canonical_series(3)
+        with pytest.raises(AlgebraError, match="rank 0 is below 1"):
+            redistribute(replace(s, rank=0), (4, 0, 0))
 
 
 def random_series(rng):

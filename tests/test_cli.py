@@ -366,8 +366,26 @@ def _row_in_missing_slot(payload):
     return payload
 
 
-@pytest.mark.parametrize("edit", [_drop_third_table, _row_in_missing_slot],
-                         ids=["dropped-table", "missing-slot"])
+def _rank_zero(payload):
+    series = payload["series"]
+    series["rank"] = series["dimension"] = 0
+    for bundle in series["bundles"]:
+        bundle["slots"] = []
+    for table in series["tables"]:
+        table["rows"] = []
+    return payload
+
+
+def _negative_matched_slot(payload):
+    payload["series"]["gluing"]["nodes"][0]["matched"] = [[-1, 0]]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_drop_third_table, _row_in_missing_slot, _rank_zero, _negative_matched_slot],
+    ids=["dropped-table", "missing-slot", "rank-0", "negative-matched-slot"],
+)
 def test_redistribute_rejects_a_structurally_broken_series(capsys, tmp_path, edit):
     series_file = tmp_path / "series.json"
     run(capsys, "canonical", "--g", "3", "--out", str(series_file))
