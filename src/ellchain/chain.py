@@ -81,7 +81,8 @@ class GluingData:
 
     ``distinguished`` records, per node, section rows whose spans are matched
     beyond the slot-level data (used at the last node of the rank-r series
-    constructions); entries are (node index, tuple of section ids).
+    constructions); entries are (node index, tuple of section ids), with
+    node indices in [0, M-1) and ids below the series dimension.
     """
 
     nodes: tuple[NodeGluing, ...]
@@ -126,11 +127,6 @@ class LimitLinearSeries:
     gluing: GluingData
     pairings: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
-    def node_pairs(self, node: int) -> tuple[tuple[int, int], ...]:
-        if self.pairings is not None:
-            return self.pairings[node]
-        return tuple((t, t) for t in range(self.dimension))
-
     @property
     def component_degrees(self) -> tuple[int, ...]:
         return tuple(b.degree for b in self.bundles)
@@ -157,27 +153,29 @@ class ValidationReport:
         return not self.structural_errors and c.degree and c.nodes and c.determined
 
 
-def _row_class_conflict(slot: Slot, row: SectionSymbol) -> str | None:
+def _row_class_conflict(
+    slot: Slot, degree: int, special: int | None, row: SectionSymbol
+) -> str | None:
     """A stated row that no section of the slot's class can realize.
 
-    For a line slot of degree d the order sum is at most d, with equality
-    only for the class O(ord_p*P + ord_q*Q) itself; an exact sum of d - 1 is
-    impossible at the two indices merged by a coincidence.  For
-    indecomposable slots the exact P-order cannot exceed the slope.
+    ``degree`` and ``special`` are the slot's degree and special index, read
+    once per slot by the caller.  For a line slot of degree d the order sum
+    is at most d, with equality only for the class O(ord_p*P + ord_q*Q)
+    itself; an exact sum of d - 1 is impossible at the two indices merged by
+    a coincidence.  For indecomposable slots the exact P-order cannot exceed
+    the slope.
     """
     if isinstance(slot, LineBundleClass):
-        d = slot.degree
         total = row.ord_p + row.ord_q
-        if total > d:
-            return f"order sum {total} exceeds slot degree {d}"
-        special = slot.special_index()
-        if total == d and special != row.ord_p:
+        if total > degree:
+            return f"order sum {total} exceeds slot degree {degree}"
+        if total == degree and special != row.ord_p:
             return f"order sum {total} = degree in a class not of that shape"
-        if total == d - 1 and row.exact_p and row.exact_q:
+        if total == degree - 1 and row.exact_p and row.exact_q:
             if special is not None and special in (row.ord_p, row.ord_p + 1):
                 return f"exact orders ({row.ord_p}, {row.ord_q}) claim a merged section"
     else:
-        if row.exact_p and slot.rank * row.ord_p > slot.degree:
+        if row.exact_p and slot.rank * row.ord_p > degree:
             return f"P-order {row.ord_p} exceeds the slope bound"
     return None
 
@@ -202,11 +200,15 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
             structural.append(
                 f"component {i + 1}: table dimension {table.dimension} != {series.dimension}"
             )
+        facts = [
+            (s, s.degree, s.special_index() if isinstance(s, LineBundleClass) else None)
+            for s in bundle.slots
+        ]
         for row in table.rows:
-            if not 0 <= row.slot < len(bundle.slots):
+            if not 0 <= row.slot < len(facts):
                 structural.append(f"component {i + 1}: row in missing slot {row.slot}")
                 continue
-            conflict = _row_class_conflict(bundle.slots[row.slot], row)
+            conflict = _row_class_conflict(*facts[row.slot], row)
             if conflict:
                 structural.append(f"component {i + 1}, slot {row.slot}: {conflict}")
     if len(series.gluing.nodes) != m - 1:
@@ -223,6 +225,11 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
                 rl, rr = lslots[left].rank, rslots[right].rank
                 if rl != rr:
                     structural.append(f"node {n + 1}: matched slots of ranks {rl} != {rr}")
+    for node, ids in series.gluing.distinguished:
+        if not 0 <= node < m - 1:
+            structural.append(f"distinguished entry at missing node index {node}")
+        elif any(not 0 <= t < series.dimension for t in ids):
+            structural.append(f"node {node + 1}: distinguished section id out of range")
     if series.pairings is not None and len(series.pairings) != m - 1:
         structural.append("pairings do not cover every node")
     elif series.pairings is not None:
@@ -239,14 +246,22 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
 
     cond2 = True
     for n in range(m - 1):
-        left, right = series.tables[n], series.tables[n + 1]
-        for tl, tr in series.node_pairs(n):
-            got = left.rows[tl].ord_q + right.rows[tr].ord_p
-            if got < series.a:
-                cond2 = False
-                failures.append(
-                    f"node {n + 1}: rows ({tl}, {tr}) have order sum {got} < a = {series.a}"
-                )
+        left, right = series.tables[n].rows, series.tables[n + 1].rows
+        if series.pairings is None:  # identity: row t meets row t
+            short = [
+                (t, t, got) for t, (rl, rr) in enumerate(zip(left, right))
+                if (got := rl.ord_q + rr.ord_p) < series.a
+            ]
+        else:
+            short = [
+                (tl, tr, got) for tl, tr in series.pairings[n]
+                if (got := left[tl].ord_q + right[tr].ord_p) < series.a
+            ]
+        for tl, tr, got in short:
+            cond2 = False
+            failures.append(
+                f"node {n + 1}: rows ({tl}, {tr}) have order sum {got} < a = {series.a}"
+            )
 
     cond3 = True
     for i, bundle in enumerate(series.bundles):

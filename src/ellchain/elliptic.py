@@ -35,7 +35,7 @@ class AlgebraError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Degree0Class:
     """Formal degree-0 divisor class on one elliptic component.
 
@@ -120,7 +120,7 @@ class Degree0Class:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineBundleClass:
     """The class O(a*P + b*Q) tensored by a degree-0 twist; degree is a + b."""
 
@@ -154,7 +154,7 @@ class LineBundleClass:
         return k if 0 <= k <= self.degree else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndecomposableSlot:
     """An indecomposable (Atiyah-type) summand of recorded rank and degree.
 
@@ -181,7 +181,7 @@ class IndecomposableSlot:
 Slot = Union[LineBundleClass, IndecomposableSlot]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleOnComponent:
     """A vector bundle on one component as an ordered sum of slots.
 
@@ -215,7 +215,7 @@ class BundleOnComponent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SectionSymbol:
     """A section, up to scalar: its slot and vanishing orders at P and Q.
 
@@ -231,10 +231,12 @@ class SectionSymbol:
     exact_q: bool = True
 
     def shifted(self, dp: int, dq: int) -> "SectionSymbol":
-        return replace(self, ord_p=self.ord_p - dp, ord_q=self.ord_q - dq)
+        return SectionSymbol(
+            self.slot, self.ord_p - dp, self.ord_q - dq, self.exact_p, self.exact_q
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VanishingTable:
     """A space of sections given as a list of rows, one per basis element."""
 

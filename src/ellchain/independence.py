@@ -86,7 +86,7 @@ class ProductRow:
         ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductSection:
     """A product of section ``factor_a`` of one series with ``factor_b`` of another."""
 
@@ -103,20 +103,29 @@ def product_sections(
     """Form product sections for the requested (or all) factor pairs.
 
     Per component, vanishing orders add and the product lands in the
-    tensor-expansion slot of its factors' slots.
+    tensor-expansion slot of its factors' slots.  Rows of equal value are
+    one shared :class:`ProductRow` object.
     """
     if series_a.chain != series_b.chain:
         raise AlgebraError("product sections need both series on the same chain")
     if pairs is None:
         pairs = [(t, l) for t in range(series_a.dimension) for l in range(series_b.dimension)]
-    width = [len(b.slots) for b in series_b.bundles]
+    columns = [
+        (len(series_b.bundles[i].slots), series_a.tables[i].rows, series_b.tables[i].rows)
+        for i in range(series_a.chain.components)
+    ]
+    # one row object per distinct value, within this call only
+    shared: dict[tuple[int, SectionSymbol, SectionSymbol], ProductRow] = {}
     out: list[ProductSection] = []
     for t, l in pairs:
         rows: list[ProductRow] = []
-        for i in range(series_a.chain.components):
-            ra = series_a.tables[i].rows[t]
-            rb = series_b.tables[i].rows[l]
-            rows.append(ProductRow(ra.slot * width[i] + rb.slot, ra, rb))
+        for width, rows_a, rows_b in columns:
+            ra, rb = rows_a[t], rows_b[l]
+            key = (ra.slot * width + rb.slot, ra, rb)
+            row = shared.get(key)
+            if row is None:
+                row = shared[key] = ProductRow(*key)
+            rows.append(row)
         out.append(ProductSection(t, l, tuple(rows)))
     return tuple(out)
 
@@ -155,7 +164,7 @@ def product_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Survivor:
     product: int
     slot: int
@@ -165,13 +174,13 @@ class Survivor:
     exact_q: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EliminationPass:
     component: int  # 1-based
     survivors: tuple[Survivor, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """A successful elimination: every product dies in exactly one pass."""
 
@@ -184,7 +193,7 @@ class Certificate:
         return sum(len(p.survivors) for p in self.passes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertificateFailure:
     """First place the elimination strategy breaks down.
 
@@ -287,7 +296,7 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0

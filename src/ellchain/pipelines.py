@@ -294,7 +294,8 @@ def _petri_dual(
     the k*bar = r*alpha rows are laid out by walking each row left to right,
     advancing its P-order by one per node except directly after a component
     where the row sits at its slot's coincidence.  With alpha = 0 every table
-    is empty.
+    is empty.  The node gluing is the primary's; its distinguished entry
+    names primary rows, so the dual has none.
     """
     g, r = p.g, p.r
     dbar1 = 2 * g - 2 - p.d1
@@ -340,7 +341,7 @@ def _petri_dual(
         a=dbar1,
         bundles=dual_bundles,
         tables=tuple(VanishingTable(tuple(t)) for t in tables),
-        gluing=primary.gluing,
+        gluing=GluingData(primary.gluing.nodes),
     )
 
 

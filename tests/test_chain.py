@@ -106,6 +106,17 @@ class TestValidate:
         report = validate_lls(replace(s, pairings=pairings))
         assert report.structural_errors == ("node 2: paired row out of range",)
 
+    @pytest.mark.parametrize("distinguished,error", [
+        (((2, (0,)),), "distinguished entry at missing node index 2"),
+        (((-1, (0,)),), "distinguished entry at missing node index -1"),
+        (((1, (0, 3)),), "node 2: distinguished section id out of range"),
+    ], ids=["node-past-end", "negative-node", "id-past-dimension"])
+    def test_distinguished_out_of_range_is_structural(self, distinguished, error):
+        s = canonical_series(3)
+        assert validate_lls(replace(s, gluing=replace(s.gluing, distinguished=((1, (0, 2)),)))).ok
+        report = validate_lls(replace(s, gluing=replace(s.gluing, distinguished=distinguished)))
+        assert report.structural_errors == (error,)
+
     def test_rank1_perturbations(self):
         s = canonical_series(4)
         rows = list(s.tables[2].rows)

@@ -226,7 +226,9 @@ def test_an_option_the_command_does_not_read_is_usage_error(capsys, tmp_path, ar
      "8c7b6822d3a82cb2e6dee22024f5ab7fd8b32a3362e8e5ca03e48e2e6e8f2648"),
     (("endo", "--sweep", "--g", "4..7", "--r", "2..3"),
      "91e0fc8b11b4ffc24bb4fc16e8b7d1e322cd5775d51bad14d18cbe310bfb52a5"),
-], ids=["petri", "endo"])
+    (("endo", "--sweep", "--g", "20", "--r", "5"),
+     "ea62e026e5901ba02390fb497c38b0614be290f5955fc8e35a43414b961d554c"),
+], ids=["petri", "endo", "endo-large"])
 def test_sweep_json_is_pinned(capsys, argv, digest):
     # seed 0, default trials and prime: any change to a byte of the sweep fails
     code, out, _ = run(capsys, *argv)
@@ -381,10 +383,17 @@ def _negative_matched_slot(payload):
     return payload
 
 
+def _distinguished_id_past_dimension(payload):
+    payload["series"]["gluing"]["distinguished"] = [[1, [3]]]
+    return payload
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_drop_third_table, _row_in_missing_slot, _rank_zero, _negative_matched_slot],
-    ids=["dropped-table", "missing-slot", "rank-0", "negative-matched-slot"],
+    [_drop_third_table, _row_in_missing_slot, _rank_zero, _negative_matched_slot,
+     _distinguished_id_past_dimension],
+    ids=["dropped-table", "missing-slot", "rank-0", "negative-matched-slot",
+         "distinguished-id"],
 )
 def test_redistribute_rejects_a_structurally_broken_series(capsys, tmp_path, edit):
     series_file = tmp_path / "series.json"

@@ -22,7 +22,14 @@ from ellchain.independence import (
     product_sections,
     product_series,
 )
-from ellchain.pipelines import colsec_pairs, endo_build, petri_build, petri_params, poin_params
+from ellchain.pipelines import (
+    colsec_pairs,
+    endo_build,
+    endo_instance,
+    petri_build,
+    petri_params,
+    poin_params,
+)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +290,17 @@ class TestOracleReference:
             cfg = OracleConfig(seed=seed)
             assert _reference_oracle_rank(products, thresholds, cfg) == 1
             assert oracle_rank(products, thresholds, cfg) == 2
+
+
+def test_equal_product_rows_are_one_object():
+    # the products of onto_certificate(20, 5, 24): 1368 products on 20
+    # components, of which 5760 row values are distinct
+    products = endo_instance(endo_build(poin_params(20, 5, 24))).products
+    rows = [row for prod in products for row in prod.rows]
+    assert len(rows) == 27360
+    assert len({id(row) for row in rows}) == 5760
+    first: dict[ProductRow, ProductRow] = {}
+    assert all(first.setdefault(row, row) is row for row in rows)
 
 
 def test_product_row_symbol_follows_replace(petri_5273):

@@ -1,6 +1,8 @@
 """Round-trips for every payload type: parse(serialize(x)) == x."""
 
+import copy
 import json
+import pickle
 import re
 from dataclasses import replace
 
@@ -29,6 +31,19 @@ from ellchain.pipelines import (
 def test_series_round_trip(g):
     s = canonical_series(g)
     assert serialize.loads(serialize.dumps(s)) == s
+
+
+@pytest.mark.parametrize("make", [
+    lambda: petri_certificate(5, 2, 7, 3),
+    lambda: onto_certificate(5, 3, 6),
+    lambda: petri_build(petri_params(5, 2, 7, 3)).primary,
+], ids=["petri-verdict", "endo-verdict", "series"])
+def test_slotted_values_survive_pickle_and_deepcopy(make):
+    # what a process pool does to a verdict: the copies encode to the same bytes
+    value = make()
+    text = serialize.dumps(value)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value and serialize.dumps(twin) == text
 
 
 def test_series_with_twists_round_trip():
