@@ -285,7 +285,7 @@ def cmd_canonical(args) -> int:
             "validation": serialize.to_payload(report),
             "refined": rank1.refined,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(serialize.encode(payload) + "\n", args.out)
     return EXIT_OK if report.ok else EXIT_NOT_PROVEN
 
 
@@ -395,8 +395,8 @@ def cmd_certify(args) -> int:
             return None
         if table:
             return _verdict_line(v) + "\n", _verdict_exit(v)
-        # the text of json.dumps(list, indent=2), encoded one verdict at a time
-        return serialize.dumps(v)[:-1].replace("\n", "\n  "), _verdict_exit(v)
+        # the text of the whole list encoded at once, one element at a time
+        return serialize.encode(serialize.to_payload(v), "  "), _verdict_exit(v)
 
     worst, written = EXIT_OK, 0
     with _writer(args.out) as f:

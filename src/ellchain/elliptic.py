@@ -42,6 +42,11 @@ class Degree0Class:
     ``pq`` is the coefficient of (P - Q), ``generic`` maps generic-symbol
     names to integer coefficients, and ``torsion`` maps torsion-symbol names
     to (order, residue) with the residue stored reduced mod the order.
+
+    Every class is kept in normal form: zero coefficients and zero residues
+    dropped, names sorted and unique.  The constructor normalises and
+    validates its input; the group operations combine operands that are
+    already normal and build their result through :func:`_normal`.
     """
 
     pq: int = 0
@@ -49,18 +54,19 @@ class Degree0Class:
     torsion: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        if len({s for s, _ in self.generic}) != len(self.generic):
+            raise AlgebraError("repeated generic symbol")
         gen = tuple(sorted((s, c) for s, c in self.generic if c != 0))
-        seen: dict[str, int] = {}
+        seen: set[str] = set()
         for name, order, _ in self.torsion:
             if order < 2:
                 raise AlgebraError(f"torsion symbol {name!r} needs order >= 2, got {order}")
-            if seen.setdefault(name, order) != order:
-                raise AlgebraError(f"torsion symbol {name!r} declared with two orders")
+            if name in seen:
+                raise AlgebraError(f"repeated torsion symbol {name!r}")
+            seen.add(name)
         tor = tuple(
             sorted((name, order, res % order) for name, order, res in self.torsion if res % order)
         )
-        if len({s for s, _ in gen}) != len(gen):
-            raise AlgebraError("repeated generic symbol")
         object.__setattr__(self, "generic", gen)
         object.__setattr__(self, "torsion", tor)
 
@@ -89,30 +95,58 @@ class Degree0Class:
         return self.pq == 0 and not self.generic and not self.torsion
 
     def __add__(self, other: "Degree0Class") -> "Degree0Class":
-        gen: dict[str, int] = dict(self.generic)
-        for name, coeff in other.generic:
-            gen[name] = gen.get(name, 0) + coeff
-        tor: dict[str, tuple[int, int]] = {n: (o, r) for n, o, r in self.torsion}
-        for name, order, res in other.torsion:
-            prev_order, prev_res = tor.get(name, (order, 0))
-            if prev_order != order:
-                raise AlgebraError(f"torsion symbol {name!r} declared with two orders")
-            tor[name] = (order, prev_res + res)
-        return Degree0Class(
-            pq=self.pq + other.pq,
-            generic=tuple(gen.items()),
-            torsion=tuple((n, o, r) for n, (o, r) in tor.items()),
+        return _normal(
+            self.pq + other.pq,
+            _add_generic(self.generic, other.generic),
+            _add_torsion(self.torsion, other.torsion),
         )
 
     def __neg__(self) -> "Degree0Class":
-        return Degree0Class(
-            pq=-self.pq,
-            generic=tuple((s, -c) for s, c in self.generic),
-            torsion=tuple((n, o, o - r) for n, o, r in self.torsion),
+        # negation keeps every coefficient and residue nonzero and every name in place
+        return _normal(
+            -self.pq,
+            tuple((s, -c) for s, c in self.generic),
+            tuple((n, o, o - r) for n, o, r in self.torsion),
         )
 
     def __sub__(self, other: "Degree0Class") -> "Degree0Class":
         return self + (-other)
+
+
+def _normal(
+    pq: int, generic: tuple[tuple[str, int], ...], torsion: tuple[tuple[str, int, int], ...]
+) -> Degree0Class:
+    """The class of coordinates already in normal form, built without re-checking them."""
+    c = object.__new__(Degree0Class)
+    object.__setattr__(c, "pq", pq)
+    object.__setattr__(c, "generic", generic)
+    object.__setattr__(c, "torsion", torsion)
+    return c
+
+
+def _add_generic(
+    a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]
+) -> tuple[tuple[str, int], ...]:
+    if not (a and b):
+        return a or b
+    coeff = dict(a)
+    for name, c in b:
+        coeff[name] = coeff.get(name, 0) + c
+    return tuple(sorted(item for item in coeff.items() if item[1]))
+
+
+def _add_torsion(
+    a: tuple[tuple[str, int, int], ...], b: tuple[tuple[str, int, int], ...]
+) -> tuple[tuple[str, int, int], ...]:
+    if not (a and b):
+        return a or b
+    tor = {name: (order, res) for name, order, res in a}
+    for name, order, res in b:
+        prev_order, prev_res = tor.get(name, (order, 0))
+        if prev_order != order:
+            raise AlgebraError(f"torsion symbol {name!r} declared with two orders")
+        tor[name] = (order, (prev_res + res) % order)
+    return tuple(sorted((n, o, r) for n, (o, r) in tor.items() if r))
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,10 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 
 def _product_slot(sa: Slot, sb: Slot) -> Slot:
-    ra, rb = sa.rank, sb.rank
-    da, db = sa.degree, sb.degree
     if isinstance(sa, LineBundleClass) and isinstance(sb, LineBundleClass):
         return LineBundleClass(sa.a + sb.a, sa.b + sb.b, sa.twist + sb.twist)
-    return IndecomposableSlot(ra * rb, ra * db + rb * da, sa.twist + sb.twist)
+    ra, rb = sa.rank, sb.rank
+    return IndecomposableSlot(ra * rb, ra * sb.degree + rb * sa.degree, sa.twist + sb.twist)
 
 
 def product_bundle(ba: BundleOnComponent, bb: BundleOnComponent) -> BundleOnComponent:
@@ -104,27 +103,35 @@ def product_sections(
 
     Per component, vanishing orders add and the product lands in the
     tensor-expansion slot of its factors' slots.  Rows of equal value are
-    one shared :class:`ProductRow` object.
+    one shared :class:`ProductRow` object, keyed by the product slot and the
+    numbers of its two factor rows: each distinct factor row is numbered
+    once, so no pair hashes a :class:`SectionSymbol`.
     """
     if series_a.chain != series_b.chain:
         raise AlgebraError("product sections need both series on the same chain")
     if pairs is None:
         pairs = [(t, l) for t in range(series_a.dimension) for l in range(series_b.dimension)]
-    columns = [
-        (len(series_b.bundles[i].slots), series_a.tables[i].rows, series_b.tables[i].rows)
-        for i in range(series_a.chain.components)
-    ]
-    # one row object per distinct value, within this call only
-    shared: dict[tuple[int, SectionSymbol, SectionSymbol], ProductRow] = {}
+    # within this call only: a number per distinct factor row, a row object per distinct value
+    number: dict[SectionSymbol, int] = {}
+    shared: dict[tuple[int, int, int], ProductRow] = {}
+    columns = []
+    for i in range(series_a.chain.components):
+        width = len(series_b.bundles[i].slots)
+        # per factor row: (its part of the product slot, its number, the row)
+        side_a = [(r.slot * width, number.setdefault(r, len(number)), r)
+                  for r in series_a.tables[i].rows]
+        side_b = [(r.slot, number.setdefault(r, len(number)), r) for r in series_b.tables[i].rows]
+        columns.append((side_a, side_b))
     out: list[ProductSection] = []
     for t, l in pairs:
         rows: list[ProductRow] = []
-        for width, rows_a, rows_b in columns:
-            ra, rb = rows_a[t], rows_b[l]
-            key = (ra.slot * width + rb.slot, ra, rb)
+        for side_a, side_b in columns:
+            slot_a, num_a, ra = side_a[t]
+            slot_b, num_b, rb = side_b[l]
+            key = (slot_a + slot_b, num_a, num_b)
             row = shared.get(key)
             if row is None:
-                row = shared[key] = ProductRow(*key)
+                row = shared[key] = ProductRow(key[0], ra, rb)
             rows.append(row)
         out.append(ProductSection(t, l, tuple(rows)))
     return tuple(out)

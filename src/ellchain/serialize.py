@@ -56,6 +56,8 @@ _BY_TYPE = {tag: cls for cls, tag in TYPES.items()}
 _SCALARS = frozenset({int, str, bool, type(None)})
 _UNIONS = (typing.Union, types.UnionType)
 _JSON_NAMES = {dict: "an object", list: "a list", type(None): "null"}
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+_quote = json.encoder.encode_basestring_ascii
 
 
 class _Field(NamedTuple):
@@ -121,8 +123,55 @@ def to_payload(obj: Any) -> dict:
     return _plain(obj)
 
 
+def encode(payload: Any, pad: str = "") -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, for
+    the shapes :func:`_plain` emits: str-keyed dicts, lists, int, bool, None
+    and str.  Every line after the first starts with ``pad``, so an element
+    of an enclosing list can be written at its own depth.  Any other type
+    raises :class:`TypeError`.
+
+    ``json.dumps`` with an indent always runs the pure-Python encoder; this
+    writer does the same work with less generality.
+    """
+    parts: list[str] = []
+    _write(payload, pad, parts)
+    return "".join(parts)
+
+
+def _write(value: Any, pad: str, out: list[str]) -> None:
+    cls = type(value)
+    if cls is str:
+        out.append(_quote(value))
+    elif cls is int:
+        out.append(repr(value))
+    elif cls is bool or value is None:
+        out.append(_CONSTANTS[value])
+    elif cls is dict or cls is list:
+        if not value:
+            out.append("{}" if cls is dict else "[]")
+            return
+        inner = pad + "  "
+        comma = ",\n" + inner
+        if cls is dict:
+            sep = "{\n" + inner
+            for key in sorted(value):  # a key that is not a str fails to sort or quote
+                out.append(sep + _quote(key) + ": ")
+                _write(value[key], inner, out)
+                sep = comma
+            out.append("\n" + pad + "}")
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = comma
+            out.append("\n" + pad + "]")
+    else:
+        raise TypeError(f"cannot encode {cls.__name__}")
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(to_payload(obj), sort_keys=True, indent=2) + "\n"
+    return encode(to_payload(obj)) + "\n"
 
 
 def _got(value: Any) -> str:

@@ -30,6 +30,14 @@ class TestCanonical:
         assert len(payload["series"]["tables"]) == 5
         assert payload["refined"] is True
 
+    def test_json_is_pinned(self, capsys):
+        # the same bytes on every supported Python: the writer is serialize's own
+        code, out, _ = run(capsys, "canonical", "--g", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "c26f3c3ad403ebecc2a4dc1243fff9e1c8655ed87eb6753b6005b38aa07998d8"
+        )
+
     def test_small_genus_is_usage_error(self, capsys):
         code, _, err = run(capsys, "canonical", "--g", "1")
         assert code == 2

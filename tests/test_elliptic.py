@@ -52,6 +52,79 @@ class TestDegree0Class:
         with pytest.raises(AlgebraError):
             Degree0Class.of_torsion("eta", 2) + Degree0Class.of_torsion("eta", 3)
 
+    @pytest.mark.parametrize("torsion", [
+        (("t", 3, 1), ("t", 3, 2)),
+        (("t", 3, 1), ("t", 3, 1)),
+        (("t", 3, 0), ("t", 3, 1)),
+        (("t", 2, 1), ("t", 3, 1)),
+    ], ids=["sums-to-zero", "same-entry", "zero-residue", "two-orders"])
+    def test_repeated_torsion_symbol_rejected(self, torsion):
+        # a repeated name would escape normal form: (t,3,1),(t,3,2) is trivial
+        with pytest.raises(AlgebraError, match="repeated torsion symbol 't'"):
+            Degree0Class(torsion=torsion)
+
+    def test_repeated_generic_symbol_rejected_even_with_a_zero_coefficient(self):
+        # as for torsion: a name repeated in the input is an error, whatever its values
+        with pytest.raises(AlgebraError, match="repeated generic symbol"):
+            Degree0Class(generic=(("x", 1), ("x", 0)))
+
+
+#: torsion symbol -> order, shared by both operands so they never conflict
+TORSION_ORDERS = {"s": 2, "t": 3, "u": 5}
+
+
+@st.composite
+def raw_classes(draw):
+    """Coordinates (pq, generic, torsion) with zero entries kept and names unsorted."""
+    pq = draw(st.integers(-4, 4))
+    generic = draw(st.dictionaries(st.sampled_from("xyz"), st.integers(-3, 3)))
+    torsion = draw(st.dictionaries(st.sampled_from(sorted(TORSION_ORDERS)), st.integers(-7, 7)))
+    return pq, generic, torsion
+
+
+def built(pq, generic, torsion):
+    """The class the validating constructor builds from raw coordinates."""
+    return Degree0Class(
+        pq,
+        tuple(generic.items()),
+        tuple((name, TORSION_ORDERS[name], res) for name, res in torsion.items()),
+    )
+
+
+def summed(x, y, sign=1):
+    pq_x, gen_x, tor_x = x
+    pq_y, gen_y, tor_y = y
+    gen = {n: gen_x.get(n, 0) + sign * gen_y.get(n, 0) for n in {*gen_x, *gen_y}}
+    tor = {n: tor_x.get(n, 0) + sign * tor_y.get(n, 0) for n in {*tor_x, *tor_y}}
+    return pq_x + sign * pq_y, gen, tor
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_classes(), raw_classes())
+def test_class_arithmetic_equals_the_validating_constructor(x, y):
+    # the group operations skip __post_init__; their results must be the
+    # normal form the constructor gives the summed coordinates, field for field
+    a, b = built(*x), built(*y)
+    pq, gen, tor = x
+    negated = built(-pq, {n: -c for n, c in gen.items()}, {n: -r for n, r in tor.items()})
+    for got, want in ((a + b, built(*summed(x, y))), (-a, negated),
+                      (a - b, built(*summed(x, y, -1)))):
+        assert (got.pq, got.generic, got.torsion) == (want.pq, want.generic, want.torsion)
+        assert got == want and hash(got) == hash(want)
+    assert (a + (-a)).is_trivial and (a - a).is_trivial
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_classes(), st.sampled_from(sorted(TORSION_ORDERS)), st.integers(1, 6))
+def test_class_arithmetic_rejects_a_torsion_order_conflict(x, name, other):
+    pq, gen, tor = x
+    a = built(pq, gen, {**tor, name: 1})
+    clash = TORSION_ORDERS[name] + other
+    with pytest.raises(AlgebraError, match="declared with two orders"):
+        a + Degree0Class.of_torsion(name, clash)
+    with pytest.raises(AlgebraError, match="declared with two orders"):
+        Degree0Class.of_torsion(name, clash) - a
+
 
 class TestClassIsomorphic:
     def test_identity(self):

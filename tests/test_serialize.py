@@ -7,6 +7,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls
@@ -176,3 +178,43 @@ def test_non_object_payload_is_schema_error(value):
 def test_payloads_are_plain_json():
     text = serialize.dumps(petri_certificate(5, 2, 7, 3))
     json.loads(text)  # no custom types leak through
+
+
+#: characters the writer must escape as json.dumps does: quotes, backslashes,
+#: control characters, non-ASCII, a line separator and an astral character
+AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"])
+TEXT = st.text(st.one_of(st.characters(), AWKWARD), max_size=8)
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_encode_equals_json_dumps(payload):
+    want = json.dumps(payload, sort_keys=True, indent=2)
+    assert serialize.encode(payload) == want
+    assert serialize.encode(payload, "  ") == want.replace("\n", "\n  ")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: petri_certificate(5, 2, 7, 3),
+    lambda: onto_certificate(5, 3, 6),
+], ids=["petri-verdict", "endo-verdict"])
+def test_padded_encoding_is_the_reindented_text(make):
+    # a sweep writes each verdict at list depth: the text it wrote before
+    v = make()
+    assert serialize.encode(serialize.to_payload(v), "  ") == (
+        serialize.dumps(v)[:-1].replace("\n", "\n  ")
+    )
+    assert serialize.dumps(v) == json.dumps(serialize.to_payload(v), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, (1, 2), {1: "a"}, {"a": [0.0]}, {"a": {"b": (3,)}}, [{"x": 1}, {2: 3}], {"a": {1, 2}},
+], ids=["float", "tuple", "int-key", "nested-float", "nested-tuple", "nested-int-key", "set"])
+def test_encode_rejects_shapes_the_codec_does_not_emit(payload):
+    with pytest.raises(TypeError):
+        serialize.encode(payload)
