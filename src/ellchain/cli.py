@@ -192,12 +192,14 @@ def _emit(text: str, out: Path | None) -> None:
         f.write(text)
 
 
-def _span(raw: str | None) -> range | None:
-    """``a..b`` or ``a`` as an inclusive range; None when absent."""
+def _span(raw: str | None, name: str) -> range | None:
+    """``a..b`` (a <= b) or ``a`` as an inclusive range; None when absent."""
     if raw is None:
         return None
     if ".." in raw:
         lo, hi = (int(x) for x in raw.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"--{name} {raw} is an empty range: {lo} > {hi}")
     else:
         lo = hi = int(raw)
     return range(lo, hi + 1)
@@ -304,10 +306,16 @@ def cmd_tableaux(args) -> int:
 
 
 def _read_series(path: Path):
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    # a canonical wrapper holds the series; anything but an object is the decoder's to reject
-    if isinstance(payload, dict) and payload.get("type") != "series" and "series" in payload:
-        payload = payload["series"]
+    """The series of a ``series`` payload or of a ``canonical`` wrapper."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    if type(payload) is dict and payload.get("type") == "canonical":
+        payload = payload.get("series")
+    if type(payload) is not dict or payload.get("type") != "series":
+        got = f"type {payload.get('type')!r}" if type(payload) is dict else type(payload).__name__
+        raise ValueError(f"{path}: expected a series or canonical payload, got {got}")
     return serialize.from_payload(payload)
 
 
@@ -342,11 +350,11 @@ def _sweep(args) -> Iterator[tuple[int, ...]]:
 
     Every range is parsed here, so a bad one fails before the first tuple.
     """
-    gs, rs, ds = _span(args.g), _span(args.r), _span(args.d)
+    gs, rs, ds = _span(args.g, "g"), _span(args.r, "r"), _span(args.d, "d")
     if gs is None or rs is None:
         raise ValueError("missing required range")
     if args.command == "petri":
-        ks = _span(args.k)
+        ks = _span(args.k, "k")
         return (
             (g, r, d, k)
             for g in gs

@@ -15,10 +15,11 @@ jet coefficients of the factor sections, hence implicitly the gluing
 scalars) as pseudo-random residues modulo a prime and computes the rank of
 the matrix of surviving leading-jet coordinates.  Identical factor pairs
 produce identical rows, so injected duplicates drop the rank; the oracle can
-confirm a certificate but never certify anything on its own.  A factor's jet
-is hashed once per trial and memoised for every product sharing the factor,
-and columns are keyed by ``(component, slot, point, offset)`` tuples, so
-slots of different components never share a column however many there are.
+confirm a certificate but never certify anything on its own.  Within a
+trial each factor jet is hashed once, cached by exactly what its scalar
+depends on, and shared by every product with that factor.  Columns are keyed
+by ``(component, slot, point, offset)`` tuples, so slots of different
+components never share a column however many there are.
 """
 
 from __future__ import annotations
@@ -322,28 +323,6 @@ def _coeff(prime: int, seed: int, trial: int, key: str, nonzero: bool) -> int:
     return value % (prime - 1) + 1 if nonzero else value % prime
 
 
-def _factor_jet(
-    prime: int, seed: int, trial: int, tag: str, fid: int, comp: int,
-    point: str, level: int, row: SectionSymbol, memo: dict[tuple, int],
-) -> int:
-    order = row.ord_p if point == "P" else row.ord_q
-    exact = row.exact_p if point == "P" else row.exact_q
-    if level < order:
-        return 0
-    # an exact order has a nonzero leading coefficient; deeper jets, and all
-    # jets of a bound-only order, are free residues (possibly zero)
-    nonzero = exact and level == order
-    # everything the scalar depends on: a mutated product that gives a
-    # factor another order than elsewhere must not reuse that factor's jets
-    key = (tag, fid, comp, point, level, nonzero)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _coeff(
-            prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero
-        )
-    return value
-
-
 def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
     """Gaussian elimination over F_p on sparse rows (dict: column -> value)."""
     pivots: dict[tuple, dict[tuple, int]] = {}
@@ -394,8 +373,10 @@ def oracle_rank(
     threshold and threshold+1 at both marked points.  Each factor section's
     jet coefficients are pseudo-random residues keyed by factor id, so
     repeated factors repeat their coefficients, and each product row is the
-    bilinear convolution of its factors' jets.  A factor jet is hashed once
-    per trial and memoised for every product sharing the factor.  A dead
+    bilinear convolution of its factors' jets.  A per-trial cache, keyed by
+    the scalar's own arguments (nonzero-ness included, since a mutated
+    product may give a factor another order than elsewhere), hashes each
+    factor jet once for every product sharing the factor.  A dead
     product contributes nothing on the component.  The rank can only
     underestimate the generic rank, never exceed the product count.
     ``live`` is ``live_rows(products, thresholds)``, passed in by a caller
@@ -406,29 +387,30 @@ def oracle_rank(
         live = live_rows(products, thresholds)
     best = 0
     for trial in range(cfg.trials):
-        memo: dict[tuple, int] = {}
+
+        @functools.cache
+        def jet(tag: str, fid: int, comp: int, point: str, level: int, nonzero: bool) -> int:
+            return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
+
         rows: list[dict[tuple, int]] = []
         for prod, alive in zip(products, live):
+            fa, fb = prod.factor_a, prod.factor_b
             row: dict[tuple, int] = {}
             for i, prow in alive:
-                th_p, th_q = thresholds[i]
-                for point, th in (("P", th_p), ("Q", th_q)):
-                    ord_a = prow.row_a.ord_p if point == "P" else prow.row_a.ord_q
-                    ord_b = prow.row_b.ord_p if point == "P" else prow.row_b.ord_q
+                (th_p, th_q), a, b = thresholds[i], prow.row_a, prow.row_b
+                for point, th, ord_a, exact_a, ord_b, exact_b in (
+                    ("P", th_p, a.ord_p, a.exact_p, b.ord_p, b.exact_p),
+                    ("Q", th_q, a.ord_q, a.exact_q, b.ord_q, b.exact_q),
+                ):
                     for level in (th, th + 1):
+                        # la >= ord_a and level - la >= ord_b: an exact order's
+                        # leading jet is nonzero, every other jet a free residue
                         total = 0
                         for la in range(ord_a, level - ord_b + 1):
-                            ca = _factor_jet(
-                                prime, seed, trial, "A", prod.factor_a, i,
-                                point, la, prow.row_a, memo,
-                            )
-                            if not ca:
-                                continue
-                            cb = _factor_jet(
-                                prime, seed, trial, "B", prod.factor_b, i,
-                                point, level - la, prow.row_b, memo,
-                            )
-                            total = (total + ca * cb) % prime
+                            lb = level - la
+                            total += (jet("A", fa, i, point, la, exact_a and la == ord_a)
+                                      * jet("B", fb, i, point, lb, exact_b and lb == ord_b))
+                        total %= prime
                         if total:
                             row[(i, prow.slot, point, level - th)] = total
             rows.append(row)

@@ -251,6 +251,22 @@ def test_sweep_admitting_nothing_prints_an_empty_list(capsys):
     assert code == 0 and out == "\n"
 
 
+@pytest.mark.parametrize("command, option", [
+    ("petri", "--g"), ("petri", "--r"), ("petri", "--d"), ("petri", "--k"),
+    ("endo", "--g"), ("endo", "--r"), ("endo", "--d"),
+])
+def test_an_inverted_range_is_usage_error(capsys, tmp_path, command, option):
+    values = {"--g": "5", "--r": "2", "--d": "7", "--k": "3"}
+    if command == "endo":
+        del values["--k"]
+    values[option] = "5..3"
+    argv = [x for pair in values.items() for x in pair]
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, command, "--sweep", *argv, "--out", str(out_file))
+    assert code == 2 and out == "" and not list(tmp_path.iterdir())
+    assert err == f"usage error: {option} 5..3 is an empty range: 5 > 3\n"
+
+
 # six admitted, proven verdicts among the sweep's eight tuples
 SMALL_SWEEP = ("petri", "--sweep", "--g", "4..5", "--r", "2", "--d", "6..7", "--k", "2..3")
 
@@ -364,6 +380,35 @@ def test_malformed_series_is_usage_error(capsys, tmp_path, command, edit):
     code, out, err = run(capsys, command[0], "--series", str(series_file), *command[1:])
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def _write_other_output(capsys, path, source):
+    # the output of another ellchain command, or JSON nested past the parser's limit
+    if source == "nested":
+        path.write_text("[" * 200_000)
+        return
+    series_file = path.with_name("series.json")
+    run(capsys, "canonical", "--g", "3", "--out", str(series_file))
+    argv = {
+        "verdict": ("petri", "--g", "5", "--r", "2", "--d", "7", "--k", "3"),
+        "validation": ("validate", "--series", str(series_file)),
+        "redistribution": ("redistribute", "--series", str(series_file), "--dprime", "4,0,0"),
+    }[source]
+    run(capsys, *argv, "--out", str(path))
+
+
+@pytest.mark.parametrize("command", [
+    ("validate",), ("redistribute", "--dprime", "4,0,0"),
+], ids=["validate", "redistribute"])
+@pytest.mark.parametrize("source", ["verdict", "validation", "redistribution", "nested"])
+def test_a_file_that_is_not_a_series_is_usage_error(capsys, tmp_path, command, source):
+    other = tmp_path / "other.json"
+    _write_other_output(capsys, other, source)
+    code, out, err = run(capsys, command[0], "--series", str(other), *command[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    expected = "JSON nested too deeply" if source == "nested" else f"got type {source!r}"
+    assert expected in err
 
 
 def _drop_third_table(payload):

@@ -14,7 +14,6 @@ from ellchain.independence import (
     ProductRow,
     ProductSection,
     _coeff,
-    _factor_jet,
     _rank_mod_p,
     certify_independence,
     oracle_rank,
@@ -267,15 +266,22 @@ class TestOracleReference:
                     products, thresholds, cfg
                 )
 
-    def test_jet_memo_keeps_orders_of_one_factor_apart(self):
-        # a mutated product can give a factor another order than it has
-        # elsewhere; at one level its leading jet is nonzero, the other's free
-        memo = {}
-        for row in (SectionSymbol(0, 3, 0), SectionSymbol(0, 2, 0), SectionSymbol(0, 3, 0)):
-            for level in (1, 3):
-                assert _factor_jet(
-                    DEFAULT_PRIME, 0, 0, "A", 0, 0, "P", level, row, memo
-                ) == _reference_factor_jet(DEFAULT_PRIME, 0, 0, "A", 0, 0, "P", level, row)
+    def test_jet_cache_keeps_orders_of_one_factor_apart(self, petri_5273, monkeypatch):
+        # the raised-order mutant gives factor A:0 on component 0 P-order 1,
+        # where every other product has it at order 0: its level-1 jet is the
+        # nonzero leading coefficient there and a free residue elsewhere, so
+        # the same key string must be hashed both ways
+        products, thresholds = petri_5273
+        products = (_raise_order(products[0]),) + products[1:]
+        hashed = set()
+
+        def recording(prime, seed, trial, key, nonzero):
+            hashed.add((key, nonzero))
+            return _coeff(prime, seed, trial, key, nonzero)
+
+        monkeypatch.setattr("ellchain.independence._coeff", recording)
+        oracle_rank(products, thresholds)
+        assert {("A:0:0:P:1", True), ("A:0:0:P:1", False)} <= hashed
 
     def test_slot_4096_does_not_collide_with_next_component(self):
         # product A lives only on component 0 in slot 4096, product B only on
