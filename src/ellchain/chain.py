@@ -474,7 +474,7 @@ def _component_is_stable(bundle: BundleOnComponent) -> bool:
     if len(bundle.slots) != 1:
         return False
     slot = bundle.slots[0]
-    return isinstance(slot, IndecomposableSlot) and slot.gcd == 1 and slot.rank >= 1
+    return isinstance(slot, IndecomposableSlot) and slot.gcd == 1
 
 
 def check_stability(

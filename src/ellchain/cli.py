@@ -1,9 +1,10 @@
 """Command-line interface: build, validate, certify, sweep; JSON or tables.
 
-Exit codes: 0 success / proven, 2 usage error, 3 not proven or failed
-validation, 4 internal inconsistency (an audit disagrees although the
-certificate and the oracle both passed).  All randomness flows from one
-``--seed``; identical inputs and seed produce byte-identical output.
+Exit codes: 0 success / proven, 2 usage error (an output that cannot be
+written included), 3 not proven or failed validation, 4 internal
+inconsistency (an audit disagrees although the certificate and the oracle
+both passed).  All randomness flows from one ``--seed``; identical inputs
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Iterator, NoReturn, Sequence, TextIO
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
@@ -31,8 +32,8 @@ EXIT_INCONSISTENT = 4
 
 
 class _UsageError(Exception):
-    """Bad arguments, environment overrides or an unwritable ``--out``,
-    reported as one line with exit 2."""
+    """Bad arguments, environment overrides or an output that cannot be
+    written, reported as one line with exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,36 +161,73 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _writer(out: Path | None) -> Iterator[TextIO]:
-    """stdout, or a temporary file beside ``out`` that replaces it on success.
+def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
+    """A ``write`` to stdout, or to a temporary file beside ``out`` that
+    replaces it on success.
 
+    An OSError from opening, writing, flushing or replacing the output is a
+    usage error that names it; one from the caller's own work propagates.
     The temporary file is opened before the caller computes anything, so an
     unwritable ``out`` is a usage error up front; it gets the mode a plain
     ``open`` gives.  On any exception it is removed, so ``out`` is either
     complete or as it was before.
     """
+    name = "stdout" if out is None else out
+
+    @contextlib.contextmanager
+    def writing() -> Iterator[None]:
+        try:
+            yield
+        except OSError as exc:
+            if out is None:
+                _drop_stdout()
+            raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from None
+
+    def write(text: str) -> None:
+        with writing():
+            f.write(text)
+
     if out is None:
-        yield sys.stdout
+        f = sys.stdout
+        yield write
+        with writing():
+            f.flush()
         return
     if out.is_dir():
         raise _UsageError(f"cannot write {out}: is a directory")
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    try:
+    with writing():
         f = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     try:
-        with f:
-            yield f
-        os.replace(tmp, out)
+        yield write
+        with writing():
+            f.close()
+            os.replace(tmp, out)
     except BaseException:
+        with contextlib.suppress(OSError):
+            f.close()
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write.
+
+    The text it could not take stays buffered, and the interpreter's flush
+    at exit would fail on it again and report that on stderr.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # a stream without a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def _emit(text: str, out: Path | None) -> None:
-    with _writer(out) as f:
-        f.write(text)
+    with _writer(out) as write:
+        write(text)
 
 
 def _span(raw: str | None, name: str) -> range | None:
@@ -407,18 +445,18 @@ def cmd_certify(args) -> int:
         return serialize.encode(serialize.to_payload(v), "  "), _verdict_exit(v)
 
     worst, written = EXIT_OK, 0
-    with _writer(args.out) as f:
+    with _writer(args.out) as write:
         for row in map(rendered, tuples):
             if row is not None:
                 text, code = row
                 if not table:
-                    f.write(",\n  " if written else "[\n  ")
-                f.write(text)
+                    write(",\n  " if written else "[\n  ")
+                write(text)
                 worst, written = max(worst, code), written + 1
         if not written:
-            f.write("\n" if table else "[]\n")
+            write("\n" if table else "[]\n")
         elif not table:
-            f.write("\n]\n")
+            write("\n]\n")
     return worst
 
 

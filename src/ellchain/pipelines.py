@@ -35,6 +35,7 @@ from ellchain.chain import (
     canonical_series,
     check_stability,
     elliptic_chain,
+    generic_gluing,
     matched_paths,
     redistribute,
     validate_lls,
@@ -74,8 +75,6 @@ class BuildError(RuntimeError):
 
     def __init__(self, component: int, reason: str):
         super().__init__(f"component {component}: {reason}")
-        self.component = component
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +644,7 @@ def endo_build(p: PoinParams) -> EndoBuild:
         a=2 * g - 2,
         bundles=tuple(bundles),
         tables=tuple(tables),
-        gluing=GluingData(tuple(NodeGluing() for _ in range(g - 1))),
+        gluing=generic_gluing(g),
     )
     return EndoBuild(p, tuple(trivial[b] for b in e0), series)
 

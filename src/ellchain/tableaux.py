@@ -6,13 +6,15 @@ linear series of degree d and projective dimension r on a chain of g
 elliptic components.  When the rectangle has exactly g cells these are the
 standard Young tableaux of the rectangle.
 
-``count_tableaux`` counts by a column-by-column dynamic program.
+Ranking the n entries a filling uses is a bijection onto those standard
+tableaux, so ``count_tableaux`` is C(g, n) times the hook-length count
+(Frame, Robinson & Thrall, 1954); ``enumerate_tableaux`` searches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -49,31 +51,14 @@ def count_tableaux(g: int, r: int, d: int) -> int:
     each row and each column.
     """
     nrows, ncols = _shape(g, r, d)
-    if ncols == 0:
+    n = nrows * ncols
+    if n == 0:
         return 1
-    if nrows * ncols > g:
+    if n > g:
         return 0
-
-    @lru_cache(maxsize=None)
-    def extensions(prev: tuple[int, ...], used: int, cols_left: int) -> int:
-        if cols_left == 0:
-            return 1
-        total = 0
-        # strictly increasing down the column is built into combinations;
-        # require strict growth against the previous column, cell by cell,
-        # and global distinctness via the used-entry mask
-        for col in combinations(range(1, g + 1), nrows):
-            if all(col[i] > prev[i] for i in range(nrows)):
-                mask = 0
-                for v in col:
-                    mask |= 1 << v
-                if mask & used:
-                    continue
-                total += extensions(col, used | mask, cols_left - 1)
-        return total
-
-    zero = tuple([0] * nrows)
-    return extensions(zero, 0, ncols)
+    # counted from the opposite corner, cell (i, j) has hook length i + j + 1
+    hooks = math.prod(i + j + 1 for i in range(nrows) for j in range(ncols))
+    return math.comb(g, n) * math.factorial(n) // hooks
 
 
 def enumerate_tableaux(g: int, r: int, d: int) -> Iterator[Tableau]:

@@ -1,9 +1,14 @@
 """Command-line behavior: exit codes, formats, determinism, golden output."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import stat
+import subprocess
+import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -64,6 +69,13 @@ class TestTableaux:
         payload = json.loads(out)
         assert code == 0 and payload["count"] == 2
         assert [[1, 2], [3, 4]] in payload["tableaux"]
+
+    def test_large_genus_is_counted_at_once(self, capsys):
+        # the 4 x 4 standard tableaux, counted in well under a second
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "tableaux", "--g", "16", "--r", "3", "--d", "15")
+        assert code == 0 and out == "24024\n"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSeriesFiles:
@@ -459,3 +471,122 @@ def test_redistribute_rejects_a_structurally_broken_series(capsys, tmp_path, edi
     )
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# -- an output that fails while it is written ---------------------------------
+
+FULL_DISK = f"{os.strerror(errno.ENOSPC)}\n"
+
+
+class _FullDisk(io.TextIOWrapper):
+    """A text stream whose ``write`` or ``flush`` fails as on a full disk."""
+
+    def __init__(self, buffer, fails):
+        super().__init__(buffer, encoding="utf-8")
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.fails == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        super().flush()
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ("canonical", "--g", "5"),
+    ("canonical", "--g", "3", "--format", "table"),
+    ("tableaux", "--g", "6", "--r", "1", "--d", "4"),
+    ("tableaux", "--g", "4", "--r", "1", "--d", "3", "--enumerate"),
+    ("validate", "--series", "{series}"),
+    ("redistribute", "--series", "{series}", "--dprime", "6,0,0,0"),
+    ("petri", "--g", "5", "--r", "2", "--d", "7", "--k", "3"),
+    ("endo", "--g", "4", "--r", "2", "--d", "4", "--format", "table"),
+    SMALL_SWEEP,
+    ("endo", "--sweep", "--g", "4..5", "--r", "2", "--format", "table"),
+], ids=["canonical", "canonical-table", "tableaux", "tableaux-enumerate", "validate",
+        "redistribute", "petri", "endo-table", "petri-sweep", "endo-sweep-table"])
+def test_a_stdout_that_fails_to_write_is_usage_error(capsys, monkeypatch, tmp_path, argv, fails):
+    series_file = tmp_path / "series.json"
+    run(capsys, "canonical", "--g", "4", "--out", str(series_file))
+    stdout = _FullDisk(io.BytesIO(), fails)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code, _, err = run(capsys, *(a.format(series=series_file) for a in argv))
+    stdout.fails = None  # so that it closes cleanly
+    assert code == 2
+    assert err == "usage error: cannot write stdout: " + FULL_DISK
+
+
+@pytest.mark.parametrize("fails", ["write", "flush"])
+@pytest.mark.parametrize("earlier", [None, "an earlier run's output\n"], ids=["new", "existing"])
+def test_a_sweep_whose_out_fails_to_write_leaves_it_as_it_was(
+    capsys, monkeypatch, tmp_path, earlier, fails
+):
+    out_file = tmp_path / "sweep.json"
+    if earlier is not None:
+        out_file.write_text(earlier, encoding="utf-8")
+
+    def full_open(path, mode, encoding):
+        assert mode == "w" and encoding == "utf-8"
+        return _FullDisk(open(path, "wb"), fails)
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    code, out, err = run(capsys, *SMALL_SWEEP, "--out", str(out_file))
+    assert code == 2 and out == ""
+    assert err == f"usage error: cannot write {out_file}: " + FULL_DISK
+    assert sorted(tmp_path.iterdir()) == ([] if earlier is None else [out_file])
+    if earlier is not None:
+        assert out_file.read_text(encoding="utf-8") == earlier
+
+
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+def test_an_os_error_outside_writing_propagates(monkeypatch, tmp_path, to_out):
+    def failing(*args, **kwargs):
+        raise OSError(errno.EIO, "verdict failed")
+
+    monkeypatch.setattr(cli, "petri_certificate", failing)
+    argv = [*SMALL_SWEEP, *(("--out", str(tmp_path / "sweep.json")) if to_out else ())]
+    with pytest.raises(OSError, match="verdict failed"):
+        main(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _console(argv, stdout):
+    """``ellchain ARGV`` in a fresh interpreter, its stderr captured.
+
+    Its stdout is buffered, so text it could not write is still pending when
+    the interpreter flushes its streams at exit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "ellchain.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["canonical", "--g", "5"], ["tableaux", "--g", "6", "--r", "1", "--d", "4"],
+], ids=["canonical", "tableaux"])
+def test_a_full_device_on_stdout_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        done = _console(argv, full)
+    # the interpreter's own flush at exit adds no second report
+    assert done.returncode == 2
+    assert done.stderr == "usage error: cannot write stdout: " + FULL_DISK
+
+
+def test_a_closed_pipe_on_stdout_exits_2_with_one_line():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _console(["tableaux", "--g", "6", "--r", "1", "--d", "4"], write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert done.stderr == f"usage error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"

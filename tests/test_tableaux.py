@@ -1,4 +1,4 @@
-"""Tableau counting against brute force and the hook-length formula."""
+"""Tableau counting against brute force, enumeration and the hook-length formula."""
 
 from itertools import permutations
 
@@ -82,3 +82,28 @@ def test_monotone_in_ground_set(rows, cols, g):
     if d < 0:
         return
     assert count_tableaux(g + 1, r, d + 1) >= count_tableaux(g, r, d)
+
+
+def test_count_matches_enumeration_on_every_small_shape():
+    # unbalanced, empty and n > g shapes included: 550 shapes in all
+    shapes = [(g, r, d) for g in range(10) for r in range(g + 1) for d in range(2 * g + 1)
+              if g - d + r >= 0]
+    assert len(shapes) == 550
+    for g, r, d in shapes:
+        assert count_tableaux(g, r, d) == len(list(enumerate_tableaux(g, r, d))), (g, r, d)
+
+
+def test_empty_shape_counts_one_for_every_g():
+    # the empty rectangle is tested before n > g, so a negative g still gives 1
+    assert count_tableaux(-3, 0, -3) == 1
+    assert count_tableaux(-3, 0, -10) == 0
+
+
+@pytest.mark.parametrize("g,r,d,message", [
+    (5, -1, 3, "need r >= 0, got -1"),
+    (3, 1, 7, "shape (2) x (-3) has negative width"),
+])
+def test_bad_shapes_keep_their_messages(g, r, d, message):
+    with pytest.raises(TableauError) as info:
+        count_tableaux(g, r, d)
+    assert str(info.value) == message
