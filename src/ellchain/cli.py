@@ -3,8 +3,9 @@
 Exit codes: 0 success / proven, 2 usage error (an output that cannot be
 written included), 3 not proven or failed validation, 4 internal
 inconsistency (an audit disagrees although the certificate and the oracle
-both passed).  All randomness flows from one ``--seed``; identical inputs
-and seed produce byte-identical output.
+both passed, or a tableau listing's length is not its count).  All
+randomness flows from one ``--seed``; identical inputs and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,9 +37,21 @@ class _UsageError(Exception):
     written, reported as one line with exit 2."""
 
 
+class _Miscount(Exception):
+    """A listing whose length differs from its count, raised inside the
+    writer so that ``--out`` is left as it was."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        # argparse's own write swallows an OSError, and the interpreter's flush
+        # at exit reports a failed buffered one; the guarded writer does neither
+        if file is not None:
+            return super().print_help(file)
+        _emit(self.format_help(), None)
 
 
 def _env_default(name: str, default: object) -> str:
@@ -330,16 +343,34 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
+    """The count, or with ``--enumerate`` the bytes of
+    ``json.dumps({"count": ..., "tableaux": [...]}, sort_keys=True)``
+    written one tableau at a time, so the listing is never held whole.
+
+    A listing whose length is not the count exits 4; ``--out`` is then left
+    as it was.
+    """
     try:
-        if args.enumerate_all:
-            rows = [list(map(list, t.cells)) for t in enumerate_tableaux(args.g, args.r, args.d)]
-            text = json.dumps({"count": len(rows), "tableaux": rows}, sort_keys=True) + "\n"
-        else:
-            text = f"{count_tableaux(args.g, args.r, args.d)}\n"
+        count = count_tableaux(args.g, args.r, args.d)
     except TableauError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(text, args.out)
+    if not args.enumerate_all:
+        _emit(f"{count}\n", args.out)
+        return EXIT_OK
+    listed = 0
+    try:
+        with _writer(args.out) as write:
+            write(f'{{"count": {count}, "tableaux": [')
+            for t in enumerate_tableaux(args.g, args.r, args.d):
+                write((", " if listed else "") + json.dumps(t.cells))
+                listed += 1
+            if listed != count:
+                raise _Miscount
+            write("]}\n")
+    except _Miscount:
+        print(f"inconsistent: {listed} tableaux listed, {count} counted", file=sys.stderr)
+        return EXIT_INCONSISTENT
     return EXIT_OK
 
 

@@ -20,13 +20,17 @@ trial each factor jet is hashed once, cached by exactly what its scalar
 depends on, and shared by every product with that factor.  Columns are keyed
 by ``(component, slot, point, offset)`` tuples, so slots of different
 components never share a column however many there are.
+
+Rows, sections, survivors, passes, certificates and the oracle
+configuration are value types made by :func:`ellchain.elliptic.value`, like
+the symbols they are built from.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Sequence
 
 from ellchain.chain import LimitLinearSeries, generic_gluing, survives
@@ -38,6 +42,7 @@ from ellchain.elliptic import (
     SectionSymbol,
     Slot,
     VanishingTable,
+    value,
 )
 
 #: default modulus: the 61-bit Mersenne prime
@@ -63,7 +68,7 @@ def product_bundle(ba: BundleOnComponent, bb: BundleOnComponent) -> BundleOnComp
     )
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ProductRow:
     """Aspect of one product section on one component.
 
@@ -86,7 +91,7 @@ class ProductRow:
         ))
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class ProductSection:
     """A product of section ``factor_a`` of one series with ``factor_b`` of another."""
 
@@ -172,7 +177,7 @@ def product_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Survivor:
     product: int
     slot: int
@@ -182,13 +187,13 @@ class Survivor:
     exact_q: bool
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class EliminationPass:
     component: int  # 1-based
     survivors: tuple[Survivor, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class Certificate:
     """A successful elimination: every product dies in exactly one pass."""
 
@@ -201,7 +206,7 @@ class Certificate:
         return sum(len(p.survivors) for p in self.passes)
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class CertificateFailure:
     """First place the elimination strategy breaks down.
 
@@ -304,7 +309,7 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@value
 class OracleConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0

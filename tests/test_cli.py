@@ -16,6 +16,7 @@ import pytest
 
 import ellchain.cli as cli
 from ellchain.cli import main
+from ellchain.tableaux import enumerate_tableaux
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -69,6 +70,38 @@ class TestTableaux:
         payload = json.loads(out)
         assert code == 0 and payload["count"] == 2
         assert [[1, 2], [3, 4]] in payload["tableaux"]
+
+    def test_enumerate_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "tableaux", "--g", "8", "--r", "2", "--d", "8", "--enumerate")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f0da874ab7963ca57118945ca0b982650884d4f6f2768741ff131b973a5b076c"
+        )
+
+    def test_enumerate_streams_the_bytes_of_one_dumps(self, capsys):
+        # every shape up to g = 7: empty, too large for {1..g}, and all between
+        for g in range(1, 8):
+            for r in range(4):
+                for d in range(r, g + r + 1):
+                    rows = [list(map(list, t.cells)) for t in enumerate_tableaux(g, r, d)]
+                    want = json.dumps({"count": len(rows), "tableaux": rows}, sort_keys=True)
+                    code, out, _ = run(capsys, "tableaux", "--g", str(g), "--r", str(r),
+                                       "--d", str(d), "--enumerate")
+                    assert (code, out) == (0, want + "\n"), (g, r, d)
+
+    @pytest.mark.parametrize("earlier", [None, "an earlier run's output\n"], ids=["new", "existing"])
+    def test_a_listing_that_misses_its_count_exits_4(self, capsys, monkeypatch, tmp_path, earlier):
+        out_file = tmp_path / "t.json"
+        if earlier is not None:
+            out_file.write_text(earlier, encoding="utf-8")
+        monkeypatch.setattr(cli, "count_tableaux", lambda g, r, d: 3)
+        code, out, err = run(capsys, "tableaux", "--g", "4", "--r", "1", "--d", "3",
+                             "--enumerate", "--out", str(out_file))
+        assert code == 4 and out == ""
+        assert err == "inconsistent: 2 tableaux listed, 3 counted\n"
+        assert sorted(tmp_path.iterdir()) == ([] if earlier is None else [out_file])
+        if earlier is not None:
+            assert out_file.read_text(encoding="utf-8") == earlier
 
     def test_large_genus_is_counted_at_once(self, capsys):
         # the 4 x 4 standard tableaux, counted in well under a second
@@ -555,13 +588,15 @@ def test_an_os_error_outside_writing_propagates(monkeypatch, tmp_path, to_out):
     assert list(tmp_path.iterdir()) == []
 
 
-def _console(argv, stdout):
+def _console(argv, stdout, unbuffered=False):
     """``ellchain ARGV`` in a fresh interpreter, its stderr captured.
 
-    Its stdout is buffered, so text it could not write is still pending when
-    the interpreter flushes its streams at exit.
+    Its stdout is buffered unless ``unbuffered``, so text it could not write
+    is still pending when the interpreter flushes its streams at exit.
     """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
     return subprocess.run(
         [sys.executable, "-m", "ellchain.cli", *argv],
@@ -579,6 +614,25 @@ def test_a_full_device_on_stdout_exits_2_with_one_line(argv):
     # the interpreter's own flush at exit adds no second report
     assert done.returncode == 2
     assert done.stderr == "usage error: cannot write stdout: " + FULL_DISK
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["tableaux", "--help"]], ids=["help", "tableaux-help"])
+def test_help_to_a_full_device_exits_2_with_one_line(argv, unbuffered):
+    # argparse's own write would swallow the error unbuffered, and buffered
+    # leave it to the flush at exit
+    with open("/dev/full", "w") as full:
+        done = _console(argv, full, unbuffered)
+    assert done.returncode == 2
+    assert done.stderr == "usage error: cannot write stdout: " + FULL_DISK
+
+
+def test_help_is_written_with_exit_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["tableaux", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ellchain tableaux [-h]")
 
 
 def test_a_closed_pipe_on_stdout_exits_2_with_one_line():

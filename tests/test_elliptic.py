@@ -1,5 +1,8 @@
 """Single-component algebra: classes, section bases, twists, endomorphisms."""
 
+import inspect
+import pickle
+from dataclasses import MISSING, FrozenInstanceError, InitVar, field, fields, replace
 from functools import reduce
 from math import gcd
 from operator import add
@@ -14,9 +17,21 @@ from ellchain.elliptic import (
     Degree0Class,
     IndecomposableSlot,
     LineBundleClass,
+    SectionSymbol,
+    VanishingTable,
     end_decomposition,
     iter_trivial_slots,
     section_space,
+    value,
+)
+from ellchain.independence import (
+    Certificate,
+    CertificateFailure,
+    EliminationPass,
+    OracleConfig,
+    ProductRow,
+    ProductSection,
+    Survivor,
 )
 from reference import (
     class_isomorphic,
@@ -370,3 +385,80 @@ def test_trivial_slots_of_end_decomposition_match_reference_h0(e):
     if isinstance(e.slots[0], LineBundleClass):
         # Hom(L_i, L_j) is trivial exactly when L_i and L_j are isomorphic
         assert len(trivial) == sum(class_isomorphic(si, sj) for si in e.slots for sj in e.slots)
+
+
+
+# -- value types -------------------------------------------------------------
+
+_SURVIVOR = Survivor(0, 1, 2, True, 3, False)
+_ROW = ProductRow(1, SectionSymbol(0, 1, 2), SectionSymbol(1, 0, 3, False))
+#: every value type, with a full positional argument list
+VALUE_TYPES = [
+    (Degree0Class, (1, (("x", 2),), (("t", 3, 1),))),
+    (LineBundleClass, (1, 2, Degree0Class.of_generic("x"))),
+    (IndecomposableSlot, (2, 1, Degree0Class.of_pq(1))),
+    (BundleOnComponent, ((LineBundleClass(1, 0), IndecomposableSlot(2, 1)),)),
+    (SectionSymbol, (0, 1, 2, False, True)),
+    (VanishingTable, ((SectionSymbol(0, 1, 2), SectionSymbol(1, 0, 1, True, False)),)),
+    (ProductRow, (1, SectionSymbol(0, 1, 2), SectionSymbol(1, 0, 3, False))),
+    (ProductSection, (0, 1, (_ROW, _ROW))),
+    (Survivor, (0, 1, 2, True, 3, False)),
+    (EliminationPass, (1, (_SURVIVOR,))),
+    (Certificate, ((EliminationPass(1, (_SURVIVOR,)),), 1, ((0, 0), (1, 2)))),
+    (CertificateFailure, (1, (0, 2), (), "component 1: survivors not pairwise discriminated")),
+    (OracleConfig, (7, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("cls,args", VALUE_TYPES, ids=[c.__name__ for c, _ in VALUE_TYPES])
+def test_value_types_keep_their_dataclass_behaviour(cls, args):
+    init = [f for f in fields(cls) if f.init]
+    # the same parameters, in field order, with the same default objects
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == [f.name for f in init]
+    for p, f in zip(params, init):
+        assert p.kind is p.POSITIONAL_OR_KEYWORD
+        assert p.default is (p.empty if f.default is MISSING else f.default)
+    obj = cls(*args)
+    assert obj == cls(**{f.name: a for f, a in zip(init, args)})
+    given = [a for f, a in zip(init, args) if f.default is MISSING]
+    defaulted = cls(*given)
+    assert defaulted == cls(*given, *(f.default for f in init[len(given):]))
+
+    # eq and hash are those of the compared fields' tuple
+    def key(o):
+        return tuple(getattr(o, f.name) for f in fields(cls) if f.compare)
+
+    assert hash(obj) == hash(key(obj)) == hash(cls(*args))
+    assert (obj == defaulted) is (key(obj) == key(defaulted))
+    assert replace(obj) == obj and pickle.loads(pickle.dumps(obj)) == obj
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, f.name)
+        if not f.init:  # ProductRow.symbol is derived, never passed
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                cls(*args, **{f.name: getattr(obj, f.name)})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: IndecomposableSlot(0, 1),
+    lambda: Degree0Class(generic=(("x", 1), ("x", 2))),
+    lambda: OracleConfig(trials=0),
+    lambda: OracleConfig(prime=91),
+], ids=["atom-rank-0", "repeated-generic", "no-trials", "composite-prime"])
+def test_value_types_run_their_post_init_checks(build):
+    with pytest.raises(AlgebraError):
+        build()
+
+
+@pytest.mark.parametrize("annotation,spec", [
+    (list, field(default_factory=list)),
+    (int, field(default=0, kw_only=True)),
+    (InitVar[int], 0),
+    (int, field(default=0, init=False)),
+], ids=["default-factory", "kw-only", "init-var", "init-false-default"])
+def test_value_refuses_a_field_kind_it_does_not_handle(annotation, spec):
+    with pytest.raises(TypeError, match="value type Bad"):
+        value(type("Bad", (), {"__annotations__": {"x": annotation}, "x": spec}))
