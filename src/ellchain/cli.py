@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, NoReturn, Sequence
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.elliptic import AlgebraError, LineBundleClass
-from ellchain.independence import DEFAULT_PRIME, OracleConfig
+from ellchain.independence import DEFAULT_PRIME, Jets, OracleConfig
 from ellchain.pipelines import HYPOTHESIS_NOT_MET, Verdict, onto_certificate, petri_certificate
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
 
@@ -184,6 +185,12 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
     unwritable ``out`` is a usage error up front; it gets the mode a plain
     ``open`` gives.  On any exception it is removed, so ``out`` is either
     complete or as it was before.
+
+    A symlink ``out`` is followed: the temporary file goes beside its
+    target and replaces that, so the link is kept.  A target that exists and
+    is not a regular file, such as a device or a FIFO, would become one if
+    replaced: it is written in place, and what was written before a failure
+    stays written.
     """
     name = "stdout" if out is None else out
 
@@ -208,18 +215,22 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
         return
     if out.is_dir():
         raise _UsageError(f"cannot write {out}: is a directory")
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    target = Path(os.path.realpath(out))
     with writing():
+        in_place = target.exists() and not target.is_file()
+        tmp = target if in_place else target.with_name(f".{target.name}.{os.getpid()}.tmp")
         f = open(tmp, "w", encoding="utf-8")
     try:
         yield write
         with writing():
             f.close()
-            os.replace(tmp, out)
+            if not in_place:
+                os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
             f.close()
-        tmp.unlink(missing_ok=True)
+        if not in_place:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -441,14 +452,16 @@ def cmd_certify(args) -> int:
 
     A sweep writes each admitted verdict's text as soon as it is decided and
     keeps only the worst exit code, so its memory does not grow with the grid.
-    The bytes are those of the whole list encoded at once.
+    The bytes are those of the whole list encoded at once.  The verdicts of
+    one (g, r) run share the oracle's jet table, which is dropped when the
+    run ends, so the memory it takes is bounded by one run's scalars.
     """
     # looked up per call, so a rebound module attribute takes effect
     certify = petri_certificate if args.command == "petri" else onto_certificate
     table = args.format == "table"
 
-    def verdict(t: tuple[int, ...]) -> Verdict:
-        return certify(*t, prime=args.prime, seed=args.seed, trials=args.trials)
+    def verdict(t: tuple[int, ...], jets: Jets) -> Verdict:
+        return certify(*t, prime=args.prime, seed=args.seed, trials=args.trials, jets=jets)
 
     try:
         if args.sweep:
@@ -460,14 +473,14 @@ def cmd_certify(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not args.sweep:
-        v = verdict(single)
+        v = verdict(single, {})
         text = _verdict_line(v) + "\n" if table else serialize.dumps(v)
         _emit(text, args.out)
         return _verdict_exit(v)
 
-    def rendered(t: tuple[int, ...]) -> tuple[str, int] | None:
+    def rendered(t: tuple[int, ...], jets: Jets) -> tuple[str, int] | None:
         # the verdict dies on return: only its text and exit code outlive it
-        v = verdict(t)
+        v = verdict(t, jets)
         if v.status == HYPOTHESIS_NOT_MET:  # most tuples of a grid
             return None
         if table:
@@ -475,9 +488,15 @@ def cmd_certify(args) -> int:
         # the text of the whole list encoded at once, one element at a time
         return serialize.encode(serialize.to_payload(v), "  "), _verdict_exit(v)
 
+    def rows() -> Iterator[tuple[str, int] | None]:
+        for _, run in itertools.groupby(tuples, key=lambda t: t[:2]):
+            jets: Jets = {}
+            for t in run:
+                yield rendered(t, jets)
+
     worst, written = EXIT_OK, 0
     with _writer(args.out) as write:
-        for row in map(rendered, tuples):
+        for row in rows():
             if row is not None:
                 text, code = row
                 if not table:

@@ -15,11 +15,12 @@ jet coefficients of the factor sections, hence implicitly the gluing
 scalars) as pseudo-random residues modulo a prime and computes the rank of
 the matrix of surviving leading-jet coordinates.  Identical factor pairs
 produce identical rows, so injected duplicates drop the rank; the oracle can
-confirm a certificate but never certify anything on its own.  Within a
-trial each factor jet is hashed once, cached by exactly what its scalar
-depends on, and shared by every product with that factor.  Columns are keyed
-by ``(component, slot, point, offset)`` tuples, so slots of different
-components never share a column however many there are.
+confirm a certificate but never certify anything on its own.  Each jet
+scalar is hashed once per table of :data:`Jets`, cached by exactly what it
+depends on, and shared by every product, and every call, that reads the
+table: a sweep keeps one table for the verdicts of each (g, r) run.  Columns
+are keyed by ``(component, slot, point, offset)`` tuples, so slots of
+different components never share a column however many there are.
 
 Rows, sections, survivors, passes, certificates and the oracle
 configuration are value types made by :func:`ellchain.elliptic.value`, like
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ellchain.chain import LimitLinearSeries, generic_gluing, survives
 from ellchain.elliptic import (
@@ -328,6 +329,27 @@ def _coeff(prime: int, seed: int, trial: int, key: str, nonzero: bool) -> int:
     return value % (prime - 1) + 1 if nonzero else value % prime
 
 
+#: one trial's ``jet(tag, fid, comp, point, level, nonzero)`` scalar
+Jet = Callable[[str, int, int, str, int, bool], int]
+#: ``(prime, seed, trial)`` -> that trial's cached :data:`Jet`
+Jets = dict[tuple[int, int, int], Jet]
+
+
+def _trial_jets(prime: int, seed: int, trial: int) -> Jet:
+    """One trial's jet scalars, each hashed on its first use only.
+
+    The cache key is every argument of the hashed string, ``nonzero``
+    included (a mutated product may give a factor another order than
+    elsewhere), so a cached scalar is the one a fresh hash would give.
+    """
+
+    @functools.cache
+    def jet(tag: str, fid: int, comp: int, point: str, level: int, nonzero: bool) -> int:
+        return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
+
+    return jet
+
+
 def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
     """Gaussian elimination over F_p on sparse rows (dict: column -> value)."""
     pivots: dict[tuple, dict[tuple, int]] = {}
@@ -370,6 +392,7 @@ def oracle_rank(
     thresholds: Sequence[tuple[int, int]],
     cfg: OracleConfig = OracleConfig(),
     live: LiveRows | None = None,
+    jets: Jets | None = None,
 ) -> int:
     """Rank of the surviving leading-jet matrix over F_prime; max over trials.
 
@@ -378,25 +401,28 @@ def oracle_rank(
     threshold and threshold+1 at both marked points.  Each factor section's
     jet coefficients are pseudo-random residues keyed by factor id, so
     repeated factors repeat their coefficients, and each product row is the
-    bilinear convolution of its factors' jets.  A per-trial cache, keyed by
-    the scalar's own arguments (nonzero-ness included, since a mutated
-    product may give a factor another order than elsewhere), hashes each
-    factor jet once for every product sharing the factor.  A dead
-    product contributes nothing on the component.  The rank can only
-    underestimate the generic rank, never exceed the product count.
+    bilinear convolution of its factors' jets.  A dead product contributes
+    nothing on the component.  The rank can only underestimate the generic
+    rank, never exceed the product count.
     ``live`` is ``live_rows(products, thresholds)``, passed in by a caller
-    that ranks the same products under several seeds.
+    that ranks the same products under several seeds.  ``jets`` holds each
+    trial's cached scalars (:func:`_trial_jets`) and gains the trials it
+    lacks; a caller that ranks many product lists, such as a sweep, passes
+    one table to all of them so that no scalar is hashed twice.  Since a
+    scalar depends on nothing but its key, the rank is the same for any
+    table; without one, the call uses a table of its own.
     """
     prime, seed = cfg.prime, cfg.seed
     if live is None:
         live = live_rows(products, thresholds)
+    if jets is None:
+        jets = {}
     best = 0
     for trial in range(cfg.trials):
-
-        @functools.cache
-        def jet(tag: str, fid: int, comp: int, point: str, level: int, nonzero: bool) -> int:
-            return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
-
+        key = (prime, seed, trial)
+        jet = jets.get(key)
+        if jet is None:
+            jet = jets[key] = _trial_jets(*key)
         rows: list[dict[tuple, int]] = []
         for prod, alive in zip(products, live):
             fa, fb = prod.factor_a, prod.factor_b

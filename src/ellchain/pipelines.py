@@ -56,6 +56,7 @@ from ellchain.elliptic import (
 from ellchain.independence import (
     DEFAULT_PRIME,
     Certificate,
+    Jets,
     OracleConfig,
     ProductSection,
     certify_independence,
@@ -454,11 +455,14 @@ class Instance:
     notes: tuple[str, ...]
 
 
-def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
+def decide(
+    instance: Instance, prime: int, seed: int, trials: int, jets: Jets | None = None
+) -> Verdict:
     """Certify, cross-check with the oracle on seeds seed..seed+2, and judge.
 
     Proven needs every product eliminated, every audit passed and every
-    oracle rank equal to the product count.
+    oracle rank equal to the product count.  ``jets`` is the oracle's jet
+    table (see :func:`~ellchain.independence.oracle_rank`).
     """
     products, thresholds = instance.products, instance.distribution.thresholds
     outcome = certify_independence(products, thresholds)
@@ -466,7 +470,9 @@ def decide(instance: Instance, prime: int, seed: int, trials: int) -> Verdict:
     seeds = (seed, seed + 1, seed + 2)
     live = live_rows(products, thresholds)
     ranks = tuple(
-        oracle_rank(products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), live)
+        oracle_rank(
+            products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), live, jets
+        )
         for s in seeds
     )
     oracle = OracleBlock(prime, trials, seeds, ranks, len(products))
@@ -570,6 +576,7 @@ def petri_certificate(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
     trials: int = 1,
+    jets: Jets | None = None,
 ) -> Verdict:
     """Build, redistribute, certify and cross-check the k * kbar products."""
     params = {"g": g, "r": r, "d": d, "k": k}
@@ -584,7 +591,7 @@ def petri_certificate(
             "petri", params, p.case, NOT_PROVEN, p.k * p.kbar,
             certificate_error=f"build failed: {exc}",
         )
-    return decide(petri_instance(build), prime, seed, trials)
+    return decide(petri_instance(build), prime, seed, trials, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +726,7 @@ def onto_certificate(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
     trials: int = 1,
+    jets: Jets | None = None,
 ) -> Verdict:
     """Certify surjectivity of canonical x traceless-endomorphism products."""
     params = {"g": g, "r": r, "d": d}
@@ -731,4 +739,4 @@ def onto_certificate(
             "endo-onto", params, None, VACUOUS,
             notes=("rank 1: traceless part has rank 0, nothing to prove",),
         )
-    return decide(endo_instance(endo_build(p)), prime, seed, trials)
+    return decide(endo_instance(endo_build(p)), prime, seed, trials, jets)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 
@@ -62,22 +61,38 @@ def count_tableaux(g: int, r: int, d: int) -> int:
 
 
 def enumerate_tableaux(g: int, r: int, d: int) -> Iterator[Tableau]:
-    """Yield every strict filling, column by column, in lexicographic order."""
+    """Yield every strict filling, column by column, in lexicographic order.
+
+    Cells are filled in column-major order, each with an unused value above
+    its left and upper neighbours, smallest first.  Every cell below and to
+    the right of cell (i, j) must later take a larger unused value, so a
+    cell's values stop as soon as fewer unused values lie above its value
+    than there are such cells.
+    """
     nrows, ncols = _shape(g, r, d)
     if ncols == 0:
         yield Tableau(())
         return
+    grid = [[0] * ncols for _ in range(nrows)]
+    used = [False] * (g + 1)
+    cells = [(i, j) for j in range(ncols) for i in range(nrows)]
 
-    def grow(prefix: list[tuple[int, ...]], used: set[int]) -> Iterator[Tableau]:
-        if len(prefix) == ncols:
-            rows = tuple(tuple(col[i] for col in prefix) for i in range(nrows))
-            yield Tableau(rows)
+    def fill(c: int) -> Iterator[Tableau]:
+        if c == len(cells):
+            yield Tableau(tuple(map(tuple, grid)))
             return
-        prev = prefix[-1] if prefix else tuple([0] * nrows)
-        for col in combinations(range(1, g + 1), nrows):
-            if used.isdisjoint(col) and all(col[i] > prev[i] for i in range(nrows)):
-                prefix.append(col)
-                yield from grow(prefix, used | set(col))
-                prefix.pop()
+        i, j = cells[c]
+        dominated = (nrows - i) * (ncols - j) - 1
+        low = max(grid[i - 1][j] if i else 0, grid[i][j - 1] if j else 0)
+        free = used[low + 1:].count(False)  # unused values above low
+        for v in range(low + 1, g + 1):
+            if used[v]:
+                continue
+            free -= 1  # now the unused values above v
+            if free < dominated:
+                break
+            used[v], grid[i][j] = True, v
+            yield from fill(c + 1)
+            used[v] = False
 
-    yield from grow([], set())
+    yield from fill(0)

@@ -10,15 +10,17 @@ package computes, so a test can compare the two.
 * ``class_difference`` / ``class_isomorphic`` compare two line classes, and
   ``h0_slot`` / ``h0_component`` count global sections by Riemann-Roch; a
   degree-0 slot is trivial exactly when ``h0_slot`` is 1.
-* ``is_standard_filling`` checks a tableau cell by cell, and
+* ``is_standard_filling`` checks a tableau cell by cell,
   ``rectangle_syt_count`` counts standard fillings of a rectangle by hook
-  lengths.
+  lengths, and ``fillings_by_columns`` lists strict fillings by trying every
+  increasing column against every prefix, without pruning.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from ellchain.elliptic import (
     AlgebraError,
@@ -141,3 +143,23 @@ def rectangle_syt_count(nrows: int, ncols: int) -> int:
         for j in range(ncols):
             hooks *= (nrows - i) + (ncols - j) - 1
     return math.factorial(n) // hooks
+
+
+def fillings_by_columns(g: int, nrows: int, ncols: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Strict fillings of an nrows x ncols rectangle from {1..g}, row-major,
+    in lexicographic order of their columns."""
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def grow(prefix: list[tuple[int, ...]], used: set[int]) -> None:
+        if len(prefix) == ncols:
+            out.append(tuple(tuple(col[i] for col in prefix) for i in range(nrows)))
+            return
+        prev = prefix[-1] if prefix else (0,) * nrows
+        for col in combinations(range(1, g + 1), nrows):
+            if used.isdisjoint(col) and all(col[i] > prev[i] for i in range(nrows)):
+                grow(prefix + [col], used | set(col))
+
+    if ncols == 0:
+        return [()]
+    grow([], set())
+    return out

@@ -8,13 +8,16 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ellchain.cli as cli
+import ellchain.independence as independence
 from ellchain.cli import main
 from ellchain.tableaux import enumerate_tableaux
 
@@ -76,6 +79,14 @@ class TestTableaux:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "f0da874ab7963ca57118945ca0b982650884d4f6f2768741ff131b973a5b076c"
+        )
+
+    def test_enumerate_of_a_larger_genus_is_pinned(self, capsys):
+        # 84,084 fillings, far past the shapes compared with the unpruned search
+        code, out, _ = run(capsys, "tableaux", "--g", "14", "--r", "2", "--d", "13", "--enumerate")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f9d307d9bf627bafc8f969ba3108f1f6e7806e376c979002ed5a8d89b38f34e4"
         )
 
     def test_enumerate_streams_the_bytes_of_one_dumps(self, capsys):
@@ -281,12 +292,39 @@ def test_an_option_the_command_does_not_read_is_usage_error(capsys, tmp_path, ar
      "91e0fc8b11b4ffc24bb4fc16e8b7d1e322cd5775d51bad14d18cbe310bfb52a5"),
     (("endo", "--sweep", "--g", "20", "--r", "5"),
      "ea62e026e5901ba02390fb497c38b0614be290f5955fc8e35a43414b961d554c"),
-], ids=["petri", "endo", "endo-large"])
+    (("petri", "--sweep", "--g", "2..6", "--r", "1..3", "--seed", "2208", "--trials", "2"),
+     "63c6bedabe54f0c72a1c68611eaaa3d628f3f256d13b0b45fe7277a5a7b719a8"),
+    (("endo", "--sweep", "--g", "4..6", "--r", "2..3", "--seed", "2208", "--trials", "2"),
+     "b3736d20ac2de28de88591d7b79c6a66bf02d666d1a15ac6684cb626fea97bf9"),
+], ids=["petri", "endo", "endo-large", "petri-seed-2208", "endo-seed-2208"])
 def test_sweep_json_is_pinned(capsys, argv, digest):
-    # seed 0, default trials and prime: any change to a byte of the sweep fails
+    # default prime, and seed 0 with one trial unless given: any change to a
+    # byte of the sweep fails
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_sweep_hashes_each_jet_scalar_once_per_g_r_run(monkeypatch, tmp_path):
+    real_certify, real_coeff = cli.petri_certificate, independence._coeff
+    current, hashed = [], Counter()
+
+    def certify(g, r, *args, **kwargs):
+        current[:] = [(g, r)]
+        return real_certify(g, r, *args, **kwargs)
+
+    def coeff(prime, seed, trial, key, nonzero):
+        hashed[current[0], seed, trial, key, nonzero] += 1
+        return real_coeff(prime, seed, trial, key, nonzero)
+
+    monkeypatch.setattr(cli, "petri_certificate", certify)
+    monkeypatch.setattr(independence, "_coeff", coeff)
+    argv = ["petri", "--sweep", "--g", "2..6", "--r", "1..3", "--seed", "2208", "--trials", "2"]
+    assert main([*argv, "--out", str(tmp_path / "sweep.json")]) == 0
+    assert {trial for _, _, trial, _, _ in hashed} == {0, 1}
+    assert max(hashed.values()) == 1
+    # each run starts a table of its own: some scalar is hashed again in a later run
+    assert len({key[1:] for key in hashed}) < len(hashed)
 
 
 def test_sweep_admitting_nothing_prints_an_empty_list(capsys):
@@ -381,6 +419,40 @@ def test_an_unwritable_out_is_usage_error(capsys, monkeypatch, tmp_path, argv, t
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("earlier", [None, "an earlier run's output\n"], ids=["dangling", "existing"])
+def test_a_symlinked_out_replaces_its_target_and_keeps_the_link(capsys, tmp_path, earlier):
+    target, link = tmp_path / "real.json", tmp_path / "link.json"
+    if earlier is not None:
+        target.write_text(earlier, encoding="utf-8")
+    link.symlink_to(target.name)
+    code, out, _ = run(capsys, "canonical", "--g", "3", "--out", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text(encoding="utf-8") == run(capsys, "canonical", "--g", "3")[1]
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+@pytest.mark.parametrize("argv", [("canonical", "--g", "3"), SMALL_SWEEP],
+                         ids=["canonical", "sweep"])
+def test_a_fifo_out_is_written_in_place(capsys, tmp_path, argv):
+    # replacing a FIFO, or a device such as /dev/null, would leave a regular file
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code, out, _ = run(capsys, *argv, "--out", str(fifo))
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 0 and out == ""
+    assert got == [run(capsys, *argv)[1].encode("utf-8")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_endo_below_genus_4_names_the_product_list(capsys):

@@ -266,6 +266,44 @@ class TestOracleReference:
                     products, thresholds, cfg
                 )
 
+    def test_a_warm_shared_jet_table_gives_the_reference_rank(
+        self, petri_5273, endo_424, monkeypatch
+    ):
+        # a sweep ranks many product lists through one table; a scalar cached
+        # for one list must be the one a fresh hash gives for the next
+        products, thresholds = petri_5273
+        cfgs = [OracleConfig(seed=seed, trials=trials) for seed in range(3) for trials in (1, 2)]
+        jets = {}
+        for cfg in cfgs:
+            oracle_rank(products, thresholds, cfg, jets=jets)
+        assert set(jets) == {(DEFAULT_PRIME, seed, trial) for seed in range(3) for trial in (0, 1)}
+
+        hashed = []
+
+        def recording(prime, seed, trial, key, nonzero):
+            hashed.append((seed, trial, key, nonzero))
+            return _coeff(prime, seed, trial, key, nonzero)
+
+        # the raised-order mutant reads factor A:0's level-1 P-jet on component
+        # 0 as a leading coefficient: the warm table holds only its free residue
+        monkeypatch.setattr("ellchain.independence._coeff", recording)
+        raised = (_raise_order(products[0]),) + products[1:]
+        oracle_rank(raised, thresholds, cfgs[0], jets=jets)
+        assert (0, 0, "A:0:0:P:1", True) in hashed
+        assert (0, 0, "A:0:0:P:1", False) not in hashed
+        monkeypatch.undo()
+
+        cases = [
+            (products + (products[len(products) // 2],), thresholds),
+            (raised, thresholds),
+            endo_424,
+        ]
+        for cfg in cfgs:
+            for case_products, case_thresholds in cases:
+                assert oracle_rank(case_products, case_thresholds, cfg, jets=jets) == (
+                    _reference_oracle_rank(case_products, case_thresholds, cfg)
+                )
+
     def test_jet_cache_keeps_orders_of_one_factor_apart(self, petri_5273, monkeypatch):
         # the raised-order mutant gives factor A:0 on component 0 P-order 1,
         # where every other product has it at order 0: its level-1 jet is the

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
-from reference import is_standard_filling, rectangle_syt_count
+from reference import fillings_by_columns, is_standard_filling, rectangle_syt_count
 
 
 def brute_force_count(g, r, d):
@@ -91,6 +91,15 @@ def test_count_matches_enumeration_on_every_small_shape():
     assert len(shapes) == 550
     for g, r, d in shapes:
         assert count_tableaux(g, r, d) == len(list(enumerate_tableaux(g, r, d))), (g, r, d)
+
+
+def test_pruned_search_lists_what_the_column_search_lists():
+    # the same fillings in the same order on every shape with g <= 8
+    shapes = [(g, r, d) for g in range(9) for r in range(g + 1) for d in range(2 * g + 1)
+              if g - d + r >= 0]
+    for g, r, d in shapes:
+        want = fillings_by_columns(g, r + 1, g - d + r)
+        assert [t.cells for t in enumerate_tableaux(g, r, d)] == want, (g, r, d)
 
 
 def test_empty_shape_counts_one_for_every_g():
