@@ -15,15 +15,16 @@ sections times traceless-endomorphism sections span the full target space
 Builders follow fixed numeric templates; every table row they emit is
 checked against the exact section calculus, and the elimination engine plus
 the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
-``endo_instance`` turn a build into an :class:`Instance` (products, the
-redistribution's thresholds, audits); one :func:`decide` judges either
-statement.
+``endo_instance`` turn a build into its products and a draft: the statement's
+``not-proven`` :class:`Verdict` with every build fact filled in (the
+redistribution's thresholds, audits, notes).  One :func:`decide` settles the
+draft of either statement.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from ellchain.chain import (
@@ -435,36 +436,20 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VACUOUS = "vacuous"
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One statement's products and bookkeeping, ready for :func:`decide`.
-
-    The audits depend only on the build and the redistribution, not on the
-    certificate or the oracle, so the builders compute them up front.  The
-    verdict is judged against ``distribution.thresholds`` alone.
-    """
-
-    kind: str
-    params: dict
-    case: str | None
-    expected_products: int
-    products: tuple[ProductSection, ...]
-    distribution: DistributionInfo
-    audits: tuple[Audit, ...]
-    stability: StabilityVerdict | None
-    notes: tuple[str, ...]
-
-
 def decide(
-    instance: Instance, prime: int, seed: int, trials: int, jets: Jets | None = None
+    products: tuple[ProductSection, ...], draft: Verdict, prime: int, seed: int, trials: int,
+    jets: Jets | None = None,
 ) -> Verdict:
-    """Certify, cross-check with the oracle on seeds seed..seed+2, and judge.
+    """Certify, cross-check with the oracle on seeds seed..seed+2, and settle
+    ``draft``, a not-proven verdict carrying the build's facts.
 
+    The products are judged against ``draft.distribution.thresholds`` alone.
     Proven needs every product eliminated, every audit passed and every
-    oracle rank equal to the product count.  ``jets`` is the oracle's jet
-    table (see :func:`~ellchain.independence.oracle_rank`).
+    oracle rank equal to the product count; the draft's other fields are
+    kept as they are.  ``jets`` is the oracle's jet table (see
+    :func:`~ellchain.independence.oracle_rank`).
     """
-    products, thresholds = instance.products, instance.distribution.thresholds
+    thresholds = draft.distribution.thresholds
     outcome = certify_independence(products, thresholds)
     certificate = outcome if isinstance(outcome, Certificate) else None
     seeds = (seed, seed + 1, seed + 2)
@@ -478,22 +463,15 @@ def decide(
     oracle = OracleBlock(prime, trials, seeds, ranks, len(products))
     certified = certificate is not None and certificate.eliminated == len(products)
     status = PROVEN if (
-        certified and all(a.ok for a in instance.audits) and oracle.agreed
+        certified and all(a.ok for a in draft.audits) and oracle.agreed
     ) else NOT_PROVEN
-    return Verdict(
-        kind=instance.kind,
-        params=instance.params,
-        case=instance.case,
+    return replace(
+        draft,
         status=status,
-        expected_products=instance.expected_products,
         product_count=len(products),
-        audits=instance.audits,
-        distribution=instance.distribution,
         certificate=certificate,
         certificate_error=None if certificate else outcome.reason,
         oracle=oracle,
-        stability=instance.stability,
-        notes=instance.notes,
     )
 
 
@@ -525,9 +503,9 @@ def petri_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def petri_instance(build: PetriBuild) -> Instance:
+def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdict]:
     """The k * kbar products of the two series, spread r^2 on the end
-    components and 2r^2 on the others."""
+    components and 2r^2 on the others, and the petri draft for :func:`decide`."""
     p, primary, dual = build.params, build.primary, build.dual
     g, r = p.g, p.r
     products = product_sections(primary, dual)
@@ -562,9 +540,10 @@ def petri_instance(build: PetriBuild) -> Instance:
         Audit("image-bound-within-ambient", True, p.k * p.kbar <= rho * (g - 1)),
         Audit("stability", "stable-by-criterion", stability.verdict),
     )
-    return Instance(
-        "petri", {"g": g, "r": r, "d": p.d, "k": p.k}, p.case, p.k * p.kbar, products,
-        DistributionInfo(dprime, thresholds, quoted), audits, stability, tuple(notes),
+    return products, Verdict(
+        "petri", {"g": g, "r": r, "d": p.d, "k": p.k}, p.case, NOT_PROVEN, p.k * p.kbar,
+        audits=audits, distribution=DistributionInfo(dprime, thresholds, quoted),
+        stability=stability, notes=tuple(notes),
     )
 
 
@@ -591,7 +570,7 @@ def petri_certificate(
             "petri", params, p.case, NOT_PROVEN, p.k * p.kbar,
             certificate_error=f"build failed: {exc}",
         )
-    return decide(petri_instance(build), prime, seed, trials, jets)
+    return decide(*petri_instance(build), prime, seed, trials, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -686,9 +665,10 @@ def colsec_pairs(g: int, rho: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def endo_instance(build: EndoBuild) -> Instance:
+def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict]:
     """Canonical sections times traceless-endomorphism windows, spread 3rho
-    on the first and the last three components and 4rho elsewhere."""
+    on the first and the last three components and 4rho elsewhere, and the
+    endo-onto draft for :func:`decide`."""
     p = build.params
     g, r = p.g, p.r
     rho = r * r - 1
@@ -713,9 +693,9 @@ def endo_instance(build: EndoBuild) -> Instance:
         "last-component canonical classes recomputed from the canonical series:"
         " O(2(g-1)P); h-1 traceless windows there gain one vanishing order",
     )
-    return Instance(
-        "endo-onto", {"g": g, "r": r, "d": p.d}, None, target_dim, products,
-        DistributionInfo(dprime, thresholds, None), audits, None, notes,
+    return products, Verdict(
+        "endo-onto", {"g": g, "r": r, "d": p.d}, None, NOT_PROVEN, target_dim,
+        audits=audits, distribution=DistributionInfo(dprime, thresholds, None), notes=notes,
     )
 
 
@@ -739,4 +719,4 @@ def onto_certificate(
             "endo-onto", params, None, VACUOUS,
             notes=("rank 1: traceless part has rank 0, nothing to prove",),
         )
-    return decide(endo_instance(endo_build(p)), prime, seed, trials, jets)
+    return decide(*endo_instance(endo_build(p)), prime, seed, trials, jets)

@@ -256,14 +256,14 @@ def test_criterion_5_endomorphism_grid():
 
 def _petri_instance(g, r, d, k):
     build = petri_build(petri_params(g, r, d, k))
-    x = petri_instance(build)
-    return build, x.products, x.distribution.thresholds
+    products, draft = petri_instance(build)
+    return build, products, draft.distribution.thresholds
 
 
 def _endo_instance(g, r, d):
     build = endo_build(poin_params(g, r, d))
-    x = endo_instance(build)
-    return build, x.products, x.distribution.thresholds
+    products, draft = endo_instance(build)
+    return build, products, draft.distribution.thresholds
 
 
 def _lower_orders(product, drop):

@@ -137,6 +137,17 @@ class TestSeriesFiles:
         assert payload["dprime"] == [6, 0, 0, 0]
         assert payload["empty_components"] == [2, 3]
 
+    def test_redistribute_json_is_pinned(self, capsys, tmp_path):
+        out_file = tmp_path / "series.json"
+        run(capsys, "canonical", "--g", "4", "--out", str(out_file))
+        code, out, _ = run(
+            capsys, "redistribute", "--series", str(out_file), "--dprime", "6,0,0,0"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "280b2ae5cb3ac46f7b60847d5ef2ec1c40a18ae91d381c50f6fdf519f450a9f8"
+        )
+
     def test_validate_flags_broken_series(self, capsys, tmp_path):
         out_file = tmp_path / "series.json"
         run(capsys, "canonical", "--g", "3", "--out", str(out_file))

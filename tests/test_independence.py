@@ -1,10 +1,11 @@
 """Product sections, elimination certificates, and the rank oracle."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from ellchain.chain import canonical_series, redistribute, survives
+from ellchain.cli import _verdict_exit
 from ellchain.elliptic import AlgebraError, SectionSymbol
 from ellchain.independence import (
     Certificate,
@@ -22,10 +23,14 @@ from ellchain.independence import (
     product_series,
 )
 from ellchain.pipelines import (
+    Audit,
+    Verdict,
     colsec_pairs,
+    decide,
     endo_build,
     endo_instance,
     petri_build,
+    petri_instance,
     petri_params,
     poin_params,
 )
@@ -339,7 +344,7 @@ class TestOracleReference:
 def test_equal_product_rows_are_one_object():
     # the products of onto_certificate(20, 5, 24): 1368 products on 20
     # components, of which 5760 row values are distinct
-    products = endo_instance(endo_build(poin_params(20, 5, 24))).products
+    products, _ = endo_instance(endo_build(poin_params(20, 5, 24)))
     rows = [row for prod in products for row in prod.rows]
     assert len(rows) == 27360
     assert len({id(row) for row in rows}) == 5760
@@ -354,3 +359,24 @@ def test_product_row_symbol_follows_replace(petri_5273):
     assert lowered.symbol == _reference_symbol(lowered)
     assert lowered.symbol.ord_q == row.symbol.ord_q - 3
 
+
+@pytest.mark.parametrize("fixture,instance", [
+    ("petri_5273", lambda: petri_instance(petri_build(petri_params(5, 2, 7, 3)))),
+    ("endo_424", lambda: endo_instance(endo_build(poin_params(4, 2, 4)))),
+], ids=["petri-5273", "endo-424"])
+def test_a_failed_audit_keeps_a_certified_draft_not_proven(request, fixture, instance):
+    # decide's audit gate: certificate and oracle pass, one audit does not
+    products, thresholds = request.getfixturevalue(fixture)
+    built, draft = instance()
+    assert built == products and draft.distribution.thresholds == thresholds
+    assert decide(products, draft, DEFAULT_PRIME, 0, 1).status == "proven"
+    draft = replace(draft, audits=draft.audits + (Audit("forced", 1, 2),))
+    v = decide(products, draft, DEFAULT_PRIME, 0, 1)
+    assert v.certificate is not None and v.certificate.eliminated == len(products)
+    assert v.certificate_error is None and v.oracle.agreed
+    assert v.status == "not-proven"
+    assert _verdict_exit(v) == 4
+    settled = {"status", "product_count", "certificate", "certificate_error", "oracle"}
+    for f in fields(Verdict):
+        if f.name not in settled:
+            assert getattr(v, f.name) == getattr(draft, f.name), f.name

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from ellchain import serialize
-from ellchain.chain import validate_lls, validate_rank1
+from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
     CASE_A,
@@ -15,9 +15,11 @@ from ellchain.pipelines import (
     colsec_pairs,
     endo_build,
     endo_h0,
+    endo_instance,
     onto_certificate,
     petri_build,
     petri_certificate,
+    petri_instance,
     petri_params,
     petri_quoted_thresholds,
     poin_params,
@@ -181,6 +183,32 @@ def test_builds_are_pinned():
     assert (petri, endo) == (1482, 63)
     assert digest.hexdigest() == "8ad75a484ada9893ce2fb01e28279586e2edb26cf7521864a3e2329b440d7730"
     assert duals.hexdigest() == "41c6533fd93707da94833956b2b53f48edf5c8594d9c2e65584009e203a18655"
+
+
+def _petri_5273():
+    build = petri_build(petri_params(5, 2, 7, 3))
+    products, draft = petri_instance(build)
+    return product_series(build.primary, build.dual, products), draft
+
+
+def _endo_424():
+    build = endo_build(poin_params(4, 2, 4))
+    products, draft = endo_instance(build)
+    return product_series(canonical_series(4), build.endo_series, products), draft
+
+
+@pytest.mark.parametrize("make,digest", [
+    (_petri_5273, "ef8c4a7d811717600f26f2c622cafb03bf7d646b5d7258a2a6c400e47d314d6f"),
+    (_endo_424, "d85f718ad66b1ed6cb928dcb48891fea4495e4fd5db70e67649f5444c2acd886"),
+], ids=["petri-5273", "endo-424"])
+def test_verdict_redistributions_are_pinned(make, digest):
+    # verdict JSON keeps only the thresholds: pin the whole redistribution of
+    # the product series, surviving tables and twisted bundles included
+    series, draft = make()
+    redist = redistribute(series, draft.distribution.dprime)
+    assert redist.thresholds == draft.distribution.thresholds
+    text = serialize.dumps(redist)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestPoinParams:

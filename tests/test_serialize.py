@@ -99,9 +99,8 @@ def test_slots_and_classes_survive():
 
 def _not_proven():
     # a duplicated product cannot be discriminated: no certificate, low oracle rank
-    instance = petri_instance(petri_build(petri_params(4, 2, 6, 2)))
-    doubled = replace(instance, products=instance.products + instance.products[:1])
-    return decide(doubled, DEFAULT_PRIME, 0, 1)
+    products, draft = petri_instance(petri_build(petri_params(4, 2, 6, 2)))
+    return decide(products + products[:1], draft, DEFAULT_PRIME, 0, 1)
 
 
 @pytest.mark.parametrize("make,status", [
