@@ -183,13 +183,15 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
     usage error that names it; one from the caller's own work propagates.
     The temporary file is opened before the caller computes anything, so an
     unwritable ``out`` is a usage error up front; it gets the mode a plain
-    ``open`` gives.  On any exception it is removed, so ``out`` is either
-    complete or as it was before.
+    ``open`` gives.  Its name does not grow with the name of ``out``, so any
+    name the filesystem takes can be written.  On any exception it is
+    removed, so ``out`` is either complete or as it was before.
 
     A symlink ``out`` is followed: the temporary file goes beside its
-    target and replaces that, so the link is kept.  A target that exists and
-    is not a regular file, such as a device or a FIFO, would become one if
-    replaced: it is written in place, and what was written before a failure
+    target and replaces that, so the link is kept.  An ``out`` that exists
+    and is not a regular file once links are followed, such as a device, a
+    FIFO or ``/dev/stdout`` on a pipe, would become one if replaced: it is
+    opened and written in place, and what was written before a failure
     stays written.
     """
     name = "stdout" if out is None else out
@@ -217,8 +219,10 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
         raise _UsageError(f"cannot write {out}: is a directory")
     target = Path(os.path.realpath(out))
     with writing():
-        in_place = target.exists() and not target.is_file()
-        tmp = target if in_place else target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        # decided from out itself: the resolved name of a link into /proc,
+        # such as /dev/stdout on a pipe, names no file that can be opened
+        in_place = out.exists() and not out.is_file()
+        tmp = out if in_place else target.with_name(f".ellchain-{os.getpid()}.tmp")
         f = open(tmp, "w", encoding="utf-8")
     try:
         yield write
@@ -335,8 +339,7 @@ def cmd_canonical(args) -> int:
     try:
         series = canonical_series(args.g)
     except AlgebraError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     report = validate_lls(series)
     rank1 = validate_rank1(series)
     if args.format == "table":
@@ -364,8 +367,7 @@ def cmd_tableaux(args) -> int:
     try:
         count = count_tableaux(args.g, args.r, args.d)
     except TableauError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     if not args.enumerate_all:
         _emit(f"{count}\n", args.out)
         return EXIT_OK
@@ -408,8 +410,7 @@ def cmd_redistribute(args) -> int:
         dprime = [int(x) for x in args.dprime.split(",")]
         redist = redistribute(series, dprime)
     except (OSError, ValueError, AlgebraError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     _emit(serialize.dumps(redist), args.out)
     return EXIT_OK
 
@@ -418,8 +419,7 @@ def cmd_validate(args) -> int:
     try:
         series = _read_series(args.series)
     except (OSError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     report = validate_lls(series)
     _emit(serialize.dumps(report), args.out)
     return EXIT_OK if report.ok else EXIT_NOT_PROVEN
@@ -450,59 +450,46 @@ def _sweep(args) -> Iterator[tuple[int, ...]]:
 def cmd_certify(args) -> int:
     """``petri`` and ``endo``: one verdict, or the admitted verdicts of a sweep.
 
-    A sweep writes each admitted verdict's text as soon as it is decided and
-    keeps only the worst exit code, so its memory does not grow with the grid.
-    The bytes are those of the whole list encoded at once.  The verdicts of
-    one (g, r) run share the oracle's jet table, which is dropped when the
-    run ends, so the memory it takes is bounded by one run's scalars.
+    A sweep runs one loop over the (g, r) runs of its tuples.  The verdicts
+    of a run share the oracle's jet table, which is dropped when the run
+    ends, so the memory it takes is bounded by one run's scalars.  Each
+    admitted verdict's text is written as soon as it is decided, and the
+    verdict is dropped before the next one starts: only the worst exit code
+    is kept, so memory does not grow with the grid.  The bytes are those of
+    the whole list encoded at once.
     """
     # looked up per call, so a rebound module attribute takes effect
     certify = petri_certificate if args.command == "petri" else onto_certificate
+    oracle = {"prime": args.prime, "seed": args.seed, "trials": args.trials}
     table = args.format == "table"
-
-    def verdict(t: tuple[int, ...], jets: Jets) -> Verdict:
-        return certify(*t, prime=args.prime, seed=args.seed, trials=args.trials, jets=jets)
-
     try:
         if args.sweep:
-            tuples = _sweep(args)
+            runs = itertools.groupby(_sweep(args), key=lambda t: t[:2])
         else:
             names = "grdk" if args.command == "petri" else "grd"
             single = tuple(_single(getattr(args, n), n) for n in names)
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc)) from None
     if not args.sweep:
-        v = verdict(single, {})
-        text = _verdict_line(v) + "\n" if table else serialize.dumps(v)
-        _emit(text, args.out)
+        v = certify(*single, **oracle, jets={})
+        _emit(_verdict_line(v) + "\n" if table else serialize.dumps(v), args.out)
         return _verdict_exit(v)
-
-    def rendered(t: tuple[int, ...], jets: Jets) -> tuple[str, int] | None:
-        # the verdict dies on return: only its text and exit code outlive it
-        v = verdict(t, jets)
-        if v.status == HYPOTHESIS_NOT_MET:  # most tuples of a grid
-            return None
-        if table:
-            return _verdict_line(v) + "\n", _verdict_exit(v)
-        # the text of the whole list encoded at once, one element at a time
-        return serialize.encode(serialize.to_payload(v), "  "), _verdict_exit(v)
-
-    def rows() -> Iterator[tuple[str, int] | None]:
-        for _, run in itertools.groupby(tuples, key=lambda t: t[:2]):
-            jets: Jets = {}
-            for t in run:
-                yield rendered(t, jets)
 
     worst, written = EXIT_OK, 0
     with _writer(args.out) as write:
-        for row in rows():
-            if row is not None:
-                text, code = row
-                if not table:
-                    write(",\n  " if written else "[\n  ")
-                write(text)
-                worst, written = max(worst, code), written + 1
+        for _, run in runs:
+            jets: Jets = {}
+            for t in run:
+                v = certify(*t, **oracle, jets=jets)
+                if v.status != HYPOTHESIS_NOT_MET:  # most tuples of a grid are not admitted
+                    if table:
+                        write(_verdict_line(v) + "\n")
+                    else:
+                        # the text of the whole list encoded at once, one element at a time
+                        write(",\n  " if written else "[\n  ")
+                        write(serialize.encode(serialize.to_payload(v), "  "))
+                    worst, written = max(worst, _verdict_exit(v)), written + 1
+                del v  # only its text and exit code outlive it
         if not written:
             write("\n" if table else "[]\n")
         elif not table:

@@ -361,6 +361,26 @@ def test_an_inverted_range_is_usage_error(capsys, tmp_path, command, option):
     assert err == f"usage error: {option} 5..3 is an empty range: 5 > 3\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("canonical", "--g", "1"), "canonical series needs genus >= 2, got 1"),
+    (("tableaux", "--g", "3", "--r", "-1", "--d", "2"), "need r >= 0, got -1"),
+    (("tableaux", "--g", "3", "--r", "1", "--d", "9"), "shape (2) x (-5) has negative width"),
+    (("validate", "--series", "{missing}"),
+     "[Errno 2] No such file or directory: '{missing}'"),
+    (("redistribute", "--series", "{missing}", "--dprime", "1"),
+     "[Errno 2] No such file or directory: '{missing}'"),
+    (("petri", "--g", "5", "--r", "2", "--d", "7"), "--k needs a single value here"),
+    (("petri", "--sweep", "--g", "2..3"), "missing required range"),
+    (("endo", "--g", "4..5", "--r", "2", "--d", "4"), "--g needs a single value here"),
+], ids=["canonical-genus", "tableaux-rank", "tableaux-width", "validate-missing",
+        "redistribute-missing", "petri-no-k", "petri-sweep-no-r", "endo-range-g"])
+def test_bad_input_exits_2_with_its_one_line(capsys, tmp_path, argv, message):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message.format(missing=missing)}\n"
+
+
 # six admitted, proven verdicts among the sweep's eight tuples
 SMALL_SWEEP = ("petri", "--sweep", "--g", "4..5", "--r", "2", "--d", "6..7", "--k", "2..3")
 
@@ -443,6 +463,17 @@ def test_a_symlinked_out_replaces_its_target_and_keeps_the_link(capsys, tmp_path
     assert link.is_symlink() and os.readlink(link) == target.name
     assert target.read_text(encoding="utf-8") == run(capsys, "canonical", "--g", "3")[1]
     assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_an_out_name_as_long_as_the_filesystem_takes_is_written(capsys, tmp_path):
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+        pytest.skip("names of 255 bytes are not taken here")
+    out_file = tmp_path / ("o" * 250 + ".json")
+    code, out, err = run(capsys, "canonical", "--g", "3", "--out", str(out_file))
+    assert code == 0 and out == "" and err == ""
+    assert out_file.read_text(encoding="utf-8") == run(capsys, "canonical", "--g", "3")[1]
+    # no temporary file is left beside it
+    assert list(tmp_path.iterdir()) == [out_file]
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
@@ -727,3 +758,13 @@ def test_a_closed_pipe_on_stdout_exits_2_with_one_line():
         os.close(write)
     assert done.returncode == 2
     assert done.stderr == f"usage error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_into_a_pipe_is_written_in_place():
+    # the resolved name of /dev/stdout on a pipe, /proc/<pid>/fd/pipe:[N], opens nothing
+    done = _console(["canonical", "--g", "5", "--out", "/dev/stdout"], subprocess.PIPE)
+    assert done.returncode == 0 and done.stderr == ""
+    assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == (
+        "c26f3c3ad403ebecc2a4dc1243fff9e1c8655ed87eb6753b6005b38aa07998d8"
+    )
