@@ -22,7 +22,7 @@ from typing import Callable, Iterator, NoReturn, Sequence
 
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
-from ellchain.elliptic import AlgebraError, LineBundleClass
+from ellchain.elliptic import AlgebraError, LineBundleClass, clear_memos
 from ellchain.independence import DEFAULT_PRIME, Jets, OracleConfig
 from ellchain.pipelines import HYPOTHESIS_NOT_MET, Verdict, onto_certificate, petri_certificate
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
@@ -188,20 +188,23 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
     removed, so ``out`` is either complete or as it was before.
 
     A symlink ``out`` is followed: the temporary file goes beside its
-    target and replaces that, so the link is kept.  An ``out`` that exists
-    and is not a regular file once links are followed, such as a device, a
-    FIFO or ``/dev/stdout`` on a pipe, would become one if replaced: it is
-    opened and written in place, and what was written before a failure
-    stays written.
+    target and replaces that, so the link is kept.  An ``out`` that is the
+    file stdout is open on, such as ``/dev/stdout``, is written through
+    stdout, so a shell's ``>>`` appends and its ``>`` truncates.  Any other
+    ``out`` that exists and is not a regular file once links are followed,
+    such as a device or a FIFO, would become one if replaced: it is opened
+    and written in place, and what was written before a failure stays
+    written.
     """
     name = "stdout" if out is None else out
+    to_stdout = out is None or _is_stdout(out)
 
     @contextlib.contextmanager
     def writing() -> Iterator[None]:
         try:
             yield
         except OSError as exc:
-            if out is None:
+            if to_stdout:
                 _drop_stdout()
             raise _UsageError(f"cannot write {name}: {exc.strerror or exc}") from None
 
@@ -209,7 +212,7 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
         with writing():
             f.write(text)
 
-    if out is None:
+    if to_stdout:
         f = sys.stdout
         yield write
         with writing():
@@ -236,6 +239,15 @@ def _writer(out: Path | None) -> Iterator[Callable[[str], object]]:
         if not in_place:
             tmp.unlink(missing_ok=True)
         raise
+
+
+def _is_stdout(out: Path) -> bool:
+    """Whether ``out`` names the file stdout is open on (same device and inode)."""
+    try:
+        named, ours = os.stat(out), os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no such file, or a stream without a descriptor
+        return False
+    return (named.st_dev, named.st_ino) == (ours.st_dev, ours.st_ino)
 
 
 def _drop_stdout() -> None:
@@ -452,7 +464,9 @@ def cmd_certify(args) -> int:
 
     A sweep runs one loop over the (g, r) runs of its tuples.  The verdicts
     of a run share the oracle's jet table, which is dropped when the run
-    ends, so the memory it takes is bounded by one run's scalars.  Each
+    ends, so the memory it takes is bounded by one run's scalars.  The
+    class algebra's memo tables are emptied where each run's jet table
+    starts, a single verdict's included, so they too hold one run.  Each
     admitted verdict's text is written as soon as it is decided, and the
     verdict is dropped before the next one starts: only the worst exit code
     is kept, so memory does not grow with the grid.  The bytes are those of
@@ -471,6 +485,7 @@ def cmd_certify(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if not args.sweep:
+        clear_memos()
         v = certify(*single, **oracle, jets={})
         _emit(_verdict_line(v) + "\n" if table else serialize.dumps(v), args.out)
         return _verdict_exit(v)
@@ -479,6 +494,7 @@ def cmd_certify(args) -> int:
     with _writer(args.out) as write:
         for _, run in runs:
             jets: Jets = {}
+            clear_memos()
             for t in run:
                 v = certify(*t, **oracle, jets=jets)
                 if v.status != HYPOTHESIS_NOT_MET:  # most tuples of a grid are not admitted

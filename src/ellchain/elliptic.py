@@ -20,22 +20,58 @@ is exact or only a lower bound.
 
 Every type here is a value type made by :func:`value`: a frozen, slotted
 dataclass whose ``__init__`` stores its fields through their slots.  A
-sweep builds these objects by the million (about 1.7 million for ``petri
---sweep --g 2..10 --r 1..4``), and that store costs about half of the
-``object.__setattr__`` a frozen dataclass uses.
+sweep builds these objects by the million (about 1.5 million through their
+constructors for ``petri --sweep --g 2..10 --r 1..4``), and that store
+costs about half of the ``object.__setattr__`` a frozen dataclass uses.
+
+The pure operations that a sweep repeats on the same few classes are
+memoized by :func:`memo`: :class:`Degree0Class` sums and negations (so
+differences too), :meth:`Degree0Class.of_generic`, and the slot tensor
+product behind :func:`ellchain.independence.product_bundle`.  Each table
+is keyed by the operands' values (their ``==`` and hash), and an operation
+that raises stores nothing.  Value types are immutable with unique normal
+forms, so a stored result equals a fresh one.  The tables last until
+:func:`clear_memos` empties them: ``ellchain.cli`` does so where each (g, r)
+run of a sweep, or a single verdict, starts, so they hold one run's classes.
+A caller that decides many verdicts itself empties them the same way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from typing import Iterator, TypeVar, Union
+from typing import Callable, Iterator, TypeVar, Union
 
 _T = TypeVar("_T")
+_F = TypeVar("_F", bound=Callable)
 
 
 class AlgebraError(ValueError):
     """Raised when an operation is applied outside its domain."""
+
+
+#: every :func:`memo` table, emptied together by :func:`clear_memos`
+_MEMOS: list = []
+
+
+def memo(fn: _F) -> _F:
+    """``functools.cache`` on ``fn``, a pure operation on value types,
+    with its table emptied by :func:`clear_memos`.
+
+    The key is the arguments themselves, compared by value.  A call that
+    raises caches nothing, so it raises again on the next call.  The
+    uncached function stays reachable as ``__wrapped__``.
+    """
+    cached = functools.cache(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_memos() -> None:
+    """Empty every :func:`memo` table."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 def value(cls: type[_T]) -> type[_T]:
@@ -143,6 +179,7 @@ class Degree0Class:
         return cls(pq=n)
 
     @classmethod
+    @memo
     def of_generic(cls, name: str, coeff: int = 1) -> "Degree0Class":
         return cls(generic=((name, coeff),))
 
@@ -156,6 +193,7 @@ class Degree0Class:
     def is_trivial(self) -> bool:
         return self.pq == 0 and not self.generic and not self.torsion
 
+    @memo
     def __add__(self, other: "Degree0Class") -> "Degree0Class":
         return _normal(
             self.pq + other.pq,
@@ -163,6 +201,7 @@ class Degree0Class:
             _add_torsion(self.torsion, other.torsion),
         )
 
+    @memo
     def __neg__(self) -> "Degree0Class":
         # negation keeps every coefficient and residue nonzero and every name in place
         return _normal(

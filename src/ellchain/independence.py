@@ -43,6 +43,7 @@ from ellchain.elliptic import (
     SectionSymbol,
     Slot,
     VanishingTable,
+    memo,
     value,
 )
 
@@ -55,6 +56,7 @@ DEFAULT_PRIME = (1 << 61) - 1
 # ---------------------------------------------------------------------------
 
 
+@memo
 def _product_slot(sa: Slot, sb: Slot) -> Slot:
     if isinstance(sa, LineBundleClass) and isinstance(sb, LineBundleClass):
         return LineBundleClass(sa.a + sb.a, sa.b + sb.b, sa.twist + sb.twist)

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
@@ -19,6 +20,7 @@ import pytest
 import ellchain.cli as cli
 import ellchain.independence as independence
 from ellchain.cli import main
+from ellchain.elliptic import Degree0Class, clear_memos
 from ellchain.tableaux import enumerate_tableaux
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -336,6 +338,45 @@ def test_a_sweep_hashes_each_jet_scalar_once_per_g_r_run(monkeypatch, tmp_path):
     assert max(hashed.values()) == 1
     # each run starts a table of its own: some scalar is hashed again in a later run
     assert len({key[1:] for key in hashed}) < len(hashed)
+
+
+def test_a_sweep_empties_the_memo_tables_once_per_g_r_run(monkeypatch, tmp_path):
+    real_clear, real_certify, events = cli.clear_memos, cli.petri_certificate, []
+
+    def clear():
+        events.append("emptied")
+        real_clear()
+
+    def certify(g, r, *args, **kwargs):
+        events.append((g, r))
+        return real_certify(g, r, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "clear_memos", clear)
+    monkeypatch.setattr(cli, "petri_certificate", certify)
+    argv = ["petri", "--sweep", "--g", "4..5", "--r", "1..2"]
+    assert main([*argv, "--out", str(tmp_path / "sweep.json")]) == 0
+    # each run's first verdict follows an emptying, and no other verdict does
+    assert [e for e, _ in itertools.groupby(events)] == [
+        "emptied", (4, 1), "emptied", (4, 2), "emptied", (5, 1), "emptied", (5, 2)
+    ]
+
+
+def test_verdicts_decided_with_tables_warmed_by_other_runs_keep_their_bytes(
+    capsys, monkeypatch
+):
+    # the tables are never emptied, so every run after the first, petri
+    # (5, 2, 7, 3) among them, reads classes an earlier run put there
+    monkeypatch.setattr(cli, "clear_memos", lambda: None)
+    clear_memos()
+    try:
+        code, out, _ = run(capsys, "petri", "--sweep", "--g", "2..5", "--r", "1..2")
+        assert Degree0Class.__add__.cache_info().hits > 0
+    finally:
+        clear_memos()
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8c7b6822d3a82cb2e6dee22024f5ab7fd8b32a3362e8e5ca03e48e2e6e8f2648"
+    )
 
 
 def test_sweep_admitting_nothing_prints_an_empty_list(capsys):
@@ -768,3 +809,15 @@ def test_out_dev_stdout_into_a_pipe_is_written_in_place():
     assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == (
         "c26f3c3ad403ebecc2a4dc1243fff9e1c8655ed87eb6753b6005b38aa07998d8"
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_onto_a_file_keeps_the_shells_append(tmp_path):
+    # as `ellchain ... --out /dev/stdout >> f`: replacing the file would drop what it held
+    out_file = tmp_path / "f"
+    out_file.write_text("earlier\n", encoding="utf-8")
+    with open(out_file, "a", encoding="utf-8") as appended:
+        done = _console(["tableaux", "--g", "6", "--r", "1", "--d", "4", "--out", "/dev/stdout"],
+                        appended)
+    assert done.returncode == 0 and done.stderr == ""
+    assert out_file.read_text(encoding="utf-8") == "earlier\n5\n"

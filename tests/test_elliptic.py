@@ -19,6 +19,7 @@ from ellchain.elliptic import (
     LineBundleClass,
     SectionSymbol,
     VanishingTable,
+    clear_memos,
     end_decomposition,
     iter_trivial_slots,
     section_space,
@@ -32,6 +33,7 @@ from ellchain.independence import (
     ProductRow,
     ProductSection,
     Survivor,
+    _product_slot,
 )
 from reference import (
     class_isomorphic,
@@ -64,8 +66,12 @@ class TestDegree0Class:
         assert (a - a).is_trivial
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(AlgebraError):
-            Degree0Class.of_torsion("eta", 2) + Degree0Class.of_torsion("eta", 3)
+        two, three = Degree0Class.of_torsion("eta", 2), Degree0Class.of_torsion("eta", 3)
+        for _ in range(2):  # a call that raises is not memoized, so it raises again
+            with pytest.raises(AlgebraError, match="'eta' declared with two orders"):
+                two + three
+            with pytest.raises(AlgebraError, match="'eta' declared with two orders"):
+                _product_slot(LineBundleClass(1, 0, two), IndecomposableSlot(2, 1, three))
 
     @pytest.mark.parametrize("torsion", [
         (("t", 3, 1), ("t", 3, 2)),
@@ -386,6 +392,35 @@ def test_trivial_slots_of_end_decomposition_match_reference_h0(e):
         # Hom(L_i, L_j) is trivial exactly when L_i and L_j are isomorphic
         assert len(trivial) == sum(class_isomorphic(si, sj) for si in e.slots for sj in e.slots)
 
+
+
+# -- memo tables -------------------------------------------------------------
+
+normal_classes = raw_classes().map(lambda x: built(*x))
+slots = st.one_of(
+    st.builds(LineBundleClass, st.integers(-2, 4), st.integers(-2, 4), normal_classes),
+    st.builds(IndecomposableSlot, st.integers(1, 3), st.integers(-2, 4), normal_classes),
+)
+
+
+@given(
+    normal_classes, normal_classes, slots, slots,
+    st.sampled_from(["x", "P1.0"]), st.integers(-2, 2), st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_memoized_class_algebra_equals_the_unmemoized(a, b, sa, sb, name, coeff, empty_after):
+    add, neg = Degree0Class.__add__.__wrapped__, Degree0Class.__neg__.__wrapped__
+    of_generic = Degree0Class.of_generic.__wrapped__
+    for round_ in range(3):  # later rounds read what earlier ones stored, unless emptied
+        assert a + b == add(a, b)
+        assert -a == neg(a)
+        assert a - b == add(a, neg(b))
+        assert Degree0Class.of_generic(name, coeff) == of_generic(Degree0Class, name, coeff)
+        assert _product_slot(sa, sb) == _product_slot.__wrapped__(sa, sb)
+        assert (a + b) is (a + b) and _product_slot(sa, sb) is _product_slot(sa, sb)
+        if round_ == empty_after:
+            clear_memos()
+            assert Degree0Class.__add__.cache_info().currsize == 0
 
 
 # -- value types -------------------------------------------------------------
