@@ -15,15 +15,21 @@ jet coefficients of the factor sections, hence implicitly the gluing
 scalars) as pseudo-random residues modulo a prime and computes the rank of
 the matrix of surviving leading-jet coordinates.  Identical factor pairs
 produce identical rows, so injected duplicates drop the rank; the oracle can
-confirm a certificate but never certify anything on its own.  Each jet
-scalar is hashed once per table of :data:`Jets`, cached by exactly what it
-depends on, and shared by every product, and every call, that reads the
-table: a sweep keeps one table for the verdicts of each (g, r) run.  Columns
-are keyed by ``(component, slot, point, offset)`` tuples, so slots of
-different components never share a column however many there are.
+confirm a certificate but never certify anything on its own.  The oracle
+judges death on a component by its own rule, read off the factor rows
+(:func:`oracle_plan`), not by :func:`ellchain.chain.survives`, which the
+certificate uses.  The matrix's sparsity pattern depends on no seed:
+:func:`oracle_plan` lays it out once, as integer columns and the jet keys
+each entry convolves, and each seed and trial only draws the keys' scalars
+and eliminates.  Columns are numbered in the sort order of their
+``(component, slot, point, offset)`` keys, so slots of different components
+never share a column however many there are.  Each jet scalar is hashed
+once per table of :data:`Jets`, cached by exactly what it depends on, and
+shared by every product, and every call, that reads the table: a sweep
+keeps one table for the verdicts of each (g, r) run.
 
-Rows, sections, survivors, passes, certificates and the oracle
-configuration are value types made by :func:`ellchain.elliptic.value`, like
+Rows, sections, survivors, passes, certificates, the oracle configuration
+and its plan are value types made by :func:`ellchain.elliptic.value`, like
 the symbols they are built from.
 """
 
@@ -352,12 +358,14 @@ def _trial_jets(prime: int, seed: int, trial: int) -> Jet:
     return jet
 
 
-def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
-    """Gaussian elimination over F_p on sparse rows (dict: column -> value)."""
-    pivots: dict[tuple, dict[tuple, int]] = {}
+def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
+    """Gaussian elimination over F_p on sparse rows (dict: column -> value).
+
+    Every entry must already be reduced and nonzero; the rows are consumed.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
-        row = {c: v % prime for c, v in row.items() if v % prime}
         while row:
             col = min(row)
             piv = pivots.get(col)
@@ -375,25 +383,81 @@ def _rank_mod_p(rows: list[dict[tuple, int]], prime: int) -> int:
     return rank
 
 
-LiveRows = tuple[tuple[tuple[int, ProductRow], ...], ...]
+#: a jet scalar's key: ``(tag, fid, comp, point, level, nonzero)``
+JetKey = tuple[str, int, int, str, int, bool]
 
 
-def live_rows(
+@value
+class OraclePlan:
+    """The seed-independent half of a verdict's oracle matrix.
+
+    ``keys`` are the distinct jet keys the matrix reads, in first-use order.
+    ``rows`` holds, per product, its entries as ``(column, pairs)``: the
+    entry is the sum of ``vals[a] * vals[b]`` over the flat ``pairs``
+    ``(a0, b0, a1, b1, ...)``, where ``vals[k]`` is one trial's scalar for
+    ``keys[k]``.  Columns are integers numbered in the sort order of their
+    ``(component, slot, point, offset)`` keys.
+    """
+
+    keys: tuple[JetKey, ...]
+    rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+
+
+def oracle_plan(
     products: Sequence[ProductSection], thresholds: Sequence[tuple[int, int]]
-) -> LiveRows:
-    """Per product, its ``(component, row)`` pairs that meet the component's
-    threshold: the rows the oracle reads, whatever its seed or trial."""
-    return tuple(
-        tuple((i, prow) for i, prow in enumerate(prod.rows) if survives(thresholds[i], prow.symbol))
-        for prod in products
-    )
+) -> OraclePlan:
+    """Plan the oracle matrix of ``products`` under ``thresholds``.
+
+    A product is dead on a component, and has no entries there, when at P or
+    at Q both factor rows' orders are exact and their sum is below the
+    threshold; inexact orders are lower bounds and never kill.  The rule
+    reads the factor rows and is stated apart from
+    :func:`ellchain.chain.survives`, which the certificate reads, so a fault
+    in one does not reach the other.  On a live component the product has,
+    per point and per level threshold and threshold+1, the bilinear
+    convolution of its factors' jets: the pairs ``(la, level - la)`` with
+    ``la >= ord_a`` and ``level - la >= ord_b``, where an exact order's
+    leading jet is nonzero and every other jet a free residue.  A
+    convolution with no pairs is left out.
+    """
+    index: dict[JetKey, int] = {}
+    key = index.setdefault
+    width = 1 + max((row.slot for prod in products for row in prod.rows), default=0)
+    rows = []
+    for prod in products:
+        fa, fb = prod.factor_a, prod.factor_b
+        entries = []
+        for i, (prow, (th_p, th_q)) in enumerate(zip(prod.rows, thresholds, strict=True)):
+            a, b = prow.row_a, prow.row_b
+            if (a.exact_p and b.exact_p and a.ord_p + b.ord_p < th_p) or (
+                a.exact_q and b.exact_q and a.ord_q + b.ord_q < th_q
+            ):
+                continue
+            # (component, slot, point, offset) -> ((i * width + slot) * 2 + point) * 2 + offset
+            base = (i * width + prow.slot) * 4
+            for col, point, th, ord_a, exact_a, ord_b, exact_b in (
+                (base, "P", th_p, a.ord_p, a.exact_p, b.ord_p, b.exact_p),
+                (base + 2, "Q", th_q, a.ord_q, a.exact_q, b.ord_q, b.exact_q),
+            ):
+                for level in (th, th + 1):
+                    pairs = []
+                    for la in range(ord_a, level - ord_b + 1):
+                        lb = level - la
+                        pairs += (
+                            key(("A", fa, i, point, la, exact_a and la == ord_a), len(index)),
+                            key(("B", fb, i, point, lb, exact_b and lb == ord_b), len(index)),
+                        )
+                    if pairs:
+                        entries.append((col + level - th, tuple(pairs)))
+        rows.append(tuple(entries))
+    return OraclePlan(tuple(index), tuple(rows))
 
 
 def oracle_rank(
     products: Sequence[ProductSection],
     thresholds: Sequence[tuple[int, int]],
     cfg: OracleConfig = OracleConfig(),
-    live: LiveRows | None = None,
+    plan: OraclePlan | None = None,
     jets: Jets | None = None,
 ) -> int:
     """Rank of the surviving leading-jet matrix over F_prime; max over trials.
@@ -406,17 +470,18 @@ def oracle_rank(
     bilinear convolution of its factors' jets.  A dead product contributes
     nothing on the component.  The rank can only underestimate the generic
     rank, never exceed the product count.
-    ``live`` is ``live_rows(products, thresholds)``, passed in by a caller
-    that ranks the same products under several seeds.  ``jets`` holds each
-    trial's cached scalars (:func:`_trial_jets`) and gains the trials it
-    lacks; a caller that ranks many product lists, such as a sweep, passes
-    one table to all of them so that no scalar is hashed twice.  Since a
-    scalar depends on nothing but its key, the rank is the same for any
-    table; without one, the call uses a table of its own.
+    ``plan`` is ``oracle_plan(products, thresholds)``, passed in by a caller
+    that ranks the same products under several seeds; each trial only draws
+    the plan's scalars and eliminates.  ``jets`` holds each trial's cached
+    scalars (:func:`_trial_jets`) and gains the trials it lacks; a caller
+    that ranks many product lists, such as a sweep, passes one table to all
+    of them so that no scalar is hashed twice.  Since a scalar depends on
+    nothing but its key, the rank is the same for any table; without one,
+    the call uses a table of its own.
     """
     prime, seed = cfg.prime, cfg.seed
-    if live is None:
-        live = live_rows(products, thresholds)
+    if plan is None:
+        plan = oracle_plan(products, thresholds)
     if jets is None:
         jets = {}
     best = 0
@@ -425,27 +490,18 @@ def oracle_rank(
         jet = jets.get(key)
         if jet is None:
             jet = jets[key] = _trial_jets(*key)
-        rows: list[dict[tuple, int]] = []
-        for prod, alive in zip(products, live):
-            fa, fb = prod.factor_a, prod.factor_b
-            row: dict[tuple, int] = {}
-            for i, prow in alive:
-                (th_p, th_q), a, b = thresholds[i], prow.row_a, prow.row_b
-                for point, th, ord_a, exact_a, ord_b, exact_b in (
-                    ("P", th_p, a.ord_p, a.exact_p, b.ord_p, b.exact_p),
-                    ("Q", th_q, a.ord_q, a.exact_q, b.ord_q, b.exact_q),
-                ):
-                    for level in (th, th + 1):
-                        # la >= ord_a and level - la >= ord_b: an exact order's
-                        # leading jet is nonzero, every other jet a free residue
-                        total = 0
-                        for la in range(ord_a, level - ord_b + 1):
-                            lb = level - la
-                            total += (jet("A", fa, i, point, la, exact_a and la == ord_a)
-                                      * jet("B", fb, i, point, lb, exact_b and lb == ord_b))
-                        total %= prime
-                        if total:
-                            row[(i, prow.slot, point, level - th)] = total
+        vals = [jet(*k) for k in plan.keys]
+        rows: list[dict[int, int]] = []
+        for entries in plan.rows:
+            row: dict[int, int] = {}
+            for col, pairs in entries:
+                # the plan leaves out empty convolutions: every entry has a pair
+                total = vals[pairs[0]] * vals[pairs[1]]
+                for j in range(2, len(pairs), 2):
+                    total += vals[pairs[j]] * vals[pairs[j + 1]]
+                total %= prime
+                if total:
+                    row[col] = total
             rows.append(row)
         best = max(best, _rank_mod_p(rows, prime))
     return best

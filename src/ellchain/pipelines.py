@@ -61,7 +61,7 @@ from ellchain.independence import (
     OracleConfig,
     ProductSection,
     certify_independence,
-    live_rows,
+    oracle_plan,
     oracle_rank,
     product_sections,
     product_series,
@@ -446,17 +446,19 @@ def decide(
     The products are judged against ``draft.distribution.thresholds`` alone.
     Proven needs every product eliminated, every audit passed and every
     oracle rank equal to the product count; the draft's other fields are
-    kept as they are.  ``jets`` is the oracle's jet table (see
+    kept as they are.  The oracle's matrix is planned once
+    (:func:`~ellchain.independence.oracle_plan`) and the plan passed to all
+    three seeds.  ``jets`` is the oracle's jet table (see
     :func:`~ellchain.independence.oracle_rank`).
     """
     thresholds = draft.distribution.thresholds
     outcome = certify_independence(products, thresholds)
     certificate = outcome if isinstance(outcome, Certificate) else None
     seeds = (seed, seed + 1, seed + 2)
-    live = live_rows(products, thresholds)
+    plan = oracle_plan(products, thresholds)
     ranks = tuple(
         oracle_rank(
-            products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), live, jets
+            products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), plan, jets
         )
         for s in seeds
     )

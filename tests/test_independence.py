@@ -17,6 +17,7 @@ from ellchain.independence import (
     _coeff,
     _rank_mod_p,
     certify_independence,
+    oracle_plan,
     oracle_rank,
     product_bundle,
     product_sections,
@@ -339,6 +340,80 @@ class TestOracleReference:
             cfg = OracleConfig(seed=seed)
             assert _reference_oracle_rank(products, thresholds, cfg) == 1
             assert oracle_rank(products, thresholds, cfg) == 2
+
+
+class TestOraclePlan:
+    @pytest.mark.parametrize("fixture", ["petri_5273", "endo_424"])
+    @pytest.mark.parametrize("mutant", ["none", "duplicate", "raised-order"])
+    def test_one_plan_serves_every_seed_and_trial(self, request, fixture, mutant):
+        products, thresholds = request.getfixturevalue(fixture)
+        if mutant == "duplicate":
+            products = products + (products[len(products) // 2],)
+        elif mutant == "raised-order":
+            products = (_raise_order(products[0]),) + products[1:]
+        plan = oracle_plan(products, thresholds)
+        for seed in range(5):
+            for trials in (1, 2):
+                cfg = OracleConfig(seed=seed, trials=trials)
+                assert oracle_rank(products, thresholds, cfg, plan) == _reference_oracle_rank(
+                    products, thresholds, cfg
+                )
+
+    def test_a_threshold_per_component(self, petri_5273):
+        products, thresholds = petri_5273
+        for wrong in (thresholds[:-1], thresholds + ((0, 0),)):
+            with pytest.raises(ValueError):
+                oracle_plan(products, wrong)
+
+    def test_slot_4096_with_a_shared_plan(self):
+        thresholds = ((2, 0), (2, 0))
+        live, dead, unit = SectionSymbol(0, 3, 5), SectionSymbol(0, 0, 5), SectionSymbol(0, 0, 0)
+        products = (
+            ProductSection(0, 0, (ProductRow(4096, live, unit), ProductRow(0, dead, unit))),
+            ProductSection(1, 1, (ProductRow(4096, dead, unit), ProductRow(0, live, unit))),
+        )
+        plan = oracle_plan(products, thresholds)
+        cols_a, cols_b = ({col for col, _ in entries} for entries in plan.rows)
+        assert cols_a and cols_b and cols_a.isdisjoint(cols_b)
+        for seed in range(3):
+            assert oracle_rank(products, thresholds, OracleConfig(seed=seed), plan) == 2
+
+    def test_decide_hashes_the_keys_the_reference_hashes(self, monkeypatch):
+        products, draft = petri_instance(petri_build(petri_params(5, 2, 7, 3)))
+        thresholds = draft.distribution.thresholds
+        hashed = {"decide": set(), "reference": set()}
+
+        def recording(into, hash_=_coeff):
+            def coeff(prime, seed, trial, key, nonzero):
+                hashed[into].add((seed, trial, key, nonzero))
+                return hash_(prime, seed, trial, key, nonzero)
+            return coeff
+
+        # decide ranks seeds 0..2; the reference hashes through this module's _coeff
+        monkeypatch.setattr("ellchain.independence._coeff", recording("decide"))
+        assert decide(products, draft, DEFAULT_PRIME, 0, 1).status == "proven"
+        monkeypatch.setitem(globals(), "_coeff", recording("reference"))
+        for seed in range(3):
+            _reference_oracle_rank(products, thresholds, OracleConfig(seed=seed))
+        assert hashed["decide"] and hashed["decide"] == hashed["reference"]
+
+    def test_the_oracle_judges_death_without_chain_survives(self, petri_5273, monkeypatch):
+        # a survival rule that never kills breaks the certificate, which
+        # reads it, and leaves the oracle, which has its own rule, as it was
+        products, thresholds = petri_5273
+        monkeypatch.setattr("ellchain.independence.survives", lambda th, row: True)
+        assert isinstance(certify_independence(products, thresholds), CertificateFailure)
+        # orders 0 are exact and below a positive threshold on every component,
+        # so this product is dead everywhere and its row stays empty
+        zero = SectionSymbol(0, 0, 0)
+        assert all(max(th) > 0 for th in thresholds)
+        dead = ProductSection(99, 99, tuple(ProductRow(0, zero, zero) for _ in thresholds))
+        for case in (products, products + (dead,)):
+            for seed in range(3):
+                cfg = OracleConfig(seed=seed)
+                assert oracle_rank(case, thresholds, cfg) == _reference_oracle_rank(
+                    case, thresholds, cfg
+                ) == len(products)
 
 
 def test_equal_product_rows_are_one_object():
