@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NoReturn, Sequence
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.elliptic import AlgebraError, LineBundleClass, clear_memos
-from ellchain.independence import DEFAULT_PRIME, Jets, OracleConfig
+from ellchain.independence import DEFAULT_PRIME, OracleConfig
 from ellchain.pipelines import HYPOTHESIS_NOT_MET, Verdict, onto_certificate, petri_certificate
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
 
@@ -462,15 +462,14 @@ def _sweep(args) -> Iterator[tuple[int, ...]]:
 def cmd_certify(args) -> int:
     """``petri`` and ``endo``: one verdict, or the admitted verdicts of a sweep.
 
-    A sweep runs one loop over the (g, r) runs of its tuples.  The verdicts
-    of a run share the oracle's jet table, which is dropped when the run
-    ends, so the memory it takes is bounded by one run's scalars.  The
-    class algebra's memo tables are emptied where each run's jet table
-    starts, a single verdict's included, so they too hold one run.  Each
-    admitted verdict's text is written as soon as it is decided, and the
-    verdict is dropped before the next one starts: only the worst exit code
-    is kept, so memory does not grow with the grid.  The bytes are those of
-    the whole list encoded at once.
+    A sweep runs one loop over the (g, r) runs of its tuples.  The memo
+    tables (:func:`~ellchain.elliptic.memo`: the class algebra's and the
+    oracle's jet scalars) are emptied where each run starts, a single
+    verdict's included, so the verdicts of a run share them and they hold
+    one run's values at most.  Each admitted verdict's text is written as
+    soon as it is decided, and the verdict is dropped before the next one
+    starts: only the worst exit code is kept, so memory does not grow with
+    the grid.  The bytes are those of the whole list encoded at once.
     """
     # looked up per call, so a rebound module attribute takes effect
     certify = petri_certificate if args.command == "petri" else onto_certificate
@@ -486,17 +485,16 @@ def cmd_certify(args) -> int:
         raise _UsageError(str(exc)) from None
     if not args.sweep:
         clear_memos()
-        v = certify(*single, **oracle, jets={})
+        v = certify(*single, **oracle)
         _emit(_verdict_line(v) + "\n" if table else serialize.dumps(v), args.out)
         return _verdict_exit(v)
 
     worst, written = EXIT_OK, 0
     with _writer(args.out) as write:
         for _, run in runs:
-            jets: Jets = {}
             clear_memos()
             for t in run:
-                v = certify(*t, **oracle, jets=jets)
+                v = certify(*t, **oracle)
                 if v.status != HYPOTHESIS_NOT_MET:  # most tuples of a grid are not admitted
                     if table:
                         write(_verdict_line(v) + "\n")

@@ -26,14 +26,16 @@ costs about half of the ``object.__setattr__`` a frozen dataclass uses.
 
 The pure operations that a sweep repeats on the same few classes are
 memoized by :func:`memo`: :class:`Degree0Class` sums and negations (so
-differences too), :meth:`Degree0Class.of_generic`, and the slot tensor
-product behind :func:`ellchain.independence.product_bundle`.  Each table
-is keyed by the operands' values (their ``==`` and hash), and an operation
-that raises stores nothing.  Value types are immutable with unique normal
-forms, so a stored result equals a fresh one.  The tables last until
-:func:`clear_memos` empties them: ``ellchain.cli`` does so where each (g, r)
-run of a sweep, or a single verdict, starts, so they hold one run's classes.
-A caller that decides many verdicts itself empties them the same way.
+differences too), :meth:`Degree0Class.of_generic`, the slot tensor
+product behind :func:`ellchain.independence.product_bundle`, and the
+oracle's per-trial jet-scalar tables (``independence._trial_jets``).
+Each table is keyed by the operands' values (their ``==`` and hash), and
+an operation that raises stores nothing.  Value types are immutable with
+unique normal forms, and a jet scalar is its key's hash, so a stored
+result equals a fresh one.  The tables last until :func:`clear_memos`
+empties them: ``ellchain.cli`` does so where each (g, r) run of a sweep,
+or a single verdict, starts, so they hold one run's values.  A caller
+that decides many verdicts itself empties them the same way.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ _MEMOS: list = []
 
 
 def memo(fn: _F) -> _F:
-    """``functools.cache`` on ``fn``, a pure operation on value types,
+    """``functools.cache`` on ``fn``, a pure operation on hashable values,
     with its table emptied by :func:`clear_memos`.
 
     The key is the arguments themselves, compared by value.  A call that

@@ -23,10 +23,11 @@ certificate uses.  The matrix's sparsity pattern depends on no seed:
 each entry convolves, and each seed and trial only draws the keys' scalars
 and eliminates.  Columns are numbered in the sort order of their
 ``(component, slot, point, offset)`` keys, so slots of different components
-never share a column however many there are.  Each jet scalar is hashed
-once per table of :data:`Jets`, cached by exactly what it depends on, and
-shared by every product, and every call, that reads the table: a sweep
-keeps one table for the verdicts of each (g, r) run.
+never share a column however many there are.  Each jet scalar is cached by
+exactly what it depends on, in a per-trial table that
+:func:`ellchain.elliptic.memo` keeps like the class algebra's: shared by
+every product and every call until :func:`ellchain.elliptic.clear_memos`
+empties it, which a sweep does where each (g, r) run starts.
 
 Rows, sections, survivors, passes, certificates, the oracle configuration
 and its plan are value types made by :func:`ellchain.elliptic.value`, like
@@ -240,6 +241,13 @@ def _discriminated(group: Sequence[Survivor]) -> bool:
     return len(set(orders)) == len(orders)
 
 
+def _check_thresholds(products: Sequence[ProductSection], thresholds: Sequence) -> None:
+    """Raise ``ValueError`` unless every product has one row per threshold pair."""
+    for prod in products:
+        if len(prod.rows) != len(thresholds):
+            raise ValueError(f"{len(thresholds)} threshold pairs for {len(prod.rows)} components")
+
+
 def certify_independence(
     products: Sequence[ProductSection], thresholds: Sequence[tuple[int, int]]
 ) -> Certificate | CertificateFailure:
@@ -249,8 +257,10 @@ def certify_independence(
     meeting both vanishing thresholds (inexact orders are lower bounds and
     can never certify death).  A pass is valid only if its survivors are
     pairwise discriminated: distinct slots, or same slot with distinct exact
-    P-orders.
+    P-orders.  A threshold list that is not one pair per component raises
+    ``ValueError``.
     """
+    _check_thresholds(products, thresholds)
     remaining = set(range(len(products)))
     passes: list[EliminationPass] = []
     for i, threshold in enumerate(thresholds):
@@ -339,10 +349,9 @@ def _coeff(prime: int, seed: int, trial: int, key: str, nonzero: bool) -> int:
 
 #: one trial's ``jet(tag, fid, comp, point, level, nonzero)`` scalar
 Jet = Callable[[str, int, int, str, int, bool], int]
-#: ``(prime, seed, trial)`` -> that trial's cached :data:`Jet`
-Jets = dict[tuple[int, int, int], Jet]
 
 
+@memo
 def _trial_jets(prime: int, seed: int, trial: int) -> Jet:
     """One trial's jet scalars, each hashed on its first use only.
 
@@ -418,8 +427,10 @@ def oracle_plan(
     convolution of its factors' jets: the pairs ``(la, level - la)`` with
     ``la >= ord_a`` and ``level - la >= ord_b``, where an exact order's
     leading jet is nonzero and every other jet a free residue.  A
-    convolution with no pairs is left out.
+    convolution with no pairs is left out.  A threshold list that is not one
+    pair per component raises ``ValueError``.
     """
+    _check_thresholds(products, thresholds)
     index: dict[JetKey, int] = {}
     key = index.setdefault
     width = 1 + max((row.slot for prod in products for row in prod.rows), default=0)
@@ -427,7 +438,7 @@ def oracle_plan(
     for prod in products:
         fa, fb = prod.factor_a, prod.factor_b
         entries = []
-        for i, (prow, (th_p, th_q)) in enumerate(zip(prod.rows, thresholds, strict=True)):
+        for i, (prow, (th_p, th_q)) in enumerate(zip(prod.rows, thresholds)):
             a, b = prow.row_a, prow.row_b
             if (a.exact_p and b.exact_p and a.ord_p + b.ord_p < th_p) or (
                 a.exact_q and b.exact_q and a.ord_q + b.ord_q < th_q
@@ -458,7 +469,6 @@ def oracle_rank(
     thresholds: Sequence[tuple[int, int]],
     cfg: OracleConfig = OracleConfig(),
     plan: OraclePlan | None = None,
-    jets: Jets | None = None,
 ) -> int:
     """Rank of the surviving leading-jet matrix over F_prime; max over trials.
 
@@ -472,24 +482,18 @@ def oracle_rank(
     rank, never exceed the product count.
     ``plan`` is ``oracle_plan(products, thresholds)``, passed in by a caller
     that ranks the same products under several seeds; each trial only draws
-    the plan's scalars and eliminates.  ``jets`` holds each trial's cached
-    scalars (:func:`_trial_jets`) and gains the trials it lacks; a caller
-    that ranks many product lists, such as a sweep, passes one table to all
-    of them so that no scalar is hashed twice.  Since a scalar depends on
-    nothing but its key, the rank is the same for any table; without one,
-    the call uses a table of its own.
+    the plan's scalars and eliminates.  Each trial reads its scalars from
+    :func:`_trial_jets`, a memo table shared by every call until
+    :func:`~ellchain.elliptic.clear_memos`, so a sweep hashes no scalar
+    twice within a (g, r) run.  A scalar depends on nothing but its key, so
+    the rank is the same however warm the table is.
     """
     prime, seed = cfg.prime, cfg.seed
     if plan is None:
         plan = oracle_plan(products, thresholds)
-    if jets is None:
-        jets = {}
     best = 0
     for trial in range(cfg.trials):
-        key = (prime, seed, trial)
-        jet = jets.get(key)
-        if jet is None:
-            jet = jets[key] = _trial_jets(*key)
+        jet = _trial_jets(prime, seed, trial)
         vals = [jet(*k) for k in plan.keys]
         rows: list[dict[int, int]] = []
         for entries in plan.rows:

@@ -57,7 +57,6 @@ from ellchain.elliptic import (
 from ellchain.independence import (
     DEFAULT_PRIME,
     Certificate,
-    Jets,
     OracleConfig,
     ProductSection,
     certify_independence,
@@ -437,8 +436,7 @@ VACUOUS = "vacuous"
 
 
 def decide(
-    products: tuple[ProductSection, ...], draft: Verdict, prime: int, seed: int, trials: int,
-    jets: Jets | None = None,
+    products: tuple[ProductSection, ...], draft: Verdict, prime: int, seed: int, trials: int
 ) -> Verdict:
     """Certify, cross-check with the oracle on seeds seed..seed+2, and settle
     ``draft``, a not-proven verdict carrying the build's facts.
@@ -448,8 +446,8 @@ def decide(
     oracle rank equal to the product count; the draft's other fields are
     kept as they are.  The oracle's matrix is planned once
     (:func:`~ellchain.independence.oracle_plan`) and the plan passed to all
-    three seeds.  ``jets`` is the oracle's jet table (see
-    :func:`~ellchain.independence.oracle_rank`).
+    three seeds, whose jet scalars stay in the memo tables until
+    :func:`~ellchain.elliptic.clear_memos` empties them.
     """
     thresholds = draft.distribution.thresholds
     outcome = certify_independence(products, thresholds)
@@ -457,9 +455,7 @@ def decide(
     seeds = (seed, seed + 1, seed + 2)
     plan = oracle_plan(products, thresholds)
     ranks = tuple(
-        oracle_rank(
-            products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), plan, jets
-        )
+        oracle_rank(products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), plan)
         for s in seeds
     )
     oracle = OracleBlock(prime, trials, seeds, ranks, len(products))
@@ -557,7 +553,6 @@ def petri_certificate(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
     trials: int = 1,
-    jets: Jets | None = None,
 ) -> Verdict:
     """Build, redistribute, certify and cross-check the k * kbar products."""
     params = {"g": g, "r": r, "d": d, "k": k}
@@ -572,7 +567,7 @@ def petri_certificate(
             "petri", params, p.case, NOT_PROVEN, p.k * p.kbar,
             certificate_error=f"build failed: {exc}",
         )
-    return decide(*petri_instance(build), prime, seed, trials, jets)
+    return decide(*petri_instance(build), prime, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +703,6 @@ def onto_certificate(
     prime: int = DEFAULT_PRIME,
     seed: int = 0,
     trials: int = 1,
-    jets: Jets | None = None,
 ) -> Verdict:
     """Certify surjectivity of canonical x traceless-endomorphism products."""
     params = {"g": g, "r": r, "d": d}
@@ -721,4 +715,4 @@ def onto_certificate(
             "endo-onto", params, None, VACUOUS,
             notes=("rank 1: traceless part has rank 0, nothing to prove",),
         )
-    return decide(*endo_instance(endo_build(p)), prime, seed, trials, jets)
+    return decide(*endo_instance(endo_build(p)), prime, seed, trials)

@@ -361,11 +361,29 @@ def test_a_sweep_empties_the_memo_tables_once_per_g_r_run(monkeypatch, tmp_path)
     ]
 
 
+def test_a_sweep_leaves_only_its_last_runs_jet_tables(tmp_path):
+    def scalars_per_seed():
+        tables = (independence._trial_jets(independence.DEFAULT_PRIME, s, 0) for s in range(3))
+        return [jet.cache_info().currsize for jet in tables]
+
+    out = str(tmp_path / "sweep.json")
+    assert main(["petri", "--sweep", "--g", "5", "--r", "2", "--out", out]) == 0
+    last_run = scalars_per_seed()
+    assert main(["petri", "--sweep", "--g", "4..5", "--r", "1..2", "--out", out]) == 0
+    # one table per seed of the last run, (5, 2), holding that run's scalars
+    # only: the earlier runs' tables are gone
+    assert independence._trial_jets.cache_info().currsize == 3
+    assert scalars_per_seed() == last_run
+    clear_memos()
+    assert independence._trial_jets.cache_info().currsize == 0
+
+
 def test_verdicts_decided_with_tables_warmed_by_other_runs_keep_their_bytes(
     capsys, monkeypatch
 ):
     # the tables are never emptied, so every run after the first, petri
-    # (5, 2, 7, 3) among them, reads classes an earlier run put there
+    # (5, 2, 7, 3) among them, reads classes and jet scalars an earlier run
+    # put there
     monkeypatch.setattr(cli, "clear_memos", lambda: None)
     clear_memos()
     try:

@@ -6,7 +6,7 @@ import pytest
 
 from ellchain.chain import canonical_series, redistribute, survives
 from ellchain.cli import _verdict_exit
-from ellchain.elliptic import AlgebraError, SectionSymbol
+from ellchain.elliptic import AlgebraError, SectionSymbol, clear_memos
 from ellchain.independence import (
     Certificate,
     CertificateFailure,
@@ -16,6 +16,7 @@ from ellchain.independence import (
     ProductSection,
     _coeff,
     _rank_mod_p,
+    _trial_jets,
     certify_independence,
     oracle_plan,
     oracle_rank,
@@ -275,14 +276,16 @@ class TestOracleReference:
     def test_a_warm_shared_jet_table_gives_the_reference_rank(
         self, petri_5273, endo_424, monkeypatch
     ):
-        # a sweep ranks many product lists through one table; a scalar cached
-        # for one list must be the one a fresh hash gives for the next
+        # a sweep ranks many product lists through one memo table per trial;
+        # a scalar cached for one list must be the one a fresh hash gives for
+        # the next.  Earlier tests leave the tables warm: empty them first
         products, thresholds = petri_5273
         cfgs = [OracleConfig(seed=seed, trials=trials) for seed in range(3) for trials in (1, 2)]
-        jets = {}
+        clear_memos()
         for cfg in cfgs:
-            oracle_rank(products, thresholds, cfg, jets=jets)
-        assert set(jets) == {(DEFAULT_PRIME, seed, trial) for seed in range(3) for trial in (0, 1)}
+            oracle_rank(products, thresholds, cfg)
+        # seeds 0..2 x trials 0 and 1
+        assert _trial_jets.cache_info().currsize == 6
 
         hashed = []
 
@@ -294,7 +297,7 @@ class TestOracleReference:
         # 0 as a leading coefficient: the warm table holds only its free residue
         monkeypatch.setattr("ellchain.independence._coeff", recording)
         raised = (_raise_order(products[0]),) + products[1:]
-        oracle_rank(raised, thresholds, cfgs[0], jets=jets)
+        oracle_rank(raised, thresholds, cfgs[0])
         assert (0, 0, "A:0:0:P:1", True) in hashed
         assert (0, 0, "A:0:0:P:1", False) not in hashed
         monkeypatch.undo()
@@ -306,7 +309,7 @@ class TestOracleReference:
         ]
         for cfg in cfgs:
             for case_products, case_thresholds in cases:
-                assert oracle_rank(case_products, case_thresholds, cfg, jets=jets) == (
+                assert oracle_rank(case_products, case_thresholds, cfg) == (
                     _reference_oracle_rank(case_products, case_thresholds, cfg)
                 )
 
@@ -324,6 +327,7 @@ class TestOracleReference:
             return _coeff(prime, seed, trial, key, nonzero)
 
         monkeypatch.setattr("ellchain.independence._coeff", recording)
+        clear_memos()  # a warm table would hash nothing
         oracle_rank(products, thresholds)
         assert {("A:0:0:P:1", True), ("A:0:0:P:1", False)} <= hashed
 
@@ -360,10 +364,13 @@ class TestOraclePlan:
                 )
 
     def test_a_threshold_per_component(self, petri_5273):
+        # the certificate and the oracle refuse a list that is short or long
         products, thresholds = petri_5273
         for wrong in (thresholds[:-1], thresholds + ((0, 0),)):
-            with pytest.raises(ValueError):
-                oracle_plan(products, wrong)
+            message = f"^{len(wrong)} threshold pairs for {len(thresholds)} components$"
+            for judge in (certify_independence, oracle_plan):
+                with pytest.raises(ValueError, match=message):
+                    judge(products, wrong)
 
     def test_slot_4096_with_a_shared_plan(self):
         thresholds = ((2, 0), (2, 0))
@@ -391,6 +398,7 @@ class TestOraclePlan:
 
         # decide ranks seeds 0..2; the reference hashes through this module's _coeff
         monkeypatch.setattr("ellchain.independence._coeff", recording("decide"))
+        clear_memos()  # a warm table would hash nothing
         assert decide(products, draft, DEFAULT_PRIME, 0, 1).status == "proven"
         monkeypatch.setitem(globals(), "_coeff", recording("reference"))
         for seed in range(3):
