@@ -360,11 +360,11 @@ def cmd_canonical(args) -> int:
         payload = {
             "schema": serialize.SCHEMA_VERSION,
             "type": "canonical",
-            "series": serialize.to_payload(series),
-            "validation": serialize.to_payload(report),
+            "series": series,
+            "validation": report,
             "refined": rank1.refined,
         }
-        _emit(serialize.encode(payload) + "\n", args.out)
+        _emit(serialize.dumps(payload), args.out)
     return EXIT_OK if report.ok else EXIT_NOT_PROVEN
 
 
@@ -501,7 +501,7 @@ def cmd_certify(args) -> int:
                     else:
                         # the text of the whole list encoded at once, one element at a time
                         write(",\n  " if written else "[\n  ")
-                        write(serialize.encode(serialize.to_payload(v), "  "))
+                        write(serialize.to_text(v, "  "))
                     worst, written = max(worst, _verdict_exit(v)), written + 1
                 del v  # only its text and exit code outlive it
         if not written:

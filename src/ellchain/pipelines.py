@@ -145,6 +145,12 @@ class PoinParams:
     d: int
     h: int  # gcd(r, d - g + 1)
 
+    @property
+    def target_dim(self) -> int:
+        """The target space's dimension rho * (3g - 3), rho = r^2 - 1: degree
+        + rank*(1 - g) on the squared twist."""
+        return (self.r * self.r - 1) * (3 * self.g - 3)
+
 
 def poin_params(g: int, r: int, d: int) -> PoinParams:
     if r < 1:
@@ -501,6 +507,35 @@ def petri_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def endo_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
+    """The survivor thresholds of the endo products, in closed form.
+
+    The a-parts are 3 on components 1, g-2, g-1 and g and 4 elsewhere;
+    component i's P-threshold sums the a-parts before it, its Q-threshold
+    those after it.
+    """
+    parts = [3 if i in (1, g - 2, g - 1, g) else 4 for i in range(1, g + 1)]
+    total, before, out = sum(parts), 0, []
+    for part in parts:
+        out.append((before, total - before - part))
+        before += part
+    return tuple(out)
+
+
+def _threshold_error(
+    thresholds: tuple[tuple[int, int], ...], quoted: tuple[tuple[int, int], ...]
+) -> str | None:
+    """Why ``thresholds`` are not the ``quoted`` ones, naming the component."""
+    if len(thresholds) != len(quoted):
+        return f"{len(thresholds)} threshold pairs for {len(quoted)} components"
+    for i, (got, want) in enumerate(zip(thresholds, quoted), start=1):
+        if min(got) < 0:
+            return f"component {i}: negative threshold in {got}"
+        if got != want:
+            return f"component {i}: thresholds {got}, closed form {want}"
+    return None
+
+
 def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdict]:
     """The k * kbar products of the two series, spread r^2 on the end
     components and 2r^2 on the others, and the petri draft for :func:`decide`."""
@@ -676,7 +711,6 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
         3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1)
     )
     thresholds = redistribute(prod_series, dprime).thresholds
-    target_dim = rho * (3 * g - 3)  # degree + rank*(1 - g) on the squared twist
     audits = (
         Audit("endo-series-valid", True, validate_lls(build.endo_series).ok),
         Audit("product-series-valid", True, validate_lls(prod_series).ok),
@@ -684,14 +718,14 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
         Audit("table-dimension", rho * (g - 1), build.endo_series.dimension),
         Audit("trivial-summands-last", p.h, len(build.trivial[-1])),
         Audit("distribution-total", rho * (4 * g - 4), sum(dprime)),
-        Audit("target-dimension", target_dim, len(products)),
+        Audit("target-dimension", p.target_dim, len(products)),
     )
     notes = (
         "last-component canonical classes recomputed from the canonical series:"
         " O(2(g-1)P); h-1 traceless windows there gain one vanishing order",
     )
     return products, Verdict(
-        "endo-onto", {"g": g, "r": r, "d": p.d}, None, NOT_PROVEN, target_dim,
+        "endo-onto", {"g": g, "r": r, "d": p.d}, None, NOT_PROVEN, p.target_dim,
         audits=audits, distribution=DistributionInfo(dprime, thresholds, None), notes=notes,
     )
 
@@ -704,7 +738,11 @@ def onto_certificate(
     seed: int = 0,
     trials: int = 1,
 ) -> Verdict:
-    """Certify surjectivity of canonical x traceless-endomorphism products."""
+    """Certify surjectivity of canonical x traceless-endomorphism products.
+
+    Thresholds that differ from :func:`endo_quoted_thresholds` settle the
+    verdict not-proven before anything is certified.
+    """
     params = {"g": g, "r": r, "d": d}
     try:
         p = poin_params(g, r, d)
@@ -715,4 +753,15 @@ def onto_certificate(
             "endo-onto", params, None, VACUOUS,
             notes=("rank 1: traceless part has rank 0, nothing to prove",),
         )
-    return decide(*endo_instance(endo_build(p)), prime, seed, trials)
+    try:
+        build = endo_build(p)
+    except (BuildError, AlgebraError) as exc:
+        return Verdict(
+            "endo-onto", params, None, NOT_PROVEN, p.target_dim,
+            certificate_error=f"build failed: {exc}",
+        )
+    products, draft = endo_instance(build)
+    error = _threshold_error(draft.distribution.thresholds, endo_quoted_thresholds(g))
+    if error is not None:
+        return replace(draft, product_count=len(products), certificate_error=error)
+    return decide(products, draft, prime, seed, trials)

@@ -7,8 +7,12 @@ invert ``dumps``/``to_payload`` for every payload type.
 
 The dataclasses state the layout once: an object is written as its ``init``
 fields by name, tuples as lists, plus the tags and read-only properties in
-the tables below.  Decoding follows the same fields'
-type hints; a missing key, a wrong type or a non-object raises
+the tables below.  Output has one writer: :func:`to_text` (and ``dumps``)
+writes an object straight to the ``indent=2, sort_keys=True`` text through a
+per-class plan of its sorted keys, with no payload tree in between.  The
+dict form stays for readers: :func:`to_payload` builds it and
+:func:`encode` writes it, to the same bytes.  Decoding follows the same
+fields' type hints; a missing key, a wrong type or a non-object raises
 :class:`SchemaError` naming the field path.
 """
 
@@ -90,6 +94,15 @@ def _layout(cls: type) -> tuple[dict, tuple[_Field, ...], tuple[str, ...]]:
     return head, fields, DERIVED.get(cls, ())
 
 
+def _symbol_keyed(value: Degree0Class) -> dict:
+    """A degree-0 class as symbol-keyed dicts, not pair lists."""
+    return {
+        "pq": value.pq,
+        "generic": dict(value.generic),
+        "torsion": {name: [order, res] for name, order, res in value.torsion},
+    }
+
+
 def _plain(value: Any) -> Any:
     cls = type(value)
     if cls in _SCALARS:
@@ -98,12 +111,8 @@ def _plain(value: Any) -> Any:
         return [v if type(v) in _SCALARS else _plain(v) for v in value]
     if cls is dict:
         return {k: _plain(v) for k, v in value.items()}
-    if cls is Degree0Class:  # symbol-keyed dicts, not pair lists
-        return {
-            "pq": value.pq,
-            "generic": dict(value.generic),
-            "torsion": {name: [order, res] for name, order, res in value.torsion},
-        }
+    if cls is Degree0Class:
+        return _plain(_symbol_keyed(value))
     head, fields, derived = _layout(cls)
     out = dict(head)
     for f in fields:
@@ -134,11 +143,52 @@ def encode(payload: Any, pad: str = "") -> str:
     writer does the same work with less generality.
     """
     parts: list[str] = []
-    _write(payload, pad, parts)
+    _write(payload, pad, parts, False)
     return "".join(parts)
 
 
-def _write(value: Any, pad: str, out: list[str]) -> None:
+def to_text(obj: Any, pad: str = "") -> str:
+    """``encode(to_payload(obj), pad)``, written from ``obj`` itself.
+
+    ``obj`` is of a type in :data:`TYPES`, or a dict of such values and JSON
+    scalars (the ``canonical`` payload).  Objects are written through their
+    plan (:func:`_plan`) and tuples as lists, so no payload tree is built.
+    Any other type raises :class:`SchemaError`.
+    """
+    if type(obj) not in TYPES and type(obj) is not dict:
+        raise SchemaError(f"cannot serialize {type(obj).__name__}")
+    parts: list[str] = []
+    _write(obj, pad, parts, True)
+    return "".join(parts)
+
+
+def dumps(obj: Any) -> str:
+    return to_text(obj) + "\n"
+
+
+@functools.cache
+def _plan(cls: type, pad: str) -> tuple[tuple[str, str | None], ...]:
+    """The keys of a ``cls`` payload written at depth ``pad``, in sorted order.
+
+    Each key is its text up to the value (the brace or comma, the new line
+    and indent, the quoted key) and the attribute that holds the value.  A
+    head tag has no attribute: its encoded value ends the text.
+    """
+    head, fields, derived = _layout(cls)
+    names = {tag: None for tag in head}
+    names.update((name, name) for name in (*(f.name for f in fields), *derived))
+    plan = []
+    for i, key in enumerate(sorted(names)):
+        text = ("{\n" if i == 0 else ",\n") + pad + "  " + _quote(key) + ": "
+        name = names[key]
+        plan.append((text + encode(head[key]), None) if name is None else (text, name))
+    return tuple(plan)
+
+
+def _write(value: Any, pad: str, out: list[str], typed: bool) -> None:
+    """Append the text of ``value`` at depth ``pad`` to ``out``: the
+    :func:`encode` of a payload shape, or when ``typed`` the
+    :func:`to_payload` form of a value object too."""
     cls = type(value)
     if cls is str:
         out.append(_quote(value))
@@ -146,7 +196,7 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         out.append(repr(value))
     elif cls is bool or value is None:
         out.append(_CONSTANTS[value])
-    elif cls is dict or cls is list:
+    elif cls is dict or cls is list or (typed and cls is tuple):
         if not value:
             out.append("{}" if cls is dict else "[]")
             return
@@ -156,22 +206,28 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
             sep = "{\n" + inner
             for key in sorted(value):  # a key that is not a str fails to sort or quote
                 out.append(sep + _quote(key) + ": ")
-                _write(value[key], inner, out)
+                _write(value[key], inner, out, typed)
                 sep = comma
             out.append("\n" + pad + "}")
         else:
             sep = "[\n" + inner
             for item in value:
                 out.append(sep)
-                _write(item, inner, out)
+                _write(item, inner, out, typed)
                 sep = comma
             out.append("\n" + pad + "]")
-    else:
+    elif not typed:
         raise TypeError(f"cannot encode {cls.__name__}")
-
-
-def dumps(obj: Any) -> str:
-    return encode(to_payload(obj)) + "\n"
+    elif cls is Degree0Class:
+        _write(_symbol_keyed(value), pad, out, True)
+    else:
+        plan = _plan(cls, pad)  # a type that is not a dataclass raises SchemaError
+        inner = pad + "  "
+        for text, name in plan:
+            out.append(text)
+            if name is not None:
+                _write(getattr(value, name), inner, out, True)
+        out.append("\n" + pad + "}" if plan else "{}")
 
 
 def _got(value: Any) -> str:

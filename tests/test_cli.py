@@ -19,8 +19,9 @@ import pytest
 
 import ellchain.cli as cli
 import ellchain.independence as independence
+import ellchain.pipelines as pipelines
 from ellchain.cli import main
-from ellchain.elliptic import Degree0Class, clear_memos
+from ellchain.elliptic import AlgebraError, Degree0Class, clear_memos
 from ellchain.tableaux import enumerate_tableaux
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,6 +212,26 @@ class TestEndo:
         rows = json.loads(out)
         assert len(rows) == 4  # d in g..g+1 for each g
         assert all(r["status"] == "proven" for r in rows)
+
+    @pytest.mark.parametrize("error", [
+        pipelines.BuildError(2, "forced"), AlgebraError("component 2: forced"),
+    ], ids=["BuildError", "AlgebraError"])
+    def test_a_build_failure_is_a_not_proven_verdict(self, capsys, monkeypatch, error):
+        # as a petri build failure is: a verdict and exit 3, in a sweep too
+        def failing(p):
+            raise error
+
+        monkeypatch.setattr(pipelines, "endo_build", failing)
+        want = {"status": "not-proven", "certificate_error": "build failed: component 2: forced",
+                "product_count": 0, "expected_products": 27}
+        code, out, err = run(capsys, "endo", "--g", "4", "--r", "2", "--d", "4")
+        assert (code, err) == (3, "")
+        assert {k: json.loads(out)[k] for k in want} == want
+        code, out, err = run(capsys, "endo", "--sweep", "--g", "4..5", "--r", "2")
+        assert (code, err) == (3, "")
+        rows = json.loads(out)
+        assert [r["params"]["g"] for r in rows] == [4, 4, 5, 5]
+        assert [r["certificate_error"] for r in rows] == [want["certificate_error"]] * 4
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """End-to-end builders and verdicts for both product-map statements."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+import ellchain.pipelines as pipelines
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.independence import product_sections, product_series
@@ -16,6 +18,7 @@ from ellchain.pipelines import (
     endo_build,
     endo_h0,
     endo_instance,
+    endo_quoted_thresholds,
     onto_certificate,
     petri_build,
     petri_certificate,
@@ -286,6 +289,38 @@ class TestOntoCertificate:
         expected += [(4 * i - 5, 4 * g - 4 * i - 3) for i in range(2, g - 3 + 1)]
         expected += [(4 * g - 13, 6), (4 * g - 10, 3), (4 * g - 7, 0)]
         assert v.distribution.thresholds == tuple(expected)
+
+
+def test_endo_quoted_thresholds_are_the_redistributions():
+    assert endo_quoted_thresholds(5) == ((0, 13), (3, 9), (7, 6), (10, 3), (13, 0))
+    for g in range(4, 15):
+        for r in (2, 3):
+            _, draft = endo_instance(endo_build(poin_params(g, r, g)))
+            assert draft.distribution.thresholds == endo_quoted_thresholds(g), (g, r)
+
+
+SHIFTS = {"P-1": (-1, 0), "P+1": (1, 0), "Q+1": (0, 1), "Q-1": (0, -1), "both+1": (1, 1)}
+
+
+@pytest.mark.parametrize("shift", SHIFTS.values(), ids=SHIFTS)
+def test_no_endo_verdict_is_proven_with_shifted_thresholds(monkeypatch, shift):
+    # a threshold fault reaches the certificate and the oracle alike; with P-1
+    # both still pass at g = 4, so only the closed form catches it
+    real = pipelines.redistribute
+
+    def shifted(series, dprime):
+        out = real(series, dprime)
+        return replace(out, thresholds=tuple(
+            (p + shift[0], q + shift[1]) for p, q in out.thresholds
+        ))
+
+    monkeypatch.setattr(pipelines, "redistribute", shifted)
+    for g in range(4, 11):  # the endo-grid workload
+        for r in range(2, 5):
+            for d in range(g, g + r):
+                v = onto_certificate(g, r, d)
+                assert v.status == "not-proven", (g, r, d)
+                assert v.certificate_error.startswith("component 1: "), (g, r, d)
 
 
 class TestCrossChecks:

@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellchain import serialize
-from ellchain.chain import canonical_series, redistribute, validate_lls
+from ellchain.chain import StabilityVerdict, canonical_series, redistribute, validate_lls
 from ellchain.elliptic import (
     BundleOnComponent,
     Degree0Class,
     IndecomposableSlot,
     LineBundleClass,
 )
-from ellchain.independence import DEFAULT_PRIME
+from ellchain.independence import DEFAULT_PRIME, Certificate, EliminationPass, Survivor
 from ellchain.pipelines import (
+    Audit,
+    DistributionInfo,
+    OracleBlock,
     decide,
     onto_certificate,
     petri_build,
@@ -217,3 +220,92 @@ def test_padded_encoding_is_the_reindented_text(make):
 def test_encode_rejects_shapes_the_codec_does_not_emit(payload):
     with pytest.raises(TypeError):
         serialize.encode(payload)
+
+
+# the typed writer: the text of to_payload, written without the payload tree
+
+#: audit values have hint ``object``: any JSON shape, tuples included
+AUDIT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | TEXT,
+    lambda inner: st.tuples(inner, inner) | st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+SMALL = st.integers(-3, 40)
+PAIRS = st.lists(st.tuples(SMALL, SMALL), max_size=4).map(tuple)
+CERTIFICATES = st.builds(
+    Certificate,
+    st.lists(st.builds(
+        EliminationPass,
+        SMALL,
+        st.lists(st.builds(Survivor, SMALL, SMALL, SMALL, st.booleans(), SMALL, st.booleans()),
+                 max_size=3).map(tuple),
+    ), max_size=3).map(tuple),
+    SMALL,
+    PAIRS,
+)
+MUTATIONS = st.fixed_dictionaries({}, optional={
+    "kind": TEXT,
+    "params": st.dictionaries(TEXT, SMALL, max_size=4),
+    "case": st.none() | TEXT,
+    "status": st.sampled_from(["proven", "not-proven", "hypothesis-not-met", "vacuous"]),
+    "product_count": SMALL,
+    "audits": st.lists(st.builds(Audit, TEXT, AUDIT_VALUES, AUDIT_VALUES), max_size=3).map(tuple),
+    "distribution": st.none() | st.builds(
+        DistributionInfo, st.lists(SMALL, max_size=4).map(tuple), PAIRS, st.none() | PAIRS,
+    ),
+    "certificate": st.none() | CERTIFICATES,
+    "certificate_error": st.none() | TEXT,
+    "oracle": st.none() | st.builds(
+        OracleBlock, SMALL, SMALL, st.lists(SMALL, max_size=3).map(tuple),
+        st.lists(SMALL, max_size=3).map(tuple), SMALL,
+    ),
+    "stability": st.none() | st.builds(StabilityVerdict, TEXT, TEXT),
+    "notes": st.lists(TEXT, max_size=3).map(tuple),
+})
+
+
+def _verdicts_of_every_status():
+    return [
+        petri_certificate(4, 2, 6, 2),  # proven, with stability and quoted thresholds
+        onto_certificate(4, 2, 4),  # proven, endo
+        _not_proven(),
+        petri_certificate(3, 2, 4, 4),  # hypothesis-not-met
+        onto_certificate(4, 1, 4),  # vacuous
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_verdicts_of_every_status()), MUTATIONS)
+def test_typed_writer_equals_the_encoded_payload(verdict, changes):
+    v = replace(verdict, **changes)
+    for pad in ("", "  "):
+        assert serialize.to_text(v, pad) == serialize.encode(serialize.to_payload(v), pad)
+    assert serialize.dumps(v) == serialize.encode(serialize.to_payload(v)) + "\n"
+
+
+def _twisted_series():
+    twist = Degree0Class.of_pq(1) + Degree0Class.of_torsion("eta", 3, 2)
+    line = LineBundleClass(2, 1, twist + Degree0Class.of_generic("x", -2))
+    atom = IndecomposableSlot(3, 2, Degree0Class.of_generic("x", -2))
+    s = canonical_series(2)
+    return replace(s, bundles=(BundleOnComponent((line, atom)),) + s.bundles[1:])
+
+
+@pytest.mark.parametrize("kind", sorted(set(_top_level_payloads()) - {"verdict"}))
+def test_typed_writer_equals_the_encoded_payload_for_every_type(kind):
+    objects = [_top_level_payloads()[kind]]
+    if kind == "series":
+        objects += [_twisted_series(), petri_build(petri_params(5, 2, 7, 3)).dual]
+    for obj in objects:
+        for pad in ("", "  "):
+            assert serialize.to_text(obj, pad) == serialize.encode(serialize.to_payload(obj), pad)
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, "text", (1, 2), [canonical_series(2)], LineBundleClass(1, 0), Degree0Class.of_pq(1),
+    {"series": 1.5}, {"slot": object()},
+], ids=["float", "str", "tuple", "list", "slot", "class", "dict-of-float", "dict-of-object"])
+def test_dumps_rejects_an_unsupported_type(obj):
+    with pytest.raises(serialize.SchemaError, match="cannot serialize"):
+        serialize.dumps(obj)
