@@ -15,7 +15,9 @@ checked by :func:`validate_lls`:
 
 Degree redistribution twists the series by node-supported divisors, moving
 degree between components while keeping residues mod r, and filters each
-table down to the rows that survive the new vanishing thresholds.
+table down to the rows that survive the new vanishing thresholds.  The
+thresholds themselves depend on the component degrees alone
+(:func:`spread`).
 """
 
 from __future__ import annotations
@@ -381,19 +383,10 @@ class Redistribution:
     def redistribute(self, dprime: Sequence[int]) -> "Redistribution":
         """Re-target: twist this state by the difference of the a-parts.
 
-        Targets must keep the total degree and each d'_i mod r.
+        Targets must keep the total degree and each d'_i mod r (:func:`spread`).
         """
-        dprime, r = tuple(dprime), self.rank
-        if len(dprime) != len(self.dprime):
-            raise AlgebraError("one target degree per component required")
-        if sum(dprime) != self.total_degree:
-            raise AlgebraError(f"target degrees sum to {sum(dprime)}, need {self.total_degree}")
-        for i, (dp, cur) in enumerate(zip(dprime, self.dprime)):
-            if (dp - cur) % r:
-                raise AlgebraError(
-                    f"component {i + 1}: target {dp} not congruent to {cur} mod {r}"
-                )
-        a_parts = tuple((dp - cur % r) // r for dp, cur in zip(dprime, self.dprime))
+        dprime = tuple(dprime)
+        a_parts, thresholds = spread(self.dprime, dprime, self.rank, self.total_degree)
         # this state's rows are stated on its twisted series, which the rest of
         # the twist meets with the relative thresholds
         relative = _thresholds([new - old for new, old in zip(a_parts, self.a_parts)])
@@ -416,14 +409,38 @@ class Redistribution:
             tables.append(VanishingTable(tuple(kept_rows)))
             survivors.append(tuple(kept_ids))
         return Redistribution(
-            dprime, a_parts, _thresholds(a_parts), tuple(bundles), tuple(tables),
-            tuple(survivors), self.total_degree, r,
+            dprime, a_parts, thresholds, tuple(bundles), tuple(tables),
+            tuple(survivors), self.total_degree, self.rank,
         )
 
 
 def _thresholds(parts: Sequence[int]) -> tuple[tuple[int, int], ...]:
     prefix = list(accumulate(parts, initial=0))
     return tuple((prefix[i], prefix[-1] - prefix[i + 1]) for i in range(len(parts)))
+
+
+def spread(
+    degrees: Sequence[int], dprime: Sequence[int], rank: int, total: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The a-parts and (P, Q) thresholds of spreading ``degrees`` to ``dprime``.
+
+    The spread rule, read from the degrees alone: targets must number one per
+    component, sum to ``total`` and keep each degree mod ``rank``; then
+    d'_i = a_i*rank + (d_i mod rank), and component i's thresholds are the
+    sums of the a-parts before it and after it.  A verdict needs only these
+    thresholds, so it calls this without twisting a series.
+    """
+    if len(dprime) != len(degrees):
+        raise AlgebraError("one target degree per component required")
+    if sum(dprime) != total:
+        raise AlgebraError(f"target degrees sum to {sum(dprime)}, need {total}")
+    for i, (dp, cur) in enumerate(zip(dprime, degrees)):
+        if (dp - cur) % rank:
+            raise AlgebraError(
+                f"component {i + 1}: target {dp} not congruent to {cur} mod {rank}"
+            )
+    a_parts = tuple((dp - cur % rank) // rank for dp, cur in zip(dprime, degrees))
+    return a_parts, _thresholds(a_parts)
 
 
 def redistribute(series: LimitLinearSeries, dprime: Sequence[int]) -> Redistribution:

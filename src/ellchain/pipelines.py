@@ -2,9 +2,10 @@
 
 ``petri_*`` builds, on a chain of g elliptic curves, a rank-r degree-d
 series with k sections together with the complementary series (canonical
-tensor dual), forms all k*kbar products, redistributes degree, and certifies
-their independence: a proven verdict bounds the product map's image below by
-k*kbar, the Petri-map injectivity statement for these numerical invariants.
+tensor dual), forms all k*kbar products, spreads their degree over the chain,
+and certifies their independence: a proven verdict bounds the product map's
+image below by k*kbar, the Petri-map injectivity statement for these
+numerical invariants.
 
 ``endo_*``/``onto_*`` builds the rank-r degree-d bundle whose restriction is
 indecomposable of degree 1 off the last component, decomposes its
@@ -17,8 +18,14 @@ checked against the exact section calculus, and the elimination engine plus
 the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
 ``endo_instance`` turn a build into its products and a draft: the statement's
 ``not-proven`` :class:`Verdict` with every build fact filled in (the
-redistribution's thresholds, audits, notes).  One :func:`decide` settles the
-draft of either statement.
+thresholds, audits, notes).  One :func:`decide` settles the draft of either
+statement.
+
+A verdict reads one (P, Q) vanishing threshold pair per component: the prefix
+sums of the a-parts (d'_i - (d_i mod r)) // r of the product series' degrees,
+from :func:`~ellchain.chain.spread`.  No series is twisted on the way;
+:func:`~ellchain.chain.redistribute` serves only ``ellchain redistribute``
+and the tests, which check that its thresholds agree.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ from ellchain.chain import (
     elliptic_chain,
     generic_gluing,
     matched_paths,
-    redistribute,
+    redistribute,  # not called here: the benchmark binds it as its chain.redistribute layer
+    spread,
     validate_lls,
 )
 from ellchain.elliptic import (
@@ -545,7 +553,9 @@ def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdi
     prod_series = product_series(primary, dual, products)
     rho = r * r
     dprime = tuple(rho if i in (1, g) else 2 * rho for i in range(1, g + 1))
-    thresholds = redistribute(prod_series, dprime).thresholds
+    _, thresholds = spread(
+        prod_series.component_degrees, dprime, prod_series.rank, prod_series.degree
+    )
     quoted = petri_quoted_thresholds(g)
     # every slot has the bundle's slope, so each is a destabilizing sub-slot
     stability = check_stability(
@@ -589,7 +599,13 @@ def petri_certificate(
     seed: int = 0,
     trials: int = 1,
 ) -> Verdict:
-    """Build, redistribute, certify and cross-check the k * kbar products."""
+    """Build, certify and cross-check the k * kbar products.
+
+    The certificate and the oracle read the products against the thresholds
+    of the degree spread alone (:func:`~ellchain.chain.spread`): prefix sums
+    of the a-parts of the product series' degrees, audited against
+    :func:`petri_quoted_thresholds`.
+    """
     params = {"g": g, "r": r, "d": d, "k": k}
     try:
         p = petri_params(g, r, d, k)
@@ -710,7 +726,9 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
     dprime = tuple(
         3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1)
     )
-    thresholds = redistribute(prod_series, dprime).thresholds
+    _, thresholds = spread(
+        prod_series.component_degrees, dprime, prod_series.rank, prod_series.degree
+    )
     audits = (
         Audit("endo-series-valid", True, validate_lls(build.endo_series).ok),
         Audit("product-series-valid", True, validate_lls(prod_series).ok),

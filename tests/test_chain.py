@@ -17,6 +17,7 @@ from ellchain.chain import (
     elliptic_chain,
     matched_paths,
     redistribute,
+    spread,
     survives,
     validate_lls,
     validate_rank1,
@@ -177,6 +178,19 @@ class TestRedistribute:
         s = canonical_series(3)
         with pytest.raises(AlgebraError, match="rank 0 is below 1"):
             redistribute(replace(s, rank=0), (4, 0, 0))
+
+    @pytest.mark.parametrize("dprime,message", [
+        ((4, 0), "one target degree per component required"),
+        ((2, 2, 2), "target degrees sum to 6, need 4"),
+        ((3, 1, 0), "component 1: target 3 not congruent to 4 mod 2"),
+    ], ids=["count", "total", "residue"])
+    def test_spread_refuses_what_redistribute_refuses(self, dprime, message):
+        # read off the degrees alone, a bad target fails as a redistribution does
+        s = replace(canonical_series(3), rank=2)
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            spread(s.component_degrees, dprime, s.rank, s.degree)
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            redistribute(s, dprime)
 
 
 def random_series(rng):

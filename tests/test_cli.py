@@ -188,6 +188,28 @@ class TestPetri:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("error", [
+        pipelines.BuildError(2, "forced"), AlgebraError("component 2: forced"),
+    ], ids=["BuildError", "AlgebraError"])
+    def test_a_build_failure_is_a_not_proven_verdict(self, capsys, monkeypatch, error):
+        # as an endo build failure is: a verdict and exit 3, in a sweep too
+        def failing(p):
+            raise error
+
+        monkeypatch.setattr(pipelines, "petri_build", failing)
+        want = {"status": "not-proven", "certificate_error": "build failed: component 2: forced",
+                "product_count": 0, "expected_products": 12}
+        code, out, err = run(capsys, "petri", "--g", "5", "--r", "2", "--d", "7", "--k", "3")
+        assert (code, err) == (3, "")
+        assert {k: json.loads(out)[k] for k in want} == want
+        argv = ("--g", "4..5", "--r", "2", "--d", "6..7", "--k", "2..3")
+        code, out, err = run(capsys, "petri", "--sweep", *argv)
+        assert (code, err) == (3, "")
+        rows = json.loads(out)
+        admitted = [(4, 6, 2), (4, 7, 2), (4, 7, 3), (5, 6, 2), (5, 7, 2), (5, 7, 3)]
+        assert [(r["params"]["g"], r["params"]["d"], r["params"]["k"]) for r in rows] == admitted
+        assert [r["certificate_error"] for r in rows] == [want["certificate_error"]] * 6
+
 
 class TestEndo:
     def test_single(self, capsys):

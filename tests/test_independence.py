@@ -150,6 +150,19 @@ class TestCertify:
         seen = [s.product for p in cert.passes for s in p.survivors]
         assert sorted(seen) == list(range(len(products)))
 
+    def test_a_lone_survivor_of_its_slot_needs_no_exact_order(self):
+        # alone in its slot, a survivor's coefficient is forced to zero by the
+        # direct sum; only survivors sharing a slot need distinct exact P-orders
+        unit = SectionSymbol(0, 0, 0)
+        inexact = SectionSymbol(0, 1, 0, exact_p=False)
+        products = (
+            ProductSection(0, 0, (ProductRow(0, inexact, unit),)),
+            ProductSection(1, 1, (ProductRow(1, SectionSymbol(1, 2, 0), unit),)),
+        )
+        cert = certify_independence(products, ((0, 0),))
+        assert isinstance(cert, Certificate) and cert.eliminated == 2
+        assert [(s.slot, s.exact_p) for s in cert.passes[0].survivors] == [(0, False), (1, True)]
+
 
 class TestOracle:
     def test_agrees_with_certificates(self, petri_5273):

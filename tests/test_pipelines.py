@@ -7,7 +7,13 @@ import pytest
 
 import ellchain.pipelines as pipelines
 from ellchain import serialize
-from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
+from ellchain.chain import (
+    Redistribution,
+    canonical_series,
+    redistribute,
+    validate_lls,
+    validate_rank1,
+)
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
     CASE_A,
@@ -302,25 +308,93 @@ def test_endo_quoted_thresholds_are_the_redistributions():
 SHIFTS = {"P-1": (-1, 0), "P+1": (1, 0), "Q+1": (0, 1), "Q-1": (0, -1), "both+1": (1, 1)}
 
 
+def _shift_thresholds(monkeypatch, shift):
+    # a threshold fault reaches the certificate and the oracle alike
+    real = pipelines.spread
+
+    def shifted(*args):
+        parts, thresholds = real(*args)
+        return parts, tuple((p + shift[0], q + shift[1]) for p, q in thresholds)
+
+    monkeypatch.setattr(pipelines, "spread", shifted)
+
+
 @pytest.mark.parametrize("shift", SHIFTS.values(), ids=SHIFTS)
 def test_no_endo_verdict_is_proven_with_shifted_thresholds(monkeypatch, shift):
-    # a threshold fault reaches the certificate and the oracle alike; with P-1
-    # both still pass at g = 4, so only the closed form catches it
-    real = pipelines.redistribute
-
-    def shifted(series, dprime):
-        out = real(series, dprime)
-        return replace(out, thresholds=tuple(
-            (p + shift[0], q + shift[1]) for p, q in out.thresholds
-        ))
-
-    monkeypatch.setattr(pipelines, "redistribute", shifted)
+    # with P-1 the certificate and the oracle still pass at g = 4, so only
+    # the closed form catches it
+    _shift_thresholds(monkeypatch, shift)
     for g in range(4, 11):  # the endo-grid workload
         for r in range(2, 5):
             for d in range(g, g + r):
                 v = onto_certificate(g, r, d)
                 assert v.status == "not-proven", (g, r, d)
                 assert v.certificate_error.startswith("component 1: "), (g, r, d)
+
+
+def _petri_grid_sample():
+    # the first and the last admitted tuple of each (g, r) run of petri-grid
+    for g in range(2, 11):
+        for r in range(1, 5):
+            admitted = []
+            for d in range(1, 4 * g + 1):
+                for k in range(1, 4 * g + 1):
+                    try:
+                        petri_params(g, r, d, k)
+                    except ParamsError:
+                        continue
+                    admitted.append((g, r, d, k))
+            yield from dict.fromkeys(admitted[:1] + admitted[-1:])
+
+
+@pytest.mark.parametrize("shift", SHIFTS.values(), ids=SHIFTS)
+def test_no_petri_verdict_is_proven_with_shifted_thresholds(monkeypatch, shift):
+    _shift_thresholds(monkeypatch, shift)
+    sample = list(_petri_grid_sample())
+    assert len(sample) == 72
+    for tup in sample:
+        v = petri_certificate(*tup)
+        assert v.status == "not-proven", tup
+        assert [a.name for a in v.audits if not a.ok] == ["quoted-thresholds"], tup
+
+
+def test_the_verdict_thresholds_are_the_redistributions():
+    # the verdict reads its thresholds off the product degrees; twisting the
+    # whole product series must give the same ones
+    checked = 0
+    for g in range(2, 7):
+        for r in range(1, 4):
+            for d in range(1, 4 * g + 1):
+                for k in range(1, 4 * g + 1):
+                    try:
+                        build = petri_build(petri_params(g, r, d, k))
+                    except ParamsError:
+                        continue
+                    products, draft = petri_instance(build)
+                    series = product_series(build.primary, build.dual, products)
+                    redist = redistribute(series, draft.distribution.dprime)
+                    assert draft.distribution.thresholds == redist.thresholds, (g, r, d, k)
+                    checked += 1
+    for g in range(4, 9):
+        for r in range(2, 5):
+            for d in range(g, g + r):
+                build = endo_build(poin_params(g, r, d))
+                products, draft = endo_instance(build)
+                series = product_series(canonical_series(g), build.endo_series, products)
+                redist = redistribute(series, draft.distribution.dprime)
+                assert draft.distribution.thresholds == redist.thresholds, (g, r, d)
+                checked += 1
+    assert checked == 468 + 45
+
+
+def test_no_verdict_twists_a_series(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the verdict path redistributed a series")
+
+    monkeypatch.setattr(pipelines, "redistribute", refused)
+    monkeypatch.setattr(Redistribution, "redistribute", refused)
+    assert petri_certificate(5, 2, 7, 3).status == "proven"
+    assert onto_certificate(6, 3, 7).status == "proven"
 
 
 class TestCrossChecks:
