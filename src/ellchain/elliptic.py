@@ -27,15 +27,22 @@ costs about half of the ``object.__setattr__`` a frozen dataclass uses.
 The pure operations that a sweep repeats on the same few classes are
 memoized by :func:`memo`: :class:`Degree0Class` sums and negations (so
 differences too), :meth:`Degree0Class.of_generic`, the slot tensor
-product behind :func:`ellchain.independence.product_bundle`, and the
-oracle's per-trial jet-scalar tables (``independence._trial_jets``).
+product behind :func:`ellchain.independence.product_bundle`, the
+oracle's per-trial jet-scalar tables (``independence._trial_jets``), and
+the d-independent half of an endo run (``pipelines._endo_run``, keyed by
+the integers (g, r): the bundles and tables off the last component, their
+trivial summands, the canonical series and the product list).
 Each table is keyed by the operands' values (their ``==`` and hash), and
 an operation that raises stores nothing.  Value types are immutable with
 unique normal forms, and a jet scalar is its key's hash, so a stored
-result equals a fresh one.  The tables last until :func:`clear_memos`
-empties them: ``ellchain.cli`` does so where each (g, r) run of a sweep,
-or a single verdict, starts, so they hold one run's values.  A caller
-that decides many verdicts itself empties them the same way.
+result equals a fresh one.  One more table holds state rather than a
+result: ``independence._formed``, the columns of the previous
+:func:`~ellchain.independence.product_sections` call, which the next call
+reuses only for factor tables that are the very same objects.  The tables
+last until :func:`clear_memos` empties them: ``ellchain.cli`` does so
+where each (g, r) run of a sweep, or a single verdict, starts, so they
+hold one run's values.  A caller that decides many verdicts itself
+empties them the same way.
 """
 
 from __future__ import annotations

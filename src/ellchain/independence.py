@@ -110,6 +110,30 @@ class ProductSection:
     rows: tuple[ProductRow, ...]
 
 
+#: a column of :func:`product_sections`: ``(table_a, table_b, width, pairs,
+#: rows)``, one component's row of every product and what it was formed from
+Column = tuple[VanishingTable, VanishingTable, int, Sequence[tuple[int, int]], tuple]
+
+
+class _Formed:
+    """What :func:`product_sections`' previous call formed: its columns, and
+    the row numbering and row table they were formed with."""
+
+    __slots__ = ("columns", "number", "shared")
+
+    def __init__(self) -> None:
+        self.columns: list[Column] = []
+        self.number: dict[SectionSymbol, int] = {}
+        self.shared: dict[tuple[int, int, int], ProductRow] = {}
+
+
+@memo
+def _formed() -> _Formed:
+    """The one :class:`_Formed`, in a memo table so that
+    :func:`~ellchain.elliptic.clear_memos` drops it with a run's other state."""
+    return _Formed()
+
+
 def product_sections(
     series_a: LimitLinearSeries,
     series_b: LimitLinearSeries,
@@ -118,30 +142,51 @@ def product_sections(
     """Form product sections for the requested (or all) factor pairs.
 
     Per component, vanishing orders add and the product lands in the
-    tensor-expansion slot of its factors' slots.  Rows of equal value are
-    one shared :class:`ProductRow` object, keyed by the product slot and the
-    numbers of its two factor rows: each distinct factor row is numbered
-    once, so no pair hashes a :class:`SectionSymbol`.
+    tensor-expansion slot of its factors' slots.  The rows are formed a
+    column at a time, one component's row of every product, and the
+    columns are zipped into :class:`ProductSection` values.
+
+    A component's column is the previous call's when its two factor tables
+    and the pair list are the very objects (``is``) that column was formed
+    from and its width is equal: an endo run hands each verdict the same
+    tables off the last component.  Such a call keeps the previous call's
+    row numbering and row table too; a call that reuses no column starts
+    both afresh, so a petri verdict, whose tables are all new, holds its
+    own rows only.  Rows of equal value are one shared :class:`ProductRow`
+    object, keyed by the product slot and the numbers of its two factor
+    rows: each distinct factor row is numbered once, so no pair hashes a
+    :class:`SectionSymbol`.  The previous call is kept in a memo table, so
+    :func:`~ellchain.elliptic.clear_memos` empties it.
     """
     if series_a.chain != series_b.chain:
         raise AlgebraError("product sections need both series on the same chain")
     if pairs is None:
         pairs = [(t, l) for t in range(series_a.dimension) for l in range(series_b.dimension)]
-    # within this call only: a number per distinct factor row, a row object per distinct value
-    number: dict[SectionSymbol, int] = {}
-    shared: dict[tuple[int, int, int], ProductRow] = {}
-    columns = []
-    for i in range(series_a.chain.components):
-        width = len(series_b.bundles[i].slots)
+    formed = _formed()
+    old = formed.columns
+    sources = [
+        (series_a.tables[i], series_b.tables[i], len(series_b.bundles[i].slots))
+        for i in range(series_a.chain.components)
+    ]
+    reused = [
+        i < len(old) and old[i][0] is ta and old[i][1] is tb and old[i][2] == width
+        and old[i][3] is pairs
+        for i, (ta, tb, width) in enumerate(sources)
+    ]
+    if not any(reused):
+        old = formed.columns = []
+        formed.number, formed.shared = {}, {}
+    number, shared = formed.number, formed.shared
+    columns: list[Column] = []
+    for i, (table_a, table_b, width) in enumerate(sources):
+        if reused[i]:
+            columns.append(old[i])
+            continue
         # per factor row: (its part of the product slot, its number, the row)
-        side_a = [(r.slot * width, number.setdefault(r, len(number)), r)
-                  for r in series_a.tables[i].rows]
-        side_b = [(r.slot, number.setdefault(r, len(number)), r) for r in series_b.tables[i].rows]
-        columns.append((side_a, side_b))
-    out: list[ProductSection] = []
-    for t, l in pairs:
-        rows: list[ProductRow] = []
-        for side_a, side_b in columns:
+        side_a = [(r.slot * width, number.setdefault(r, len(number)), r) for r in table_a.rows]
+        side_b = [(r.slot, number.setdefault(r, len(number)), r) for r in table_b.rows]
+        rows = []
+        for t, l in pairs:
             slot_a, num_a, ra = side_a[t]
             slot_b, num_b, rb = side_b[l]
             key = (slot_a + slot_b, num_a, num_b)
@@ -149,8 +194,12 @@ def product_sections(
             if row is None:
                 row = shared[key] = ProductRow(key[0], ra, rb)
             rows.append(row)
-        out.append(ProductSection(t, l, tuple(rows)))
-    return tuple(out)
+        columns.append((table_a, table_b, width, pairs, tuple(rows)))
+    formed.columns = columns
+    return tuple(
+        ProductSection(t, l, rows)
+        for (t, l), rows in zip(pairs, zip(*(column[4] for column in columns)))
+    )
 
 
 def product_series(

@@ -60,6 +60,7 @@ from ellchain.elliptic import (
     VanishingTable,
     end_decomposition,
     iter_trivial_slots,
+    memo,
     section_space,
 )
 from ellchain.independence import (
@@ -633,6 +634,58 @@ class EndoBuild:
     endo_series: LimitLinearSeries  # canonical (x) traceless endomorphisms
 
 
+def _traceless(
+    g: int, i: int, ends: BundleOnComponent, rho: int
+) -> tuple[BundleOnComponent, VanishingTable]:
+    """Component i's canonical twist of the rank ``rho`` traceless part of
+    ``ends``, the Hom decomposition there, and its g - 1 vanishing windows
+    per slot."""
+    k_i = LineBundleClass(2 * (i - 1), 2 * (g - i))
+    # drop the identity summand (slot 0 of the Hom decomposition)
+    tr0 = ends.slots[1:]
+    if len(tr0) != rho:
+        raise BuildError(i, f"traceless part has {len(tr0)} slots, wanted {rho}")
+    slots = tuple(k_i.tensor(LineBundleClass(0, 0, s.twist)) for s in tr0)
+    rows: list[SectionSymbol] = []
+    for s_index, cls in enumerate(slots):
+        rows.extend(section_space(cls, i - 1, g - 1, slot=s_index).rows)
+    return BundleOnComponent(slots), VanishingTable(tuple(rows))
+
+
+@dataclass(frozen=True)
+class _EndoRun:
+    """The half of every endo verdict of a (g, r) run that d does not touch."""
+
+    bundles: tuple[BundleOnComponent, ...]  # components 1..g-1 of the endo series
+    tables: tuple[VanishingTable, ...]
+    trivial: frozenset[int]  # the trivial summands of Hom(E0, E0) off the last component
+    canonical: LimitLinearSeries
+    pairs: tuple[tuple[int, int], ...]  # colsec_pairs(g, r^2 - 1)
+
+
+@memo
+def _endo_run(g: int, r: int) -> _EndoRun:
+    """Components 1..g-1 of every endo build of the (g, r) run, and the
+    canonical series and product list of its products.
+
+    Off the last component the bundle is one indecomposable slot of rank r
+    and degree 1 whatever d is, so its Hom decomposition is taken once.
+    A memo table keeps the run, so every verdict of it gets these very
+    objects and :func:`~ellchain.independence.product_sections` reuses its
+    columns off the last component.
+    """
+    rho = r * r - 1
+    ends = end_decomposition(BundleOnComponent((IndecomposableSlot(r, 1),)))
+    built = [_traceless(g, i, ends, rho) for i in range(1, g)]
+    return _EndoRun(
+        tuple(b for b, _ in built),
+        tuple(t for _, t in built),
+        frozenset(iter_trivial_slots(ends)),
+        canonical_series(g),
+        colsec_pairs(g, rho),
+    )
+
+
 def endo_build(p: PoinParams) -> EndoBuild:
     """The degree-d bundle with indecomposable degree-1 aspects, and its
     canonical-times-traceless-endomorphisms series.
@@ -644,43 +697,29 @@ def endo_build(p: PoinParams) -> EndoBuild:
     end and h on it; dropping one trivial summand leaves the rank r^2 - 1
     traceless part, whose canonical twist carries r^2 - 1 sections for each
     of the g - 1 vanishing windows.
+
+    Only the last component depends on d.  Components 1..g-1 come from the
+    run's memo table (:func:`_endo_run`), built by the run's first verdict
+    and shared as the same objects by the others; this call builds the
+    last component's bundle, Hom decomposition and windows.
     """
     g, r = p.g, p.r
-    e0 = [BundleOnComponent((IndecomposableSlot(r, 1),))] * (g - 1)
-    e0.append(_balanced(r, p.d - g + 1, lambda j: f"L{j + 1}"))
-
-    # the g - 1 bundles off the last component are one bundle: decompose it once
-    ends = {b: end_decomposition(b) for b in dict.fromkeys(e0)}
-    trivial = {b: frozenset(iter_trivial_slots(e)) for b, e in ends.items()}
-
+    run = _endo_run(g, r)
+    ends = end_decomposition(_balanced(r, p.d - g + 1, lambda j: f"L{j + 1}"))
     rho = r * r - 1
-    bundles: list[BundleOnComponent] = []
-    tables: list[VanishingTable] = []
-    for i in range(1, g + 1):
-        k_i = LineBundleClass(2 * (i - 1), 2 * (g - i))
-        # drop the identity summand (slot 0 of the Hom decomposition)
-        tr0 = ends[e0[i - 1]].slots[1:]
-        if len(tr0) != rho:
-            raise BuildError(i, f"traceless part has {len(tr0)} slots, wanted {rho}")
-        slots = tuple(
-            k_i.tensor(LineBundleClass(0, 0, s.twist)) for s in tr0
-        )
-        rows: list[SectionSymbol] = []
-        for s_index, cls in enumerate(slots):
-            rows.extend(section_space(cls, i - 1, g - 1, slot=s_index).rows)
-        bundles.append(BundleOnComponent(slots))
-        tables.append(VanishingTable(tuple(rows)))
+    bundle, table = _traceless(g, g, ends, rho)
     series = LimitLinearSeries(
         chain=elliptic_chain(g),
         rank=rho,
         degree=(2 * g - 2) * rho,
         dimension=rho * (g - 1),
         a=2 * g - 2,
-        bundles=tuple(bundles),
-        tables=tuple(tables),
+        bundles=run.bundles + (bundle,),
+        tables=run.tables + (table,),
         gluing=generic_gluing(g),
     )
-    return EndoBuild(p, tuple(trivial[b] for b in e0), series)
+    trivial = (run.trivial,) * (g - 1) + (frozenset(iter_trivial_slots(ends)),)
+    return EndoBuild(p, trivial, series)
 
 
 def endo_h0(build: EndoBuild) -> int:
@@ -720,8 +759,9 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
     p = build.params
     g, r = p.g, p.r
     rho = r * r - 1
-    canonical = canonical_series(g)
-    products = product_sections(canonical, build.endo_series, colsec_pairs(g, rho))
+    run = _endo_run(g, r)
+    canonical = run.canonical
+    products = product_sections(canonical, build.endo_series, run.pairs)
     prod_series = product_series(canonical, build.endo_series, products)
     dprime = tuple(
         3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1)

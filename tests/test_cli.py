@@ -421,6 +421,25 @@ def test_a_sweep_leaves_only_its_last_runs_jet_tables(tmp_path):
     assert independence._trial_jets.cache_info().currsize == 0
 
 
+def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
+    out = str(tmp_path / "sweep.json")
+    assert main(["endo", "--sweep", "--g", "4..6", "--r", "2..3", "--out", out]) == 0
+    # the (g, r) table holds the last run, (6, 3), alone: asking for it is a hit
+    run = pipelines._endo_run
+    assert run.cache_info().currsize == 1
+    misses = run.cache_info().misses
+    last = run(6, 3)
+    assert run.cache_info().misses == misses
+    # and the product columns kept are those of that run's last verdict
+    columns = independence._formed().columns
+    assert len(columns) == 6 and columns[0][0] is last.canonical.tables[0]
+    assert columns[0][3] is last.pairs
+    clear_memos()
+    assert run.cache_info().currsize == 0
+    assert independence._formed.cache_info().currsize == 0
+    assert independence._formed().columns == []
+
+
 def test_verdicts_decided_with_tables_warmed_by_other_runs_keep_their_bytes(
     capsys, monkeypatch
 ):

@@ -6,7 +6,7 @@ import pytest
 
 from ellchain.chain import canonical_series, redistribute, survives
 from ellchain.cli import _verdict_exit
-from ellchain.elliptic import AlgebraError, SectionSymbol, clear_memos
+from ellchain.elliptic import AlgebraError, SectionSymbol, VanishingTable, clear_memos
 from ellchain.independence import (
     Certificate,
     CertificateFailure,
@@ -15,6 +15,7 @@ from ellchain.independence import (
     ProductRow,
     ProductSection,
     _coeff,
+    _formed,
     _rank_mod_p,
     _trial_jets,
     certify_independence,
@@ -446,6 +447,81 @@ def test_equal_product_rows_are_one_object():
     assert len({id(row) for row in rows}) == 5760
     first: dict[ProductRow, ProductRow] = {}
     assert all(first.setdefault(row, row) is row for row in rows)
+
+
+def test_equal_product_rows_are_one_object_in_a_warm_run():
+    # (20, 5, 24) after (20, 5, 22) of the same run: components 1..19 reuse
+    # the earlier verdict's columns, and the last one is formed with its
+    # numbering and row table, so equal rows are still one object
+    clear_memos()
+    endo_instance(endo_build(poin_params(20, 5, 22)))
+    products, _ = endo_instance(endo_build(poin_params(20, 5, 24)))
+    rows = [row for prod in products for row in prod.rows]
+    assert len(rows) == 27360
+    assert len({id(row) for row in rows}) == 5760
+    first: dict[ProductRow, ProductRow] = {}
+    assert all(first.setdefault(row, row) is row for row in rows)
+
+
+def _columns():
+    """The rows of each column the last product_sections call returned."""
+    return [column[4] for column in _formed().columns]
+
+
+def test_a_column_is_reused_for_the_same_tables_only():
+    build = endo_build(poin_params(6, 3, 7))
+    canonical, series, pairs = canonical_series(6), build.endo_series, colsec_pairs(6, 8)
+    clear_memos()
+    before = product_sections(canonical, series, pairs)
+    # value-equal but distinct tables, or pair list, form every column again
+    copied = replace(series, tables=tuple(VanishingTable(t.rows) for t in series.tables))
+    for args in ((canonical_series(6), series, pairs), (canonical, copied, pairs),
+                 (canonical, series, colsec_pairs(6, 8)), (canonical, series, pairs)):
+        product_sections(canonical, series, pairs)
+        columns = _columns()
+        assert product_sections(*args) == before
+        reused = [a is b for a, b in zip(_columns(), columns)]
+        # only the very same objects reuse a column, and then every one
+        assert reused == [args[0] is canonical and args[1] is series and args[2] is pairs] * 6
+
+
+def test_a_replaced_table_forms_its_column_alone_again():
+    build = endo_build(poin_params(6, 3, 7))
+    canonical, series, pairs = canonical_series(6), build.endo_series, colsec_pairs(6, 8)
+    clear_memos()
+    before = product_sections(canonical, series, pairs)
+    columns = _columns()
+    # component 3's table with its row 4 shifted one order up at P
+    rows = list(series.tables[2].rows)
+    rows[4] = rows[4].shifted(-1, 0)
+    tables = list(series.tables)
+    tables[2] = VanishingTable(tuple(rows))
+    shifted = replace(series, tables=tuple(tables))
+    after = product_sections(canonical, shifted, pairs)
+    for i, (a, b) in enumerate(zip(_columns(), columns)):
+        assert (a is b) == (i != 2)
+    for old, new in zip(before, after):
+        assert all(new.rows[i] is old.rows[i] for i in range(6) if i != 2)
+        want = rows[4] if new.factor_b == 4 else series.tables[2].rows[new.factor_b]
+        assert new.rows[2].row_b == want
+        assert (new.rows[2] == old.rows[2]) == (new.factor_b != 4)
+    assert any(p.factor_b == 4 for p in after)
+    clear_memos()
+    assert product_sections(canonical, shifted, pairs) == after
+
+
+def test_consecutive_petri_verdicts_share_no_column():
+    # petri builds new tables for every verdict: each call starts afresh and
+    # its row table holds that verdict's rows only
+    clear_memos()
+    previous, previous_ids = [], set()
+    for d, k in ((7, 3), (8, 1), (7, 3)):  # two consecutive tuples of the run, then one again
+        products = petri_instance(petri_build(petri_params(5, 2, d, k)))[0]
+        ids = {id(row) for prod in products for row in prod.rows}
+        assert len(_formed().shared) == len(ids)
+        assert not ids & previous_ids
+        assert not any(a is b for a, b in zip(_columns(), previous))
+        previous, previous_ids = _columns(), ids
 
 
 def test_product_row_symbol_follows_replace(petri_5273):

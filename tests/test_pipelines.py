@@ -14,6 +14,7 @@ from ellchain.chain import (
     validate_lls,
     validate_rank1,
 )
+from ellchain.elliptic import clear_memos
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
     CASE_A,
@@ -305,6 +306,28 @@ def test_endo_quoted_thresholds_are_the_redistributions():
             assert draft.distribution.thresholds == endo_quoted_thresholds(g), (g, r)
 
 
+def _endo_grid():
+    """The tuples of the endo-grid workload, in sweep order."""
+    return [(g, r, d) for g in range(4, 11) for r in range(2, 5) for d in range(g, g + r)]
+
+
+def test_a_warm_endo_run_forms_what_a_cold_one_forms():
+    # each verdict after the first of a (g, r) run takes components 1..g-1
+    # and the product columns there from the run's memo tables; no table is
+    # emptied between runs either, so a run also starts with the last one's
+    cold = {}
+    for t in _endo_grid():
+        clear_memos()
+        build = endo_build(poin_params(*t))
+        cold[t] = build, endo_instance(build)[0]
+    clear_memos()
+    for t in _endo_grid():
+        build = endo_build(poin_params(*t))
+        assert build == cold[t][0], t
+        assert endo_instance(build)[0] == cold[t][1], t
+    assert pipelines._endo_run.cache_info().hits > 0
+
+
 SHIFTS = {"P-1": (-1, 0), "P+1": (1, 0), "Q+1": (0, 1), "Q-1": (0, -1), "both+1": (1, 1)}
 
 
@@ -324,12 +347,10 @@ def test_no_endo_verdict_is_proven_with_shifted_thresholds(monkeypatch, shift):
     # with P-1 the certificate and the oracle still pass at g = 4, so only
     # the closed form catches it
     _shift_thresholds(monkeypatch, shift)
-    for g in range(4, 11):  # the endo-grid workload
-        for r in range(2, 5):
-            for d in range(g, g + r):
-                v = onto_certificate(g, r, d)
-                assert v.status == "not-proven", (g, r, d)
-                assert v.certificate_error.startswith("component 1: "), (g, r, d)
+    for g, r, d in _endo_grid():
+        v = onto_certificate(g, r, d)
+        assert v.status == "not-proven", (g, r, d)
+        assert v.certificate_error.startswith("component 1: "), (g, r, d)
 
 
 def _petri_grid_sample():
