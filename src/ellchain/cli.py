@@ -274,19 +274,22 @@ def _span(raw: str | None, name: str) -> range | None:
     """``a..b`` (a <= b) or ``a`` as an inclusive range; None when absent."""
     if raw is None:
         return None
-    if ".." in raw:
-        lo, hi = (int(x) for x in raw.split("..", 1))
-        if lo > hi:
-            raise ValueError(f"--{name} {raw} is an empty range: {lo} > {hi}")
-    else:
-        lo = hi = int(raw)
+    try:
+        lo, hi = (int(x) for x in raw.split("..", 1)) if ".." in raw else (int(raw),) * 2
+    except ValueError:
+        raise ValueError(f"--{name} {raw}: expected an integer or a range a..b") from None
+    if lo > hi:
+        raise ValueError(f"--{name} {raw} is an empty range: {lo} > {hi}")
     return range(lo, hi + 1)
 
 
 def _single(raw: str | None, name: str) -> int:
     if raw is None or ".." in raw:
         raise ValueError(f"--{name} needs a single value here")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"--{name} {raw}: expected an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +440,29 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_NOT_PROVEN
 
 
-def _sweep(args) -> Iterator[tuple[int, ...]]:
-    """The (g, r, d[, k]) tuples of a sweep, in g -> r -> d (-> k) order.
+#: past g and r, each certify command's parameters in the order its entry
+#: point takes them, with their default range in a sweep's (g, r) run
+PARAMS = {
+    "petri": {"d": lambda g, r: range(1, 4 * g + 1), "k": lambda g, r: range(1, 4 * g + 1)},
+    "endo": {"d": lambda g, r: range(g, g + r)},
+}
 
-    Every range is parsed here, so a bad one fails before the first tuple.
-    """
-    gs, rs, ds = _span(args.g, "g"), _span(args.r, "r"), _span(args.d, "d")
+
+def _sweep(args) -> Iterator[tuple[int, ...]]:
+    """The tuples of a sweep, in g -> r -> the command's other parameters'
+    order.  Every range is parsed here, so a bad one fails before the first
+    tuple."""
+    defaults = PARAMS[args.command]
+    gs, rs, *spans = (_span(getattr(args, n), n) for n in ("g", "r", *defaults))
     if gs is None or rs is None:
         raise ValueError("missing required range")
-    if args.command == "petri":
-        ks = _span(args.k, "k")
-        return (
-            (g, r, d, k)
-            for g in gs
-            for r in rs
-            for d in (range(1, 4 * g + 1) if ds is None else ds)
-            for k in (range(1, 4 * g + 1) if ks is None else ks)
-        )
     return (
-        (g, r, d) for g in gs for r in rs for d in (range(g, g + r) if ds is None else ds)
+        (g, r, *rest)
+        for g in gs
+        for r in rs
+        for rest in itertools.product(
+            *(f(g, r) if span is None else span for span, f in zip(spans, defaults.values()))
+        )
     )
 
 
@@ -481,7 +488,7 @@ def cmd_certify(args) -> int:
         if args.sweep:
             runs = itertools.groupby(_sweep(args), key=lambda t: t[:2])
         else:
-            names = "grdk" if args.command == "petri" else "grd"
+            names = ("g", "r", *PARAMS[args.command])
             single = tuple(_single(getattr(args, n), n) for n in names)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None

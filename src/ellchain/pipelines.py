@@ -1,5 +1,8 @@
 """End-to-end builders and verdicts for the two product-map statements.
 
+One method serves both statements, and each is its data: a parameter check,
+a builder, the a-parts of its degree spread, its audits and notes.
+
 ``petri_*`` builds, on a chain of g elliptic curves, a rank-r degree-d
 series with k sections together with the complementary series (canonical
 tensor dual), forms all k*kbar products, spreads their degree over the chain,
@@ -18,21 +21,24 @@ checked against the exact section calculus, and the elimination engine plus
 the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
 ``endo_instance`` turn a build into its products and a draft: the statement's
 ``not-proven`` :class:`Verdict` with every build fact filled in (the
-thresholds, audits, notes).  One :func:`decide` settles the draft of either
-statement.
+thresholds, audits, notes, and a ``certificate_error`` when the thresholds
+are off their closed form).  One body, :func:`_certify`, takes either
+statement from its parameters to its verdict through :func:`decide`.
 
 A verdict reads one (P, Q) vanishing threshold pair per component: the prefix
 sums of the a-parts (d'_i - (d_i mod r)) // r of the product series' degrees,
-from :func:`~ellchain.chain.spread`.  No series is twisted on the way;
-:func:`~ellchain.chain.redistribute` serves only ``ellchain redistribute``
-and the tests, which check that its thresholds agree.
+from :func:`~ellchain.chain.spread`, with d' the product rank times the
+statement's a-parts; thresholds off their closed form
+(:func:`quoted_thresholds`) settle it not-proven uncertified.  No series is
+twisted on the way; :func:`~ellchain.chain.redistribute` serves only
+``ellchain redistribute`` and the tests, which check that its thresholds agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ellchain.chain import (
     GluingData,
@@ -115,6 +121,11 @@ class PetriParams:
     def kbar(self) -> int:
         return self.r * self.alpha
 
+    @property
+    def expected(self) -> int:
+        """The product count k * kbar."""
+        return self.k * self.kbar
+
 
 def petri_params(g: int, r: int, d: int, k: int) -> PetriParams:
     """Classify and admit a parameter tuple, or raise with the failed check.
@@ -153,11 +164,12 @@ class PoinParams:
     r: int
     d: int
     h: int  # gcd(r, d - g + 1)
+    case = None  # one case only; not a field
 
     @property
-    def target_dim(self) -> int:
-        """The target space's dimension rho * (3g - 3), rho = r^2 - 1: degree
-        + rank*(1 - g) on the squared twist."""
+    def expected(self) -> int:
+        """The product count, the target space's dimension rho * (3g - 3),
+        rho = r^2 - 1: degree + rank*(1 - g) on the squared twist."""
         return (self.r * self.r - 1) * (3 * self.g - 3)
 
 
@@ -488,6 +500,37 @@ def decide(
     )
 
 
+def _certify(
+    kind: str, params: dict, admit: Callable, build: Callable, instance: Callable,
+    prime: int, seed: int, trials: int,
+) -> Verdict:
+    """The verdict path of both statements: ``admit`` the params, ``build``,
+    form the products and the draft (``instance``), and :func:`decide` it.
+
+    A :class:`ParamsError` gives hypothesis-not-met, rank 1 a vacuous endo
+    verdict and a build failure a not-proven one; a draft whose thresholds
+    are not the closed form's is settled as it is, uncertified.  The entry
+    points pass the builders the module binds when they are called.
+    """
+    try:
+        p = admit(**params)
+    except ParamsError as exc:
+        return Verdict(kind, params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
+    if kind == "endo-onto" and p.r == 1:
+        notes = ("rank 1: traceless part has rank 0, nothing to prove",)
+        return Verdict(kind, params, None, VACUOUS, notes=notes)
+    try:
+        built = build(p)
+    except (BuildError, AlgebraError) as exc:
+        return Verdict(
+            kind, params, p.case, NOT_PROVEN, p.expected, certificate_error=f"build failed: {exc}"
+        )
+    products, draft = instance(built)
+    if draft.certificate_error is not None:  # the thresholds are not the closed form's
+        return draft
+    return decide(products, draft, prime, seed, trials)
+
+
 def _dual_valid(series: LimitLinearSeries) -> bool:
     """Dual-series validity: condition (3) in its evaluation form.
 
@@ -506,29 +549,25 @@ def _dual_valid(series: LimitLinearSeries) -> bool:
     )
 
 
-def petri_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
-    """The survivor thresholds as quoted for the product redistribution."""
-    out = []
-    for i in range(1, g + 1):
-        th_p = 2 * i - 3 if i >= 2 else 0
-        th_q = 2 * g - 2 * i - 1 if i <= g - 1 else 0
-        out.append((th_p, th_q))
-    return tuple(out)
-
-
-def endo_quoted_thresholds(g: int) -> tuple[tuple[int, int], ...]:
-    """The survivor thresholds of the endo products, in closed form.
-
-    The a-parts are 3 on components 1, g-2, g-1 and g and 4 elsewhere;
-    component i's P-threshold sums the a-parts before it, its Q-threshold
-    those after it.
-    """
-    parts = [3 if i in (1, g - 2, g - 1, g) else 4 for i in range(1, g + 1)]
+def quoted_thresholds(parts: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The survivor thresholds in closed form: component i's P-threshold sums
+    the a-parts before it, its Q-threshold those after it."""
     total, before, out = sum(parts), 0, []
     for part in parts:
         out.append((before, total - before - part))
         before += part
     return tuple(out)
+
+
+def petri_parts(g: int) -> tuple[int, ...]:
+    """The a-parts of the petri products: 1 on the end components, 2 elsewhere."""
+    return tuple(1 if i in (1, g) else 2 for i in range(1, g + 1))
+
+
+def endo_parts(g: int) -> tuple[int, ...]:
+    """The a-parts of the endo products: 3 on components 1, g-2, g-1 and g,
+    4 elsewhere."""
+    return tuple(3 if i in (1, g - 2, g - 1, g) else 4 for i in range(1, g + 1))
 
 
 def _threshold_error(
@@ -545,19 +584,27 @@ def _threshold_error(
     return None
 
 
+def _spread_products(
+    a: LimitLinearSeries, b: LimitLinearSeries, pairs: Sequence | None, parts: tuple[int, ...]
+) -> tuple[tuple[ProductSection, ...], LimitLinearSeries, DistributionInfo, str | None]:
+    """The products of ``a`` and ``b`` for ``pairs`` (all when None), their
+    series, its :func:`~ellchain.chain.spread` to dprime = rank * ``parts``
+    with the closed form, and why the thresholds are not that (or None)."""
+    products = product_sections(a, b, pairs)
+    series = product_series(a, b, products)
+    dprime = tuple(series.rank * part for part in parts)
+    _, thresholds = spread(series.component_degrees, dprime, series.rank, series.degree)
+    quoted = quoted_thresholds(parts)
+    info = DistributionInfo(dprime, thresholds, quoted)
+    return products, series, info, _threshold_error(thresholds, quoted)
+
+
 def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdict]:
     """The k * kbar products of the two series, spread r^2 on the end
     components and 2r^2 on the others, and the petri draft for :func:`decide`."""
     p, primary, dual = build.params, build.primary, build.dual
-    g, r = p.g, p.r
-    products = product_sections(primary, dual)
-    prod_series = product_series(primary, dual, products)
-    rho = r * r
-    dprime = tuple(rho if i in (1, g) else 2 * rho for i in range(1, g + 1))
-    _, thresholds = spread(
-        prod_series.component_degrees, dprime, prod_series.rank, prod_series.degree
-    )
-    quoted = petri_quoted_thresholds(g)
+    g, r, rho = p.g, p.r, p.r * p.r
+    products, prod_series, dist, error = _spread_products(primary, dual, None, petri_parts(g))
     # every slot has the bundle's slope, so each is a destabilizing sub-slot
     stability = check_stability(
         primary.bundles, primary.gluing, [tuple(range(len(b.slots))) for b in primary.bundles]
@@ -578,48 +625,25 @@ def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdi
         Audit("product-series-valid", True, validate_lls(prod_series).ok),
         Audit("dual-series-valid", True, _dual_valid(dual)),
         Audit("dual-dimension", p.kbar, dual.dimension),
-        Audit("product-count", p.k * p.kbar, len(products)),
-        Audit("distribution-total", rho * (2 * g - 2), sum(dprime)),
-        Audit("quoted-thresholds", quoted, thresholds),
-        Audit("image-bound-within-ambient", True, p.k * p.kbar <= rho * (g - 1)),
+        Audit("product-count", p.expected, len(products)),
+        Audit("distribution-total", rho * (2 * g - 2), sum(dist.dprime)),
+        Audit("quoted-thresholds", dist.quoted_thresholds, dist.thresholds),
+        Audit("image-bound-within-ambient", True, p.expected <= rho * (g - 1)),
         Audit("stability", "stable-by-criterion", stability.verdict),
     )
     return products, Verdict(
-        "petri", {"g": g, "r": r, "d": p.d, "k": p.k}, p.case, NOT_PROVEN, p.k * p.kbar,
-        audits=audits, distribution=DistributionInfo(dprime, thresholds, quoted),
-        stability=stability, notes=tuple(notes),
+        "petri", {"g": g, "r": r, "d": p.d, "k": p.k}, p.case, NOT_PROVEN, p.expected,
+        len(products), audits, dist, certificate_error=error, stability=stability,
+        notes=tuple(notes),
     )
 
 
 def petri_certificate(
-    g: int,
-    r: int,
-    d: int,
-    k: int,
-    prime: int = DEFAULT_PRIME,
-    seed: int = 0,
-    trials: int = 1,
+    g: int, r: int, d: int, k: int, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 1
 ) -> Verdict:
-    """Build, certify and cross-check the k * kbar products.
-
-    The certificate and the oracle read the products against the thresholds
-    of the degree spread alone (:func:`~ellchain.chain.spread`): prefix sums
-    of the a-parts of the product series' degrees, audited against
-    :func:`petri_quoted_thresholds`.
-    """
+    """Build, certify and cross-check the k * kbar products."""
     params = {"g": g, "r": r, "d": d, "k": k}
-    try:
-        p = petri_params(g, r, d, k)
-    except ParamsError as exc:
-        return Verdict("petri", params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
-    try:
-        build = petri_build(p)
-    except (BuildError, AlgebraError) as exc:
-        return Verdict(
-            "petri", params, p.case, NOT_PROVEN, p.k * p.kbar,
-            certificate_error=f"build failed: {exc}",
-        )
-    return decide(*petri_instance(build), prime, seed, trials)
+    return _certify("petri", params, petri_params, petri_build, petri_instance, prime, seed, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +784,8 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
     g, r = p.g, p.r
     rho = r * r - 1
     run = _endo_run(g, r)
-    canonical = run.canonical
-    products = product_sections(canonical, build.endo_series, run.pairs)
-    prod_series = product_series(canonical, build.endo_series, products)
-    dprime = tuple(
-        3 * rho if i in (1, g - 2, g - 1, g) else 4 * rho for i in range(1, g + 1)
-    )
-    _, thresholds = spread(
-        prod_series.component_degrees, dprime, prod_series.rank, prod_series.degree
+    products, prod_series, dist, error = _spread_products(
+        run.canonical, build.endo_series, run.pairs, endo_parts(g)
     )
     audits = (
         Audit("endo-series-valid", True, validate_lls(build.endo_series).ok),
@@ -775,51 +793,25 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
         Audit("hom-h0", 1, endo_h0(build)),
         Audit("table-dimension", rho * (g - 1), build.endo_series.dimension),
         Audit("trivial-summands-last", p.h, len(build.trivial[-1])),
-        Audit("distribution-total", rho * (4 * g - 4), sum(dprime)),
-        Audit("target-dimension", p.target_dim, len(products)),
+        Audit("distribution-total", rho * (4 * g - 4), sum(dist.dprime)),
+        Audit("target-dimension", p.expected, len(products)),
     )
     notes = (
         "last-component canonical classes recomputed from the canonical series:"
         " O(2(g-1)P); h-1 traceless windows there gain one vanishing order",
     )
+    # an endo verdict writes no closed form: its quoted_thresholds stay null
     return products, Verdict(
-        "endo-onto", {"g": g, "r": r, "d": p.d}, None, NOT_PROVEN, p.target_dim,
-        audits=audits, distribution=DistributionInfo(dprime, thresholds, None), notes=notes,
+        "endo-onto", {"g": g, "r": r, "d": p.d}, None, NOT_PROVEN, p.expected, len(products),
+        audits, replace(dist, quoted_thresholds=None), certificate_error=error, notes=notes,
     )
 
 
 def onto_certificate(
-    g: int,
-    r: int,
-    d: int,
-    prime: int = DEFAULT_PRIME,
-    seed: int = 0,
-    trials: int = 1,
+    g: int, r: int, d: int, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 1
 ) -> Verdict:
-    """Certify surjectivity of canonical x traceless-endomorphism products.
-
-    Thresholds that differ from :func:`endo_quoted_thresholds` settle the
-    verdict not-proven before anything is certified.
-    """
+    """Certify surjectivity of canonical x traceless-endomorphism products."""
     params = {"g": g, "r": r, "d": d}
-    try:
-        p = poin_params(g, r, d)
-    except ParamsError as exc:
-        return Verdict("endo-onto", params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
-    if r == 1:
-        return Verdict(
-            "endo-onto", params, None, VACUOUS,
-            notes=("rank 1: traceless part has rank 0, nothing to prove",),
-        )
-    try:
-        build = endo_build(p)
-    except (BuildError, AlgebraError) as exc:
-        return Verdict(
-            "endo-onto", params, None, NOT_PROVEN, p.target_dim,
-            certificate_error=f"build failed: {exc}",
-        )
-    products, draft = endo_instance(build)
-    error = _threshold_error(draft.distribution.thresholds, endo_quoted_thresholds(g))
-    if error is not None:
-        return replace(draft, product_count=len(products), certificate_error=error)
-    return decide(products, draft, prime, seed, trials)
+    return _certify(
+        "endo-onto", params, poin_params, endo_build, endo_instance, prime, seed, trials
+    )

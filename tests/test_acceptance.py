@@ -36,8 +36,9 @@ from ellchain.pipelines import (
     petri_certificate,
     petri_instance,
     petri_params,
-    petri_quoted_thresholds,
+    petri_parts,
     poin_params,
+    quoted_thresholds,
 )
 from ellchain.tableaux import count_tableaux
 from reference import rectangle_syt_count
@@ -226,7 +227,7 @@ def test_criterion_7_degree_unit_audit():
         for (g, r, d, k), verdict in _petri_grid().items():
             dist = verdict.distribution
             assert sum(dist.dprime) == r * r * (2 * g - 2), (g, r, d, k)
-            assert dist.quoted_thresholds == petri_quoted_thresholds(g)
+            assert dist.quoted_thresholds == quoted_thresholds(petri_parts(g))
             assert dist.matches_quoted is True
 
 

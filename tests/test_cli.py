@@ -188,28 +188,6 @@ class TestPetri:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    @pytest.mark.parametrize("error", [
-        pipelines.BuildError(2, "forced"), AlgebraError("component 2: forced"),
-    ], ids=["BuildError", "AlgebraError"])
-    def test_a_build_failure_is_a_not_proven_verdict(self, capsys, monkeypatch, error):
-        # as an endo build failure is: a verdict and exit 3, in a sweep too
-        def failing(p):
-            raise error
-
-        monkeypatch.setattr(pipelines, "petri_build", failing)
-        want = {"status": "not-proven", "certificate_error": "build failed: component 2: forced",
-                "product_count": 0, "expected_products": 12}
-        code, out, err = run(capsys, "petri", "--g", "5", "--r", "2", "--d", "7", "--k", "3")
-        assert (code, err) == (3, "")
-        assert {k: json.loads(out)[k] for k in want} == want
-        argv = ("--g", "4..5", "--r", "2", "--d", "6..7", "--k", "2..3")
-        code, out, err = run(capsys, "petri", "--sweep", *argv)
-        assert (code, err) == (3, "")
-        rows = json.loads(out)
-        admitted = [(4, 6, 2), (4, 7, 2), (4, 7, 3), (5, 6, 2), (5, 7, 2), (5, 7, 3)]
-        assert [(r["params"]["g"], r["params"]["d"], r["params"]["k"]) for r in rows] == admitted
-        assert [r["certificate_error"] for r in rows] == [want["certificate_error"]] * 6
-
 
 class TestEndo:
     def test_single(self, capsys):
@@ -235,25 +213,39 @@ class TestEndo:
         assert len(rows) == 4  # d in g..g+1 for each g
         assert all(r["status"] == "proven" for r in rows)
 
-    @pytest.mark.parametrize("error", [
-        pipelines.BuildError(2, "forced"), AlgebraError("component 2: forced"),
-    ], ids=["BuildError", "AlgebraError"])
-    def test_a_build_failure_is_a_not_proven_verdict(self, capsys, monkeypatch, error):
-        # as a petri build failure is: a verdict and exit 3, in a sweep too
-        def failing(p):
-            raise error
 
-        monkeypatch.setattr(pipelines, "endo_build", failing)
-        want = {"status": "not-proven", "certificate_error": "build failed: component 2: forced",
-                "product_count": 0, "expected_products": 27}
-        code, out, err = run(capsys, "endo", "--g", "4", "--r", "2", "--d", "4")
-        assert (code, err) == (3, "")
-        assert {k: json.loads(out)[k] for k in want} == want
-        code, out, err = run(capsys, "endo", "--sweep", "--g", "4..5", "--r", "2")
-        assert (code, err) == (3, "")
-        rows = json.loads(out)
-        assert [r["params"]["g"] for r in rows] == [4, 4, 5, 5]
-        assert [r["certificate_error"] for r in rows] == [want["certificate_error"]] * 4
+# per command: its builder, a single verdict's argv and expected product count,
+# and a sweep's argv and the admitted tuples it writes
+BUILD_FAILURES = {
+    "petri": ("petri_build", ("--g", "5", "--r", "2", "--d", "7", "--k", "3"), 12,
+              ("--g", "4..5", "--r", "2", "--d", "6..7", "--k", "2..3"),
+              [(4, 2, 6, 2), (4, 2, 7, 2), (4, 2, 7, 3), (5, 2, 6, 2), (5, 2, 7, 2), (5, 2, 7, 3)]),
+    "endo": ("endo_build", ("--g", "4", "--r", "2", "--d", "4"), 27,
+             ("--g", "4..5", "--r", "2"), [(4, 2, 4), (4, 2, 5), (5, 2, 5), (5, 2, 6)]),
+}
+
+
+@pytest.mark.parametrize("command", BUILD_FAILURES)
+@pytest.mark.parametrize("error", [
+    pipelines.BuildError(2, "forced"), AlgebraError("component 2: forced"),
+], ids=["BuildError", "AlgebraError"])
+def test_a_build_failure_is_a_not_proven_verdict(capsys, monkeypatch, command, error):
+    # either statement's build failure is a verdict and exit 3, in a sweep too
+    def failing(p):
+        raise error
+
+    builder, single, expected, sweep, admitted = BUILD_FAILURES[command]
+    monkeypatch.setattr(pipelines, builder, failing)
+    want = {"status": "not-proven", "certificate_error": "build failed: component 2: forced",
+            "product_count": 0, "expected_products": expected}
+    code, out, err = run(capsys, command, *single)
+    assert (code, err) == (3, "")
+    assert {k: json.loads(out)[k] for k in want} == want
+    code, out, err = run(capsys, command, "--sweep", *sweep)
+    assert (code, err) == (3, "")
+    rows = json.loads(out)
+    assert [r["params"] for r in rows] == [dict(zip("grdk", t)) for t in admitted]
+    assert [r["certificate_error"] for r in rows] == [want["certificate_error"]] * len(admitted)
 
 
 def test_env_seed_override(capsys, monkeypatch):
@@ -352,7 +344,15 @@ def test_an_option_the_command_does_not_read_is_usage_error(capsys, tmp_path, ar
      "63c6bedabe54f0c72a1c68611eaaa3d628f3f256d13b0b45fe7277a5a7b719a8"),
     (("endo", "--sweep", "--g", "4..6", "--r", "2..3", "--seed", "2208", "--trials", "2"),
      "b3736d20ac2de28de88591d7b79c6a66bf02d666d1a15ac6684cb626fea97bf9"),
-], ids=["petri", "endo", "endo-large", "petri-seed-2208", "endo-seed-2208"])
+    # the table rows read params and case; endo's vacuous and refused tuples
+    (("petri", "--sweep", "--g", "2..5", "--r", "1..2", "--format", "table"),
+     "e48a7ddf2761382a21df1e35ceb196fb7b38d0c86c2320c56bf97b8a23403935"),
+    (("endo", "--sweep", "--g", "4..7", "--r", "1..3", "--d", "3..10"),
+     "1f1596aafc72deb2c3048542bb07c3a67dade73fb33f20349d4e53df37a79ea7"),
+    (("endo", "--sweep", "--g", "4..7", "--r", "1..3", "--d", "3..10", "--format", "table"),
+     "6046e7e397f348bbf4f01805699ee1a59e3adefbf2cc18d44b15ee487ee794dc"),
+], ids=["petri", "endo", "endo-large", "petri-seed-2208", "endo-seed-2208", "petri-table",
+        "endo-vacuous-refused", "endo-vacuous-refused-table"])
 def test_sweep_json_is_pinned(capsys, argv, digest):
     # default prime, and seed 0 with one trial unless given: any change to a
     # byte of the sweep fails
@@ -493,8 +493,16 @@ def test_an_inverted_range_is_usage_error(capsys, tmp_path, command, option):
     (("petri", "--g", "5", "--r", "2", "--d", "7"), "--k needs a single value here"),
     (("petri", "--sweep", "--g", "2..3"), "missing required range"),
     (("endo", "--g", "4..5", "--r", "2", "--d", "4"), "--g needs a single value here"),
+    (("petri", "--sweep", "--g", "x", "--r", "2"),
+     "--g x: expected an integer or a range a..b"),
+    (("endo", "--sweep", "--g", "2..y", "--r", "2"),
+     "--g 2..y: expected an integer or a range a..b"),
+    (("endo", "--sweep", "--g", "4", "--r", "2", "--d", "..5"),
+     "--d ..5: expected an integer or a range a..b"),
+    (("petri", "--g", "5", "--r", "2", "--d", "4.5", "--k", "3"), "--d 4.5: expected an integer"),
 ], ids=["canonical-genus", "tableaux-rank", "tableaux-width", "validate-missing",
-        "redistribute-missing", "petri-no-k", "petri-sweep-no-r", "endo-range-g"])
+        "redistribute-missing", "petri-no-k", "petri-sweep-no-r", "endo-range-g", "sweep-g-x",
+        "sweep-g-2..y", "sweep-d-..5", "single-d-4.5"])
 def test_bad_input_exits_2_with_its_one_line(capsys, tmp_path, argv, message):
     missing = tmp_path / "missing.json"
     code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))

@@ -14,6 +14,7 @@ from ellchain.chain import (
     validate_lls,
     validate_rank1,
 )
+from ellchain.cli import _verdict_exit
 from ellchain.elliptic import clear_memos
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
@@ -25,14 +26,15 @@ from ellchain.pipelines import (
     endo_build,
     endo_h0,
     endo_instance,
-    endo_quoted_thresholds,
+    endo_parts,
     onto_certificate,
     petri_build,
     petri_certificate,
     petri_instance,
     petri_params,
-    petri_quoted_thresholds,
+    petri_parts,
     poin_params,
+    quoted_thresholds,
 )
 
 
@@ -136,7 +138,7 @@ class TestPetriCertificate:
     def test_quoted_thresholds_recorded(self):
         v = petri_certificate(5, 2, 7, 3)
         assert v.distribution.matches_quoted is True
-        assert v.distribution.thresholds == petri_quoted_thresholds(5)
+        assert v.distribution.thresholds == quoted_thresholds(petri_parts(5))
         assert v.distribution.dprime == (4, 8, 8, 8, 4)
 
     def test_stability_audit(self):
@@ -299,11 +301,11 @@ class TestOntoCertificate:
 
 
 def test_endo_quoted_thresholds_are_the_redistributions():
-    assert endo_quoted_thresholds(5) == ((0, 13), (3, 9), (7, 6), (10, 3), (13, 0))
+    assert quoted_thresholds(endo_parts(5)) == ((0, 13), (3, 9), (7, 6), (10, 3), (13, 0))
     for g in range(4, 15):
         for r in (2, 3):
             _, draft = endo_instance(endo_build(poin_params(g, r, g)))
-            assert draft.distribution.thresholds == endo_quoted_thresholds(g), (g, r)
+            assert draft.distribution.thresholds == quoted_thresholds(endo_parts(g)), (g, r)
 
 
 def _endo_grid():
@@ -377,6 +379,10 @@ def test_no_petri_verdict_is_proven_with_shifted_thresholds(monkeypatch, shift):
         v = petri_certificate(*tup)
         assert v.status == "not-proven", tup
         assert [a.name for a in v.audits if not a.ok] == ["quoted-thresholds"], tup
+        # settled as an endo threshold fault is: uncertified, exit 3
+        assert v.certificate_error.startswith("component 1: "), tup
+        assert v.certificate is None and v.oracle is None, tup
+        assert _verdict_exit(v) == 3, tup
 
 
 def test_the_verdict_thresholds_are_the_redistributions():
