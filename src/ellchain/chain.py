@@ -183,7 +183,17 @@ def _row_class_conflict(
 
 
 def validate_lls(series: LimitLinearSeries) -> ValidationReport:
-    """Check the three series conditions; structural defects are reported apart."""
+    """Check the three series conditions; structural defects are reported apart.
+
+    Every row is judged against its slot's class, but a row within its slot's
+    bound skips :func:`_row_class_conflict`, which only refutes rows past it.
+    The bound is read once per slot: an order sum of at most d - 1 on a line
+    slot of degree d without a special index (the rule's cases need a sum of
+    at least d there), at most d - 2 on one with a special index (its cases
+    need at least d - 1), and on an indecomposable slot of rank r an inexact
+    P-order or an exact one of at most d // r (then r * ord_p <= d, while the
+    rule needs r * ord_p > d).
+    """
     structural: list[str] = []
     failures: list[str] = []
     m = series.chain.components
@@ -193,26 +203,43 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
             f" / {len(series.tables)} tables"
         )
         return ValidationReport(tuple(structural), Conditions(False, False, False), ())
-    if series.rank < 1:
-        structural.append(f"series rank {series.rank} is below 1")
+    rank, a = series.rank, series.a
+    if rank < 1:
+        structural.append(f"series rank {rank} is below 1")
+    degrees: list[int] = []
     for i, (bundle, table) in enumerate(zip(series.bundles, series.tables)):
-        if bundle.rank != series.rank:
-            structural.append(f"component {i + 1}: rank {bundle.rank} != {series.rank}")
+        if bundle.rank != rank:
+            structural.append(f"component {i + 1}: rank {bundle.rank} != {rank}")
         if table.dimension != series.dimension:
             structural.append(
                 f"component {i + 1}: table dimension {table.dimension} != {series.dimension}"
             )
-        facts = [
-            (s, s.degree, s.special_index() if isinstance(s, LineBundleClass) else None)
-            for s in bundle.slots
-        ]
+        facts: list[tuple[Slot, int, int | None]] = []
+        bounds: list[tuple[bool, int]] = []  # (is a line slot, its bound)
+        for s in bundle.slots:
+            d = s.degree
+            if isinstance(s, LineBundleClass):
+                special = s.special_index()
+                bounds.append((True, d - 1 if special is None else d - 2))
+            else:
+                special = None
+                bounds.append((False, d // s.rank))
+            facts.append((s, d, special))
+        degrees.append(sum(d for _, d, _ in facts))
         for row in table.rows:
-            if not 0 <= row.slot < len(facts):
-                structural.append(f"component {i + 1}: row in missing slot {row.slot}")
+            slot = row.slot
+            if not 0 <= slot < len(facts):
+                structural.append(f"component {i + 1}: row in missing slot {slot}")
                 continue
-            conflict = _row_class_conflict(*facts[row.slot], row)
+            line, bound = bounds[slot]
+            if line:
+                if row.ord_p + row.ord_q <= bound:
+                    continue
+            elif not row.exact_p or row.ord_p <= bound:
+                continue
+            conflict = _row_class_conflict(*facts[slot], row)
             if conflict:
-                structural.append(f"component {i + 1}, slot {row.slot}: {conflict}")
+                structural.append(f"component {i + 1}, slot {slot}: {conflict}")
     if len(series.gluing.nodes) != m - 1:
         structural.append(f"{len(series.gluing.nodes)} gluing nodes for {m} components")
     else:
@@ -241,7 +268,7 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
     if structural:
         return ValidationReport(tuple(structural), Conditions(False, False, False), ())
 
-    lhs = sum(series.component_degrees) - series.rank * (m - 1) * series.a
+    lhs = sum(degrees) - rank * (m - 1) * a
     cond1 = lhs == series.degree
     if not cond1:
         failures.append(f"degree bookkeeping: {lhs} != {series.degree}")
@@ -252,28 +279,25 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
         if series.pairings is None:  # identity: row t meets row t
             short = [
                 (t, t, got) for t, (rl, rr) in enumerate(zip(left, right))
-                if (got := rl.ord_q + rr.ord_p) < series.a
+                if (got := rl.ord_q + rr.ord_p) < a
             ]
         else:
             short = [
                 (tl, tr, got) for tl, tr in series.pairings[n]
-                if (got := left[tl].ord_q + right[tr].ord_p) < series.a
+                if (got := left[tl].ord_q + right[tr].ord_p) < a
             ]
         for tl, tr, got in short:
             cond2 = False
             failures.append(
-                f"node {n + 1}: rows ({tl}, {tr}) have order sum {got} < a = {series.a}"
+                f"node {n + 1}: rows ({tl}, {tr}) have order sum {got} < a = {a}"
             )
 
     cond3 = True
-    for i, bundle in enumerate(series.bundles):
-        d_i = bundle.degree
-        if not series.a * series.rank <= d_i < (series.a + 1) * series.rank:
+    low, high = a * rank, (a + 1) * rank
+    for i, d_i in enumerate(degrees):
+        if not low <= d_i < high:
             cond3 = False
-            failures.append(
-                f"component {i + 1}: degree {d_i} outside"
-                f" [{series.a * series.rank}, {(series.a + 1) * series.rank})"
-            )
+            failures.append(f"component {i + 1}: degree {d_i} outside [{low}, {high})")
     return ValidationReport((), Conditions(cond1, cond2, cond3), tuple(failures))
 
 

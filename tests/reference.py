@@ -14,6 +14,9 @@ package computes, so a test can compare the two.
   ``rectangle_syt_count`` counts standard fillings of a rectangle by hook
   lengths, and ``fillings_by_columns`` lists strict fillings by trying every
   increasing column against every prefix, without pruning.
+* ``validate_every_row`` is the series validator that asks the class rule
+  (``chain._row_class_conflict``) about every row, with no per-slot bound in
+  front of it; ``chain.validate_lls`` must return exactly its report.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from ellchain.chain import (
+    Conditions,
+    LimitLinearSeries,
+    ValidationReport,
+    _row_class_conflict,
+)
 from ellchain.elliptic import (
     AlgebraError,
     BundleOnComponent,
@@ -163,3 +172,99 @@ def fillings_by_columns(g: int, nrows: int, ncols: int) -> list[tuple[tuple[int,
         return [()]
     grow([], set())
     return out
+
+
+def validate_every_row(series: LimitLinearSeries) -> ValidationReport:
+    """The three series conditions and structural defects, as
+    ``chain.validate_lls`` reports them, with the class rule asked per row."""
+    structural: list[str] = []
+    failures: list[str] = []
+    m = series.chain.components
+    if len(series.bundles) != m or len(series.tables) != m:
+        structural.append(
+            f"chain has {m} components but {len(series.bundles)} bundles"
+            f" / {len(series.tables)} tables"
+        )
+        return ValidationReport(tuple(structural), Conditions(False, False, False), ())
+    if series.rank < 1:
+        structural.append(f"series rank {series.rank} is below 1")
+    for i, (bundle, table) in enumerate(zip(series.bundles, series.tables)):
+        if bundle.rank != series.rank:
+            structural.append(f"component {i + 1}: rank {bundle.rank} != {series.rank}")
+        if table.dimension != series.dimension:
+            structural.append(
+                f"component {i + 1}: table dimension {table.dimension} != {series.dimension}"
+            )
+        facts = [
+            (s, s.degree, s.special_index() if isinstance(s, LineBundleClass) else None)
+            for s in bundle.slots
+        ]
+        for row in table.rows:
+            if not 0 <= row.slot < len(facts):
+                structural.append(f"component {i + 1}: row in missing slot {row.slot}")
+                continue
+            conflict = _row_class_conflict(*facts[row.slot], row)
+            if conflict:
+                structural.append(f"component {i + 1}, slot {row.slot}: {conflict}")
+    if len(series.gluing.nodes) != m - 1:
+        structural.append(f"{len(series.gluing.nodes)} gluing nodes for {m} components")
+    else:
+        for n, node in enumerate(series.gluing.nodes):
+            if node.matched is None:
+                continue
+            lslots, rslots = series.bundles[n].slots, series.bundles[n + 1].slots
+            for left, right in node.matched:
+                if not (0 <= left < len(lslots) and 0 <= right < len(rslots)):
+                    structural.append(f"node {n + 1}: matched slot out of range")
+                    continue
+                rl, rr = lslots[left].rank, rslots[right].rank
+                if rl != rr:
+                    structural.append(f"node {n + 1}: matched slots of ranks {rl} != {rr}")
+    for node, ids in series.gluing.distinguished:
+        if not 0 <= node < m - 1:
+            structural.append(f"distinguished entry at missing node index {node}")
+        elif any(not 0 <= t < series.dimension for t in ids):
+            structural.append(f"node {node + 1}: distinguished section id out of range")
+    if series.pairings is not None and len(series.pairings) != m - 1:
+        structural.append("pairings do not cover every node")
+    elif series.pairings is not None:
+        for n, pairs in enumerate(series.pairings):
+            if any(not 0 <= t < series.dimension for pair in pairs for t in pair):
+                structural.append(f"node {n + 1}: paired row out of range")
+    if structural:
+        return ValidationReport(tuple(structural), Conditions(False, False, False), ())
+
+    lhs = sum(series.component_degrees) - series.rank * (m - 1) * series.a
+    cond1 = lhs == series.degree
+    if not cond1:
+        failures.append(f"degree bookkeeping: {lhs} != {series.degree}")
+
+    cond2 = True
+    for n in range(m - 1):
+        left, right = series.tables[n].rows, series.tables[n + 1].rows
+        if series.pairings is None:  # identity: row t meets row t
+            short = [
+                (t, t, got) for t, (rl, rr) in enumerate(zip(left, right))
+                if (got := rl.ord_q + rr.ord_p) < series.a
+            ]
+        else:
+            short = [
+                (tl, tr, got) for tl, tr in series.pairings[n]
+                if (got := left[tl].ord_q + right[tr].ord_p) < series.a
+            ]
+        for tl, tr, got in short:
+            cond2 = False
+            failures.append(
+                f"node {n + 1}: rows ({tl}, {tr}) have order sum {got} < a = {series.a}"
+            )
+
+    cond3 = True
+    for i, bundle in enumerate(series.bundles):
+        d_i = bundle.degree
+        if not series.a * series.rank <= d_i < (series.a + 1) * series.rank:
+            cond3 = False
+            failures.append(
+                f"component {i + 1}: degree {d_i} outside"
+                f" [{series.a * series.rank}, {(series.a + 1) * series.rank})"
+            )
+    return ValidationReport((), Conditions(cond1, cond2, cond3), tuple(failures))

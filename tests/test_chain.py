@@ -15,6 +15,7 @@ from ellchain.chain import (
     canonical_series,
     check_stability,
     elliptic_chain,
+    generic_gluing,
     matched_paths,
     redistribute,
     spread,
@@ -31,6 +32,7 @@ from ellchain.elliptic import (
     SectionSymbol,
     VanishingTable,
 )
+from reference import validate_every_row
 
 
 def orders(table):
@@ -66,6 +68,14 @@ class TestCanonical:
         assert report.crude and report.refined
 
 
+def one_slot_series(slot, *rows):
+    """A one-component series whose only slot carries ``rows``."""
+    return LimitLinearSeries(
+        elliptic_chain(1), slot.rank, slot.degree, len(rows), 0,
+        (BundleOnComponent((slot,)),), (VanishingTable(rows),), generic_gluing(1),
+    )
+
+
 class TestValidate:
     def test_bumped_a_breaks_condition_three(self):
         s = canonical_series(4)
@@ -93,6 +103,30 @@ class TestValidate:
         )
         report = validate_lls(replace(s, bundles=tuple(bundles)))
         assert report.structural_errors
+
+    @pytest.mark.parametrize("slot,row,error", [
+        (LineBundleClass(2, 2), SectionSymbol(0, 3, 2), "order sum 5 exceeds slot degree 4"),
+        (LineBundleClass(2, 2), SectionSymbol(0, 1, 3),
+         "order sum 4 = degree in a class not of that shape"),
+        (LineBundleClass(2, 2), SectionSymbol(0, 2, 1),
+         "exact orders (2, 1) claim a merged section"),
+        (IndecomposableSlot(2, 3), SectionSymbol(0, 2, 0, True, False),
+         "P-order 2 exceeds the slope bound"),
+        (IndecomposableSlot(2, -3), SectionSymbol(0, -1, 0, True, False),
+         "P-order -1 exceeds the slope bound"),
+        (LineBundleClass(2, 2, Degree0Class.of_generic("x")), SectionSymbol(0, 1, 2), None),
+        (LineBundleClass(2, 2), SectionSymbol(0, 1, 1), None),
+        (LineBundleClass(2, 2), SectionSymbol(0, 2, 1, True, False), None),
+        (LineBundleClass(2, 2), SectionSymbol(0, 2, 2), None),
+        (IndecomposableSlot(2, 3), SectionSymbol(0, 1, 5, True, False), None),
+        (IndecomposableSlot(2, 3), SectionSymbol(0, 5, 0, False, False), None),
+        (IndecomposableSlot(2, -3), SectionSymbol(0, -2, 0, True, False), None),
+    ], ids=["exceeds-degree", "full-sum-shape", "merged-section", "slope", "slope-negative",
+            "generic-d-1", "special-d-2", "inexact-merged", "special-full-sum", "at-slope",
+            "inexact-p", "at-negative-slope"])
+    def test_a_row_is_refuted_by_its_slot_class(self, slot, row, error):
+        report = validate_lls(one_slot_series(slot, row))
+        assert report.structural_errors == ((f"component 1, slot 0: {error}",) if error else ())
 
     def test_dimension_mismatch_is_structural(self):
         s = canonical_series(3)
@@ -335,3 +369,56 @@ def test_redistribution_total_degree_preserved(seed, _g):
     dp = random_targets(rng, s)
     redist = redistribute(s, dp)
     assert sum(b.degree for b in redist.bundles) == s.degree
+
+
+slot_twists = st.sampled_from([
+    Degree0Class(), Degree0Class.of_pq(-1), Degree0Class.of_pq(2),
+    Degree0Class.of_generic("x"), Degree0Class.of_torsion("t", 2),
+])
+any_slot = st.one_of(
+    st.builds(LineBundleClass, st.integers(-2, 5), st.integers(-2, 5), slot_twists),
+    st.builds(IndecomposableSlot, st.integers(1, 4), st.integers(-8, 8)),
+)
+
+
+@st.composite
+def stated_rows(draw, component):
+    """A row of ``component``'s table around its slot's bound, or in a slot
+    out of range."""
+    slot = draw(st.sampled_from([*range(len(component))] * 4 + [-1, len(component)]))
+    exact_p, exact_q = draw(st.booleans()), draw(st.booleans())
+    if not 0 <= slot < len(component):
+        ord_p, ord_q = draw(st.integers(-2, 6)), draw(st.integers(-2, 6))
+    elif isinstance(component[slot], LineBundleClass):
+        d, special = component[slot].degree, component[slot].special_index()
+        if special is not None and draw(st.booleans()):  # at the merged pair or below
+            ord_p, total = special - draw(st.integers(0, 1)), d - draw(st.integers(1, 2))
+        else:
+            ord_p, total = draw(st.integers(-1, max(d, 0) + 1)), d + draw(st.integers(-3, 1))
+        ord_q = total - ord_p
+    else:
+        atom = component[slot]
+        ord_p = atom.degree // atom.rank + draw(st.integers(-2, 2))
+        ord_q = draw(st.integers(-2, 6))
+    return SectionSymbol(slot, ord_p, ord_q, exact_p, exact_q)
+
+
+@st.composite
+def stated_series(draw):
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    components = [tuple(draw(st.lists(any_slot, min_size=1, max_size=3))) for _ in range(m)]
+    bundles = tuple(BundleOnComponent(c) for c in components)
+    tables = tuple(
+        VanishingTable(tuple(draw(stated_rows(c)) for _ in range(k))) for c in components
+    )
+    rank, a = bundles[0].rank, draw(st.integers(0, 3))
+    degree = sum(b.degree for b in bundles) - rank * (m - 1) * a + draw(st.integers(0, 1))
+    return LimitLinearSeries(
+        elliptic_chain(m), rank, degree, k, a, bundles, tables, generic_gluing(m)
+    )
+
+
+@given(stated_series())
+@settings(max_examples=400, deadline=None)
+def test_bounded_validation_equals_asking_the_class_rule_of_every_row(series):
+    assert validate_lls(series) == validate_every_row(series)

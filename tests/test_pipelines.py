@@ -15,7 +15,7 @@ from ellchain.chain import (
     validate_rank1,
 )
 from ellchain.cli import _verdict_exit
-from ellchain.elliptic import clear_memos
+from ellchain.elliptic import VanishingTable, clear_memos
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
     CASE_A,
@@ -383,6 +383,36 @@ def test_no_petri_verdict_is_proven_with_shifted_thresholds(monkeypatch, shift):
         assert v.certificate_error.startswith("component 1: "), tup
         assert v.certificate is None and v.oracle is None, tup
         assert _verdict_exit(v) == 3, tup
+
+
+@pytest.mark.parametrize("certificate,tup", [
+    (petri_certificate, (5, 2, 7, 3)), (onto_certificate, (6, 3, 7)),
+], ids=["petri", "endo"])
+def test_a_product_row_past_its_slot_degree_fails_the_audit(monkeypatch, certificate, tup):
+    # only the product series' own row changes: the products, their
+    # certificate and the oracle still pass, so the audit alone settles it
+    real = pipelines.product_series
+    stated = {}
+
+    def raised(*args):
+        series = real(*args)
+        rows = series.tables[1].rows
+        slot = rows[0].slot
+        degree = series.bundles[1].slots[slot].degree
+        rows = (replace(rows[0], ord_q=degree + 1 - rows[0].ord_p),) + rows[1:]
+        tables = series.tables[:1] + (VanishingTable(rows),) + series.tables[2:]
+        stated["series"] = replace(series, tables=tables)
+        stated["error"] = (
+            f"component 2, slot {slot}: order sum {degree + 1} exceeds slot degree {degree}"
+        )
+        return stated["series"]
+
+    monkeypatch.setattr(pipelines, "product_series", raised)
+    v = certificate(*tup)
+    assert v.status == "not-proven"
+    assert [a.name for a in v.audits if not a.ok] == ["product-series-valid"]
+    assert v.certificate.eliminated == v.product_count and v.oracle.agreed
+    assert stated["error"] in validate_lls(stated["series"]).structural_errors
 
 
 def test_the_verdict_thresholds_are_the_redistributions():
