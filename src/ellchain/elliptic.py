@@ -35,10 +35,14 @@ trivial summands, the canonical series and the product list).
 Each table is keyed by the operands' values (their ``==`` and hash), and
 an operation that raises stores nothing.  Value types are immutable with
 unique normal forms, and a jet scalar is its key's hash, so a stored
-result equals a fresh one.  One more table holds state rather than a
+result equals a fresh one.  Two more tables hold state rather than a
 result: ``independence._formed``, the columns of the previous
 :func:`~ellchain.independence.product_sections` call, which the next call
-reuses only for factor tables that are the very same objects.  The tables
+reuses only for factor tables that are the very same objects, and
+``independence._planned``, the oracle matrix columns that the last
+:func:`~ellchain.independence.oracle_plan` call kept, with the entries they
+formed, which the next call reuses only for product rows that are the very
+same objects.  The tables
 last until :func:`clear_memos` empties them: ``ellchain.cli`` does so
 where each (g, r) run of a sweep, or a single verdict, starts, so they
 hold one run's values.  A caller that decides many verdicts itself

@@ -19,15 +19,28 @@ confirm a certificate but never certify anything on its own.  The oracle
 judges death on a component by its own rule, read off the factor rows
 (:func:`oracle_plan`), not by :func:`ellchain.chain.survives`, which the
 certificate uses.  The matrix's sparsity pattern depends on no seed:
-:func:`oracle_plan` lays it out once, as integer columns and the jet keys
-each entry convolves, and each seed and trial only draws the keys' scalars
-and eliminates.  Columns are numbered in the sort order of their
-``(component, slot, point, offset)`` keys, so slots of different components
-never share a column however many there are.  Each jet scalar is cached by
-exactly what it depends on, in a per-trial table that
-:func:`ellchain.elliptic.memo` keeps like the class algebra's: shared by
-every product and every call until :func:`ellchain.elliptic.clear_memos`
-empties it, which a sweep does where each (g, r) run starts.
+:func:`oracle_plan` lays it out once per verdict, one
+:class:`OracleColumn` per component of the chain.  A column holds its own
+jet keys (every key names its component, so no two columns share one) and
+entries for the products live on it only; a dead cell stores nothing.
+Each seed and trial draws a column's scalars, forms its entries, puts the
+product rows together from the columns and eliminates.  Matrix columns are
+numbered in the sort order of their ``(component, slot, point, offset)``
+keys, so slots of different components never share a column however many
+there are.  Each jet scalar is cached by exactly what it depends on, in a
+per-trial table that :func:`ellchain.elliptic.memo` keeps like the class
+algebra's: shared by every product and every call.  The latest verdict's
+component columns are kept in one more memo table, and the next verdict
+reuses a column, with the entries it has formed per ``(prime, seed,
+trial)``, when every product's row on that component is the very object the
+column was planned from, the factor ids are equal and so is the threshold
+pair.  A column numbers its entries within its component, so reuse does not
+depend on the other columns.  The verdicts of an endo (g, r) run share
+their rows on every component but the last, so they plan and form those
+columns once; a petri run reuses nothing, so it keeps no verdict's columns
+past its first.
+Both tables last until :func:`ellchain.elliptic.clear_memos` empties them,
+which a sweep does where each (g, r) run starts.
 
 Rows, sections, survivors, passes, certificates, the oracle configuration
 and its plan are value types made by :func:`ellchain.elliptic.value`, like
@@ -36,8 +49,11 @@ the symbols they are built from.
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
+import itertools
+import operator
 from dataclasses import field
 from typing import Callable, Sequence
 
@@ -56,6 +72,10 @@ from ellchain.elliptic import (
 
 #: default modulus: the 61-bit Mersenne prime
 DEFAULT_PRIME = (1 << 61) - 1
+
+_rows = operator.attrgetter("rows")
+_factor_a = operator.attrgetter("factor_a")
+_factor_b = operator.attrgetter("factor_b")
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +135,11 @@ class ProductSection:
 Column = tuple[VanishingTable, VanishingTable, int, Sequence[tuple[int, int]], tuple]
 
 
+#: bits of a factor row's number in a packed row key: ``(product slot <<
+#: 2 * ROW_BITS) | (number_a << ROW_BITS) | number_b``
+ROW_BITS = 20
+
+
 class _Formed:
     """What :func:`product_sections`' previous call formed: its columns, and
     the row numbering and row table they were formed with."""
@@ -124,7 +149,7 @@ class _Formed:
     def __init__(self) -> None:
         self.columns: list[Column] = []
         self.number: dict[SectionSymbol, int] = {}
-        self.shared: dict[tuple[int, int, int], ProductRow] = {}
+        self.shared: dict[int, ProductRow] = {}
 
 
 @memo
@@ -153,9 +178,12 @@ def product_sections(
     row numbering and row table too; a call that reuses no column starts
     both afresh, so a petri verdict, whose tables are all new, holds its
     own rows only.  Rows of equal value are one shared :class:`ProductRow`
-    object, keyed by the product slot and the numbers of its two factor
-    rows: each distinct factor row is numbered once, so no pair hashes a
-    :class:`SectionSymbol`.  The previous call is kept in a memo table, so
+    object, keyed by one integer that packs the product slot with the
+    numbers of its two factor rows, :data:`ROW_BITS` bits each: each
+    distinct factor row is numbered once, so no pair hashes a
+    :class:`SectionSymbol`, and a number that does not fit raises
+    :class:`AlgebraError` rather than let two keys collide.  The previous
+    call is kept in a memo table, so
     :func:`~ellchain.elliptic.clear_memos` empties it.
     """
     if series_a.chain != series_b.chain:
@@ -182,17 +210,28 @@ def product_sections(
         if reused[i]:
             columns.append(old[i])
             continue
-        # per factor row: (its part of the product slot, its number, the row)
-        side_a = [(r.slot * width, number.setdefault(r, len(number)), r) for r in table_a.rows]
-        side_b = [(r.slot, number.setdefault(r, len(number)), r) for r in table_b.rows]
+        # per factor row: (its part of the packed key, the row); the two
+        # parts add up to the key of their product row
+        side_a = [
+            ((r.slot * width << ROW_BITS | number.setdefault(r, len(number))) << ROW_BITS, r)
+            for r in table_a.rows
+        ]
+        side_b = [
+            (r.slot << 2 * ROW_BITS | number.setdefault(r, len(number)), r)
+            for r in table_b.rows
+        ]
+        if len(number) > 1 << ROW_BITS:
+            raise AlgebraError(
+                f"{len(number)} distinct factor rows overflow a {ROW_BITS}-bit row number"
+            )
         rows = []
         for t, l in pairs:
-            slot_a, num_a, ra = side_a[t]
-            slot_b, num_b, rb = side_b[l]
-            key = (slot_a + slot_b, num_a, num_b)
+            key_a, ra = side_a[t]
+            key_b, rb = side_b[l]
+            key = key_a + key_b
             row = shared.get(key)
             if row is None:
-                row = shared[key] = ProductRow(key[0], ra, rb)
+                row = shared[key] = ProductRow(key >> 2 * ROW_BITS, ra, rb)
             rows.append(row)
         columns.append((table_a, table_b, width, pairs, tuple(rows)))
     formed.columns = columns
@@ -445,26 +484,140 @@ def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
 JetKey = tuple[str, int, int, str, int, bool]
 
 
-@value
-class OraclePlan:
-    """The seed-independent half of a verdict's oracle matrix.
+class OracleColumn:
+    """One component's part of the oracle matrix, and what it was planned from.
 
-    ``keys`` are the distinct jet keys the matrix reads, in first-use order.
-    ``rows`` holds, per product, its entries as ``(column, pairs)``: the
-    entry is the sum of ``vals[a] * vals[b]`` over the flat ``pairs``
-    ``(a0, b0, a1, b1, ...)``, where ``vals[k]`` is one trial's scalar for
-    ``keys[k]``.  Columns are integers numbered in the sort order of their
-    ``(component, slot, point, offset)`` keys.
+    ``rows`` are the products' :class:`ProductRow` objects on the
+    component and ``threshold`` its pair.  ``keys`` are the distinct jet
+    keys the column reads, in first-use order, and ``cells`` its entries,
+    those of live products only: ``(product, column, pairs)`` is the sum of
+    ``vals[a] * vals[b]`` over the flat ``pairs`` ``(a0, b0, a1, b1, ...)``,
+    where ``vals[k]`` is one trial's scalar for ``keys[k]``.  ``column`` is
+    ``(slot * 2 + point) * 2 + offset``, numbered within the component;
+    ``top`` is the largest slot of a live product.  ``formed`` is ``None``
+    until :func:`oracle_plan` reuses the column; then it maps ``(prime,
+    seed, trial)`` to the nonzero entries formed for that trial, flat:
+    ``(product, column, value, product, column, value, ...)``.
     """
 
-    keys: tuple[JetKey, ...]
-    rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    __slots__ = ("rows", "threshold", "top", "keys", "cells", "formed")
+
+    def __init__(self, rows, threshold, top, keys, cells) -> None:
+        self.rows: tuple[ProductRow, ...] = rows
+        self.threshold: tuple[int, int] = threshold
+        self.top = top
+        self.keys: list[JetKey] = keys
+        self.cells: list[tuple[int, int, tuple[int, ...]]] = cells
+        self.formed: dict[tuple[int, int, int], tuple[int, ...]] | None = None
+
+    def form(self, rows, jet: Jet, prime: int, base: int) -> None:
+        """Set one trial's nonzero entries in ``rows``, a map from product
+        to its row, at matrix column ``base + column``."""
+        vals = list(itertools.starmap(jet, self.keys))
+        for p, col, pairs in self.cells:
+            # the plan leaves out empty convolutions: every cell has a pair
+            total = vals[pairs[0]] * vals[pairs[1]]
+            if len(pairs) > 2:
+                for j in range(2, len(pairs), 2):
+                    total += vals[pairs[j]] * vals[pairs[j + 1]]
+            total %= prime
+            if total:
+                rows[p][base + col] = total
+
+    def kept(self, jet: Jet, prime: int, seed: int, trial: int) -> tuple[int, ...]:
+        """One trial's nonzero entries, flat, formed on the first call for
+        ``(prime, seed, trial)`` and kept in ``formed`` (a reused column's)."""
+        entries = self.formed.get((prime, seed, trial))
+        if entries is None:
+            made: dict[int, dict[int, int]] = collections.defaultdict(dict)
+            self.form(made, jet, prime, 0)
+            entries = self.formed[prime, seed, trial] = tuple(
+                x for p, row in made.items() for col, total in row.items() for x in (p, col, total)
+            )
+        return entries
+
+
+@value
+class OraclePlan:
+    """The seed-independent half of a verdict's oracle matrix: ``count``
+    product rows, laid out in one :class:`OracleColumn` per component.
+
+    Component ``i``'s column ``c`` is the matrix column ``i * width * 4 +
+    c``, so matrix columns are numbered in the sort order of their
+    ``(component, slot, point, offset)`` keys; ``width`` is one more than
+    the largest slot of a live product.
+    """
+
+    count: int
+    width: int
+    columns: tuple[OracleColumn, ...]
+
+
+class _Planned:
+    """The columns :func:`oracle_plan`'s previous call kept, the factor ids
+    they were planned with, and whether no call has been made yet."""
+
+    __slots__ = ("columns", "factors", "first")
+
+    def __init__(self) -> None:
+        self.columns: list[OracleColumn] = []
+        self.factors: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+        self.first = True
+
+
+@memo
+def _planned() -> _Planned:
+    """The one :class:`_Planned`, in a memo table so that
+    :func:`~ellchain.elliptic.clear_memos` drops it with a run's other state."""
+    return _Planned()
+
+
+def _plan_column(
+    i: int, rows: tuple[ProductRow, ...], factors: tuple[tuple[int, ...], tuple[int, ...]],
+    threshold: tuple[int, int],
+) -> OracleColumn:
+    """Plan component ``i``'s column: the death rule and the convolutions of
+    :func:`oracle_plan`, for the products whose rows on it are ``rows`` and
+    whose factor ids are ``factors`` (every ``factor_a``, every ``factor_b``)."""
+    factor_a, factor_b = factors
+    index: dict[JetKey, int] = {}
+    key = index.setdefault
+    th_p, th_q = threshold
+    cells = []
+    top = 0
+    for p, prow in enumerate(rows):
+        a, b = prow.row_a, prow.row_b
+        if (a.exact_p and b.exact_p and a.ord_p + b.ord_p < th_p) or (
+            a.exact_q and b.exact_q and a.ord_q + b.ord_q < th_q
+        ):
+            continue
+        fa, fb = factor_a[p], factor_b[p]
+        slot = prow.slot
+        if slot > top:
+            top = slot
+        # (slot, point, offset) -> (slot * 2 + point) * 2 + offset
+        for col, point, th, ord_a, exact_a, ord_b, exact_b in (
+            (slot * 4, "P", th_p, a.ord_p, a.exact_p, b.ord_p, b.exact_p),
+            (slot * 4 + 2, "Q", th_q, a.ord_q, a.exact_q, b.ord_q, b.exact_q),
+        ):
+            for level in (th, th + 1):
+                pairs = []
+                for la in range(ord_a, level - ord_b + 1):
+                    lb = level - la
+                    pairs += (
+                        key(("A", fa, i, point, la, exact_a and la == ord_a), len(index)),
+                        key(("B", fb, i, point, lb, exact_b and lb == ord_b), len(index)),
+                    )
+                if pairs:
+                    cells.append((p, col + level - th, tuple(pairs)))
+    return OracleColumn(rows, threshold, top, list(index), cells)
 
 
 def oracle_plan(
     products: Sequence[ProductSection], thresholds: Sequence[tuple[int, int]]
 ) -> OraclePlan:
-    """Plan the oracle matrix of ``products`` under ``thresholds``.
+    """Plan the oracle matrix of ``products`` under ``thresholds``, one
+    :class:`OracleColumn` per component.
 
     A product is dead on a component, and has no entries there, when at P or
     at Q both factor rows' orders are exact and their sum is below the
@@ -478,39 +631,54 @@ def oracle_plan(
     leading jet is nonzero and every other jet a free residue.  A
     convolution with no pairs is left out.  A threshold list that is not one
     pair per component raises ``ValueError``.
+
+    Every jet key holds its component, and a column numbers its entries
+    within the component, so each column is planned alone.  The previous
+    call's columns are kept in a memo table until
+    :func:`~ellchain.elliptic.clear_memos`; a component's column is that
+    call's when every product's row on it is the very object (``is``) the
+    column was planned from, the factor ids are equal and so is the
+    threshold pair.  Such rows give the same keys, hence the same scalars
+    and entries: an endo run hands each verdict the same rows on every
+    component but the last.  A reused column keeps the entries it forms per
+    ``(prime, seed, trial)`` (:meth:`OracleColumn.kept`).  A call keeps its
+    columns only when it is the first since the tables were emptied or it
+    reused one: a petri run, whose rows are all new, then frees each
+    verdict's columns with the verdict, as the collector would otherwise
+    pay for them.
     """
     _check_thresholds(products, thresholds)
-    index: dict[JetKey, int] = {}
-    key = index.setdefault
-    width = 1 + max((row.slot for prod in products for row in prod.rows), default=0)
-    rows = []
-    for prod in products:
-        fa, fb = prod.factor_a, prod.factor_b
-        entries = []
-        for i, (prow, (th_p, th_q)) in enumerate(zip(prod.rows, thresholds)):
-            a, b = prow.row_a, prow.row_b
-            if (a.exact_p and b.exact_p and a.ord_p + b.ord_p < th_p) or (
-                a.exact_q and b.exact_q and a.ord_q + b.ord_q < th_q
-            ):
-                continue
-            # (component, slot, point, offset) -> ((i * width + slot) * 2 + point) * 2 + offset
-            base = (i * width + prow.slot) * 4
-            for col, point, th, ord_a, exact_a, ord_b, exact_b in (
-                (base, "P", th_p, a.ord_p, a.exact_p, b.ord_p, b.exact_p),
-                (base + 2, "Q", th_q, a.ord_q, a.exact_q, b.ord_q, b.exact_q),
-            ):
-                for level in (th, th + 1):
-                    pairs = []
-                    for la in range(ord_a, level - ord_b + 1):
-                        lb = level - la
-                        pairs += (
-                            key(("A", fa, i, point, la, exact_a and la == ord_a), len(index)),
-                            key(("B", fb, i, point, lb, exact_b and lb == ord_b), len(index)),
-                        )
-                    if pairs:
-                        entries.append((col + level - th, tuple(pairs)))
-        rows.append(tuple(entries))
-    return OraclePlan(tuple(index), tuple(rows))
+    n = len(products)
+    by_component = list(zip(*map(_rows, products))) if n else [()] * len(thresholds)
+    factors = (tuple(map(_factor_a, products)), tuple(map(_factor_b, products)))
+    planned = _planned()
+    old = planned.columns
+    # the first product's row rejects a column planned from other rows at once
+    same = [
+        i < len(old) and len(old[i].rows) == n > 0 and old[i].rows[0] is rows[0]
+        and old[i].threshold == threshold and all(map(operator.is_, old[i].rows, rows))
+        for i, (rows, threshold) in enumerate(zip(by_component, thresholds))
+    ]
+    if any(same) and planned.factors != factors:
+        same = [False] * len(same)
+    columns = []
+    for i, (rows, threshold, reuse) in enumerate(zip(by_component, thresholds, same)):
+        if reuse:
+            column = old[i]
+            if column.formed is None:
+                column.formed = {}
+        else:
+            column = _plan_column(i, rows, factors, tuple(threshold))
+        columns.append(column)
+    # columns that live past their verdict cost the collector; keep them
+    # only where reuse is seen or possible
+    if planned.first or any(same):
+        planned.columns, planned.factors = columns, factors
+    else:
+        planned.columns, planned.factors = [], ((), ())
+    planned.first = False
+    width = 1 + max((column.top for column in columns), default=0)
+    return OraclePlan(n, width, tuple(columns))
 
 
 def oracle_rank(
@@ -530,31 +698,32 @@ def oracle_rank(
     nothing on the component.  The rank can only underestimate the generic
     rank, never exceed the product count.
     ``plan`` is ``oracle_plan(products, thresholds)``, passed in by a caller
-    that ranks the same products under several seeds; each trial only draws
-    the plan's scalars and eliminates.  Each trial reads its scalars from
+    that ranks the same products under several seeds.  Each trial forms the
+    plan's entries one component column at a time
+    (:meth:`OracleColumn.form`), at matrix column ``i * width * 4 + c`` for
+    component ``i``'s column ``c``, puts the product rows together from
+    them and eliminates.  A column draws its scalars from
     :func:`_trial_jets`, a memo table shared by every call until
     :func:`~ellchain.elliptic.clear_memos`, so a sweep hashes no scalar
-    twice within a (g, r) run.  A scalar depends on nothing but its key, so
-    the rank is the same however warm the table is.
+    twice within a (g, r) run; a column reused from an earlier verdict
+    reads the entries it formed then (:meth:`OracleColumn.kept`).  An
+    entry depends on nothing but its keys and the trial, so the rank is the
+    same however warm the tables are.
     """
     prime, seed = cfg.prime, cfg.seed
     if plan is None:
         plan = oracle_plan(products, thresholds)
+    step = plan.width * 4  # the matrix columns of one component
     best = 0
     for trial in range(cfg.trials):
         jet = _trial_jets(prime, seed, trial)
-        vals = [jet(*k) for k in plan.keys]
-        rows: list[dict[int, int]] = []
-        for entries in plan.rows:
-            row: dict[int, int] = {}
-            for col, pairs in entries:
-                # the plan leaves out empty convolutions: every entry has a pair
-                total = vals[pairs[0]] * vals[pairs[1]]
-                for j in range(2, len(pairs), 2):
-                    total += vals[pairs[j]] * vals[pairs[j + 1]]
-                total %= prime
-                if total:
-                    row[col] = total
-            rows.append(row)
+        rows: list[dict[int, int]] = [{} for _ in range(plan.count)]
+        for base, column in zip(range(0, len(plan.columns) * step, step), plan.columns):
+            if column.formed is None:
+                column.form(rows, jet, prime, base)
+                continue
+            flat = iter(column.kept(jet, prime, seed, trial))
+            for p, col, total in zip(flat, flat, flat):
+                rows[p][base + col] = total
         best = max(best, _rank_mod_p(rows, prime))
     return best

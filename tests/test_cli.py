@@ -434,10 +434,17 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     columns = independence._formed().columns
     assert len(columns) == 6 and columns[0][0] is last.canonical.tables[0]
     assert columns[0][3] is last.pairs
+    # and so are the oracle columns, planned from those very rows
+    planned = independence._planned().columns
+    assert len(planned) == 6
+    assert all(oracle.rows == column[4] and oracle.rows[0] is column[4][0]
+               for oracle, column in zip(planned, columns))
     clear_memos()
     assert run.cache_info().currsize == 0
     assert independence._formed.cache_info().currsize == 0
     assert independence._formed().columns == []
+    assert independence._planned.cache_info().currsize == 0
+    assert independence._planned().columns == []
 
 
 def test_verdicts_decided_with_tables_warmed_by_other_runs_keep_their_bytes(

@@ -4,8 +4,9 @@ from dataclasses import fields, replace
 
 import pytest
 
+from ellchain import independence
 from ellchain.chain import canonical_series, redistribute, survives
-from ellchain.cli import _verdict_exit
+from ellchain.cli import PARAMS, _verdict_exit
 from ellchain.elliptic import AlgebraError, SectionSymbol, VanishingTable, clear_memos
 from ellchain.independence import (
     Certificate,
@@ -27,6 +28,7 @@ from ellchain.independence import (
 )
 from ellchain.pipelines import (
     Audit,
+    ParamsError,
     Verdict,
     colsec_pairs,
     decide,
@@ -394,7 +396,11 @@ class TestOraclePlan:
             ProductSection(1, 1, (ProductRow(4096, dead, unit), ProductRow(0, live, unit))),
         )
         plan = oracle_plan(products, thresholds)
-        cols_a, cols_b = ({col for col, _ in entries} for entries in plan.rows)
+        cols_a, cols_b = (
+            {i * plan.width * 4 + col for i, column in enumerate(plan.columns)
+             for p, col, _ in column.cells if p == product}
+            for product in (0, 1)
+        )
         assert cols_a and cols_b and cols_a.isdisjoint(cols_b)
         for seed in range(3):
             assert oracle_rank(products, thresholds, OracleConfig(seed=seed), plan) == 2
@@ -436,6 +442,175 @@ class TestOraclePlan:
                 assert oracle_rank(case, thresholds, cfg) == _reference_oracle_rank(
                     case, thresholds, cfg
                 ) == len(products)
+
+
+def _count_plans(monkeypatch):
+    """Record the component of every oracle column planned from now on."""
+    planned = []
+    plan_column = independence._plan_column
+
+    def counting(i, *rest):
+        planned.append(i)
+        return plan_column(i, *rest)
+
+    monkeypatch.setattr(independence, "_plan_column", counting)
+    return planned
+
+
+def _record_matrices(monkeypatch):
+    """Record a copy of every matrix the oracle eliminates from now on."""
+    matrices = []
+    rank_mod_p = independence._rank_mod_p
+
+    def recording(rows, prime):
+        matrices.append([dict(row) for row in rows])
+        return rank_mod_p(rows, prime)
+
+    monkeypatch.setattr(independence, "_rank_mod_p", recording)
+    return matrices
+
+
+# every trial of seeds 0..2 at one and at two trials per seed, at the default
+# prime and modulo 3, where some convolution sums vanish
+_CONFIGS = [
+    OracleConfig(prime=prime, seed=seed, trials=trials)
+    for prime in (DEFAULT_PRIME, 3) for seed in range(3) for trials in (1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "g,r", [(g, r) for g in range(4, 9) for r in (2, 3)] + [(20, 5)], ids=str
+)
+def test_reused_columns_give_the_reference_and_the_cold_rank(g, r, monkeypatch):
+    # an endo run's verdicts in sweep order, in one memo lifetime: a later
+    # verdict reuses the earlier one's columns and their formed entries
+    planned = _count_plans(monkeypatch)
+    matrices = _record_matrices(monkeypatch)
+    clear_memos()
+    verdicts, warm, counts = [], [], []
+    for d in PARAMS["endo"]["d"](g, r):
+        try:
+            params = poin_params(g, r, d)
+        except ParamsError:
+            continue
+        products, draft = endo_instance(endo_build(params))
+        thresholds = draft.distribution.thresholds
+        planned.clear()
+        plan = oracle_plan(products, thresholds)
+        counts.append(len(planned))
+        warm.append([oracle_rank(products, thresholds, cfg, plan) for cfg in _CONFIGS])
+        verdicts.append((products, thresholds))
+    assert len(verdicts) >= 2
+    # g columns for the first verdict; a later one plans only the components
+    # on which some product's row is another object or the threshold moved,
+    # and only the last component's rows depend on d
+    assert counts[0] == g
+    for (before, th_before), (products, th), count in zip(verdicts, verdicts[1:], counts[1:]):
+        moved = [
+            i for i in range(g)
+            if th[i] != th_before[i]
+            or any(a.rows[i] is not b.rows[i] for a, b in zip(products, before))
+        ]
+        assert count == len(moved) <= 1
+        assert set(moved) <= {g - 1}
+    # the ranks are full even modulo 3, so the matrices are compared as well:
+    # the warm ones hold exactly the cold ones' entries, none of them zero
+    warm_matrices, matrices[:] = matrices[:], []
+    for (products, thresholds), ranks in zip(verdicts, warm):
+        clear_memos()
+        assert [oracle_rank(products, thresholds, cfg) for cfg in _CONFIGS] == ranks
+        assert [_reference_oracle_rank(products, thresholds, cfg) for cfg in _CONFIGS] == ranks
+        assert ranks == [len(products)] * len(_CONFIGS)
+    assert matrices == warm_matrices
+    assert all(value for rows in matrices for row in rows for value in row.values())
+
+
+@pytest.mark.parametrize("fixture", ["petri_5273", "endo_424"])
+def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
+    products, thresholds = request.getfixturevalue(fixture)
+    planned = _count_plans(monkeypatch)
+    matrices = _record_matrices(monkeypatch)
+    components = len(thresholds)
+    # the raised-order mutant of product 0 has new rows on every component;
+    # the copy's rows on component 1 past product 0's are equal in value but
+    # new objects.  Both keep every factor id
+    raised = (_raise_order(products[0]),) + products[1:]
+    copied = products[:1] + tuple(
+        replace(prod, rows=prod.rows[:1] + (replace(prod.rows[1]),) + prod.rows[2:])
+        for prod in products[1:]
+    )
+    assert copied == products
+    assert not any(a.rows[1] is b.rows[1] for a, b in zip(copied[1:], products[1:]))
+    # nor are the columns of the same rows under other factor ids or another
+    # threshold; a wider slot moves the other columns' matrix columns only
+    renamed = tuple(
+        replace(prod, factor_a=prod.factor_b, factor_b=prod.factor_a) for prod in products
+    )
+    moved = ((thresholds[0][0] + 1, thresholds[0][1]),) + tuple(thresholds[1:])
+    # the first live cell's row moves to a slot past every other
+    before = oracle_plan(products, thresholds)
+    k = next(i for i, column in enumerate(before.columns) if column.cells)
+    q = before.columns[k].cells[0][0]
+    top = max(row.slot for prod in products for row in prod.rows)
+    rows = list(products[q].rows)
+    rows[k] = replace(rows[k], slot=top + 1)
+    widened = products[:q] + (replace(products[q], rows=tuple(rows)),) + products[q + 1:]
+    assert oracle_plan(widened, thresholds).width > before.width
+    everything = list(range(components))
+    cases = [
+        (raised, thresholds, everything), (copied, thresholds, [1]),
+        (renamed, thresholds, everything), (products, moved, [0]), (widened, thresholds, [k]),
+    ]
+    for stale, stale_thresholds, fresh in cases:
+        clear_memos()
+        # warm calls: the second reuses every column and keeps its entries
+        for _ in range(2):
+            for cfg in _CONFIGS:
+                oracle_rank(products, thresholds, cfg)
+        planned.clear()
+        plan = oracle_plan(stale, stale_thresholds)
+        assert planned == fresh
+        matrices.clear()
+        for cfg in _CONFIGS:
+            assert oracle_rank(stale, stale_thresholds, cfg, plan) == _reference_oracle_rank(
+                stale, stale_thresholds, cfg
+            )
+        # the matrices are a cold plan's, entry for entry
+        warm_matrices, matrices[:] = matrices[:], []
+        clear_memos()
+        for cfg in _CONFIGS:
+            oracle_rank(stale, stale_thresholds, cfg)
+        assert matrices == warm_matrices
+
+
+def test_a_run_that_reuses_no_oracle_column_keeps_none():
+    # petri rows are new objects in every verdict: only a run's first call
+    # keeps its columns, and a later call that reuses none frees its own
+    clear_memos()
+    kept = []
+    for d, k in ((7, 3), (8, 1), (7, 3)):
+        products, draft = petri_instance(petri_build(petri_params(5, 2, d, k)))
+        oracle_plan(products, draft.distribution.thresholds)
+        kept.append(len(independence._planned().columns))
+    assert kept == [5, 0, 0]
+
+
+def test_a_row_number_that_does_not_fit_its_bits_is_refused(monkeypatch):
+    # packed row keys hold each factor row's number in ROW_BITS bits; a run
+    # with more distinct factor rows must fail, not let two keys collide
+    series = canonical_series(4)
+    clear_memos()
+    before = product_sections(series, series)
+    distinct = len({row for table in series.tables for row in table.rows})
+    monkeypatch.setattr(independence, "ROW_BITS", (distinct - 1).bit_length() - 1)
+    clear_memos()
+    bits = independence.ROW_BITS
+    message = f"distinct factor rows overflow a {bits}-bit row number$"
+    with pytest.raises(AlgebraError, match=message):
+        product_sections(series, series)
+    monkeypatch.setattr(independence, "ROW_BITS", (distinct - 1).bit_length())
+    clear_memos()
+    assert product_sections(series, series) == before
 
 
 def test_equal_product_rows_are_one_object():
