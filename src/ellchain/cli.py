@@ -472,15 +472,18 @@ def cmd_certify(args) -> int:
     A sweep runs one loop over the (g, r) runs of its tuples.  The memo
     tables (:func:`~ellchain.elliptic.memo`: the class algebra's, the
     oracle's jet scalars, an endo run's d-independent half, built once per
-    (g, r) run, the product columns of the previous verdict, and its
-    oracle matrix columns with the entries they formed per prime, seed and
-    trial) are emptied where each run starts, a single verdict's included,
-    so the verdicts of a run share them and they hold one run's values at
-    most.
+    (g, r) run, the product columns of the previous verdict, its oracle
+    matrix columns with the entries they formed per prime, seed and trial,
+    and ``pipelines._decided``, the endo verdict of each (g, r, h, prime,
+    seed, trials) class, h = gcd(r, d - g + 1), decided at the class's first
+    d and copied with its own params for the others) are emptied where
+    each run starts, a single verdict's included, so the verdicts of a run
+    share them and they hold one run's values at most.
     Each admitted verdict's text is written as soon as it is decided, and
-    the verdict is dropped before the next one starts: only the worst exit
-    code is kept, so memory does not grow with the grid.  The bytes are
-    those of the whole list encoded at once.
+    the verdict is dropped before the next one starts (an endo class keeps
+    its own copy until the run ends): only the worst exit code is kept, so
+    memory does not grow with the grid.  The bytes are those of the whole
+    list encoded at once.
     """
     # looked up per call, so a rebound module attribute takes effect
     certify = petri_certificate if args.command == "petri" else onto_certificate

@@ -42,7 +42,11 @@ reuses only for factor tables that are the very same objects, and
 ``independence._planned``, the oracle matrix columns that the last
 :func:`~ellchain.independence.oracle_plan` call kept, with the entries they
 formed, which the next call reuses only for product rows that are the very
-same objects.  The tables
+same objects.  One more holds verdicts: ``pipelines._decided``, keyed by
+the integers (g, r, h, prime, seed, trials), keeps the endo verdict of each
+h = gcd(r, d - g + 1) class (End E depends on d only through h) that its
+first admitted d decided, and the class's other d get a copy with their
+own params.  The tables
 last until :func:`clear_memos` empties them: ``ellchain.cli`` does so
 where each (g, r) run of a sweep, or a single verdict, starts, so they
 hold one run's values.  A caller that decides many verdicts itself

@@ -23,7 +23,8 @@ the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
 ``not-proven`` :class:`Verdict` with every build fact filled in (the
 thresholds, audits, notes, and a ``certificate_error`` when the thresholds
 are off their closed form).  One body, :func:`_certify`, takes either
-statement from its parameters to its verdict through :func:`decide`.
+statement from its parameters to its verdict through :func:`decide`; an
+endo run decides each h = gcd(r, d - g + 1) class once (:func:`_decided`).
 
 A verdict reads one (P, Q) vanishing threshold pair per component: the prefix
 sums of the a-parts (d'_i - (d_i mod r)) // r of the product series' degrees,
@@ -163,7 +164,7 @@ class PoinParams:
     g: int
     r: int
     d: int
-    h: int  # gcd(r, d - g + 1)
+    h: int  # gcd(r, d - g + 1): with g and r, the class whose verdict _decided keeps
     case = None  # one case only; not a field
 
     @property
@@ -500,6 +501,15 @@ def decide(
     )
 
 
+@memo
+def _decided() -> dict[tuple[int, ...], Verdict]:
+    """The endo verdicts of a run, one per class: keyed by the integers
+    (g, r, h, prime, seed, trials), each the verdict of the class's first
+    admitted d.  A memo table keeps it, so
+    :func:`~ellchain.elliptic.clear_memos` empties it with the run."""
+    return {}
+
+
 def _certify(
     kind: str, params: dict, admit: Callable, build: Callable, instance: Callable,
     prime: int, seed: int, trials: int,
@@ -511,11 +521,31 @@ def _certify(
     verdict and a build failure a not-proven one; a draft whose thresholds
     are not the closed form's is settled as it is, uncertified.  The entry
     points pass the builders the module binds when they are called.
+
+    End E depends on d only through h = gcd(r, d - g + 1) (Atiyah), and so
+    does every field of an admitted endo verdict but its params.  So a run
+    decides each (g, r, h) class at its first admitted d, keeps that verdict
+    in :func:`_decided`, and hands every d of the class a copy with its own
+    params; a hypothesis-not-met verdict, which names d, is never shared.
     """
     try:
         p = admit(**params)
     except ParamsError as exc:
         return Verdict(kind, params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
+    if kind == "petri":
+        return _settle(kind, params, p, build, instance, prime, seed, trials)
+    decided = _decided()
+    key = (p.g, p.r, p.h, prime, seed, trials)
+    if key not in decided:
+        decided[key] = _settle(kind, params, p, build, instance, prime, seed, trials)
+    return replace(decided[key], params=params)  # never the stored object itself
+
+
+def _settle(
+    kind: str, params: dict, p: PetriParams | PoinParams, build: Callable, instance: Callable,
+    prime: int, seed: int, trials: int,
+) -> Verdict:
+    """The admitted ``p``'s verdict: the rest of :func:`_certify`."""
     if kind == "endo-onto" and p.r == 1:
         notes = ("rank 1: traceless part has rank 0, nothing to prove",)
         return Verdict(kind, params, None, VACUOUS, notes=notes)
@@ -696,7 +726,9 @@ def _endo_run(g: int, r: int) -> _EndoRun:
     and degree 1 whatever d is, so its Hom decomposition is taken once.
     A memo table keeps the run, so every verdict of it gets these very
     objects and :func:`~ellchain.independence.product_sections` reuses its
-    columns off the last component.
+    columns off the last component.  Only the first d of each h class
+    builds at all: the later ones are served from :func:`_decided`, the
+    run's table of class verdicts keyed by (g, r, h, prime, seed, trials).
     """
     rho = r * r - 1
     ends = end_decomposition(BundleOnComponent((IndecomposableSlot(r, 1),)))
@@ -722,10 +754,13 @@ def endo_build(p: PoinParams) -> EndoBuild:
     traceless part, whose canonical twist carries r^2 - 1 sections for each
     of the g - 1 vanishing windows.
 
-    Only the last component depends on d.  Components 1..g-1 come from the
-    run's memo table (:func:`_endo_run`), built by the run's first verdict
-    and shared as the same objects by the others; this call builds the
-    last component's bundle, Hom decomposition and windows.
+    Only the last component depends on d, and its Hom decomposition only
+    through h.  Components 1..g-1 come from the run's memo table
+    (:func:`_endo_run`), built by the run's first verdict and shared as
+    the same objects by the others; this call builds the last component's
+    bundle, Hom decomposition and windows.  :func:`_certify` calls it once
+    per (g, r, h) class of a run, at the class's first admitted d, and
+    keeps that verdict in :func:`_decided` for the class's other d.
     """
     g, r = p.g, p.r
     run = _endo_run(g, r)

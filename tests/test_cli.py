@@ -439,12 +439,57 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     assert len(planned) == 6
     assert all(oracle.rows == column[4] and oracle.rows[0] is column[4][0]
                for oracle, column in zip(planned, columns))
+    # and the class verdicts kept are that run's: h = 1 (d = 6, 7) and h = 3
+    oracle = (independence.DEFAULT_PRIME, 0, 1)
+    assert list(pipelines._decided()) == [(6, 3, 1, *oracle), (6, 3, 3, *oracle)]
     clear_memos()
+    assert pipelines._decided.cache_info().currsize == 0
     assert run.cache_info().currsize == 0
     assert independence._formed.cache_info().currsize == 0
     assert independence._formed().columns == []
     assert independence._planned.cache_info().currsize == 0
     assert independence._planned().columns == []
+
+
+@pytest.mark.parametrize("argv, decided, verdicts", [
+    (("--g", "20", "--r", "5"), 2, 5),
+    (("--g", "4..10", "--r", "2..4"), 49, 63),
+], ids=["endo-large", "endo-grid"])
+def test_an_endo_sweep_decides_each_class_once(monkeypatch, tmp_path, argv, decided, verdicts):
+    # h = gcd(r, d - g + 1) is 1 for d = 20..23 at (20, 5) and 5 for d = 24
+    real, calls = pipelines.decide, []
+
+    def counted(products, draft, *args):
+        calls.append(draft.params)
+        return real(products, draft, *args)
+
+    monkeypatch.setattr(pipelines, "decide", counted)
+    out = tmp_path / "sweep.json"
+    assert main(["endo", "--sweep", *argv, "--out", str(out)]) == 0
+    assert len(calls) == decided
+    assert len(json.loads(out.read_text())) == verdicts
+
+
+def test_an_endo_sweep_from_the_middle_of_a_class_decides_from_its_own_build(
+    capsys, monkeypatch
+):
+    code, full, _ = run(capsys, "endo", "--sweep", "--g", "20", "--r", "5")
+    assert code == 0
+    real, built = pipelines.endo_build, []
+
+    def recorded(p):
+        built.append(p.d)
+        return real(p)
+
+    monkeypatch.setattr(pipelines, "endo_build", recorded)
+    code, tail, _ = run(capsys, "endo", "--sweep", "--g", "20", "--r", "5", "--d", "23..24")
+    assert code == 0
+    # the sweep's last two elements, byte for byte: an element after the
+    # first, and nothing else, starts ",\n  {"
+    assert full.count(",\n  {") == 4
+    assert tail == "[\n  {" + ",\n  {".join(full.split(",\n  {")[-2:])
+    # d = 23 is the first of its class here, so it is built from its own series
+    assert built == [23, 24]
 
 
 def test_verdicts_decided_with_tables_warmed_by_other_runs_keep_their_bytes(

@@ -330,6 +330,55 @@ def test_a_warm_endo_run_forms_what_a_cold_one_forms():
     assert pipelines._endo_run.cache_info().hits > 0
 
 
+def _endo_runs_to_share():
+    """The admitted tuples of every (g, r) run with g 4..12 and r 2..6, and
+    of (20, 5), run by run: r = 6 has h = 1, 2, 3, 2, 1, 6 along its run."""
+    grid = [(g, r) for g in range(4, 13) for r in range(2, 7)] + [(20, 5)]
+    return [[(g, r, d) for d in range(g, g + r)] for g, r in grid]
+
+
+@pytest.mark.parametrize("oracle", [{}, {"prime": 3, "trials": 2}], ids=["default", "p3-t2"])
+def test_a_shared_endo_verdict_is_the_one_decided_alone(oracle):
+    # 185 tuples, each decided twice: about 8 s per oracle on a 2-vCPU host
+    for run in _endo_runs_to_share():
+        clear_memos()  # as the CLI starts each run
+        in_order = [serialize.dumps(onto_certificate(*t, **oracle)) for t in run]
+        for t, text in zip(run, in_order):
+            clear_memos()
+            assert serialize.dumps(onto_certificate(*t, **oracle)) == text, t
+
+
+def test_a_returned_endo_verdict_is_a_copy_of_its_class_verdict():
+    first = onto_certificate(20, 5, 20)
+    first.params["d"] = 99
+    first.params["extra"] = True
+    # d = 21 is of the same class, h = 1, and gets params of its own
+    second = onto_certificate(20, 5, 21)
+    assert second.params == {"g": 20, "r": 5, "d": 21}
+    assert replace(second, params=first.params) == first
+    stored = pipelines._decided()[(20, 5, 1, pipelines.DEFAULT_PRIME, 0, 1)]
+    assert stored is not first and stored is not second
+    assert onto_certificate(20, 5, 22).params == {"g": 20, "r": 5, "d": 22}
+
+
+@pytest.mark.parametrize("oracle", [{"prime": 3}, {"seed": 7}, {"trials": 2}],
+                         ids=["prime", "seed", "trials"])
+def test_other_oracle_settings_are_a_class_of_their_own(oracle):
+    # the memo tables are not emptied in between, as for a library caller
+    onto_certificate(6, 3, 6)
+    v = onto_certificate(6, 3, 7, **oracle)
+    clear_memos()
+    assert serialize.dumps(v) == serialize.dumps(onto_certificate(6, 3, 7, **oracle))
+
+
+def test_a_refused_endo_tuple_is_not_served_a_class_verdict():
+    # d = 25 is past the range; h = gcd(5, 6) = 1 names the class d = 20 decided
+    assert onto_certificate(20, 5, 20).status == "proven"
+    refused = onto_certificate(20, 5, 25)
+    assert refused.status == "hypothesis-not-met"
+    assert refused.certificate_error == "need g <= d < g + r, got d = 25 for g = 20, r = 5"
+
+
 SHIFTS = {"P-1": (-1, 0), "P+1": (1, 0), "Q+1": (0, 1), "Q-1": (0, -1), "both+1": (1, 1)}
 
 
