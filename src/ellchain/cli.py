@@ -472,10 +472,10 @@ def cmd_certify(args) -> int:
     A sweep runs one loop over the (g, r) runs of its tuples.  The memo
     tables (:func:`~ellchain.elliptic.memo`: the class algebra's, the
     oracle's jet scalars, an endo run's d-independent half, built once per
-    (g, r) run, the product columns of the previous verdict, its oracle
-    matrix columns with the entries they formed per prime, seed and trial,
-    and ``pipelines._decided``, the endo verdict of each (g, r, h, prime,
-    seed, trials) class, h = gcd(r, d - g + 1), decided at the class's first
+    (g, r) run, the product columns of the previous verdict with the oracle
+    matrix column planned on each, and ``pipelines._decided``, the endo
+    verdict of each (g, r, h, prime, seed, trials) class, h = gcd(r, d - g +
+    1), decided at the class's first
     d and copied with its own params for the others) are emptied where
     each run starts, a single verdict's included, so the verdicts of a run
     share them and they hold one run's values at most.

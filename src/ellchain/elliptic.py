@@ -35,18 +35,15 @@ trivial summands, the canonical series and the product list).
 Each table is keyed by the operands' values (their ``==`` and hash), and
 an operation that raises stores nothing.  Value types are immutable with
 unique normal forms, and a jet scalar is its key's hash, so a stored
-result equals a fresh one.  Two more tables hold state rather than a
+result equals a fresh one.  One more table holds state rather than a
 result: ``independence._formed``, the columns of the previous
-:func:`~ellchain.independence.product_sections` call, which the next call
-reuses only for factor tables that are the very same objects, and
-``independence._planned``, the oracle matrix columns that the last
-:func:`~ellchain.independence.oracle_plan` call kept, with the entries they
-formed, which the next call reuses only for product rows that are the very
-same objects.  One more holds verdicts: ``pipelines._decided``, keyed by
-the integers (g, r, h, prime, seed, trials), keeps the endo verdict of each
-h = gcd(r, d - g + 1) class (End E depends on d only through h) that its
-first admitted d decided, and the class's other d get a copy with their
-own params.  The tables
+:func:`~ellchain.independence.product_sections` call and the oracle matrix
+column planned on each, which the next call reuses only for factor tables
+that are the very same objects.  Another holds verdicts:
+``pipelines._decided``, keyed by the integers (g, r, h, prime, seed,
+trials), keeps the endo verdict of each h = gcd(r, d - g + 1) class (End E
+depends on d only through h) that its first admitted d decided, and the
+class's other d get a copy with their own params.  The tables
 last until :func:`clear_memos` empties them: ``ellchain.cli`` does so
 where each (g, r) run of a sweep, or a single verdict, starts, so they
 hold one run's values.  A caller that decides many verdicts itself

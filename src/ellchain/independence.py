@@ -29,18 +29,16 @@ numbered in the sort order of their ``(component, slot, point, offset)``
 keys, so slots of different components never share a column however many
 there are.  Each jet scalar is cached by exactly what it depends on, in a
 per-trial table that :func:`ellchain.elliptic.memo` keeps like the class
-algebra's: shared by every product and every call.  The latest verdict's
-component columns are kept in one more memo table, and the next verdict
-reuses a column, with the entries it has formed per ``(prime, seed,
-trial)``, when every product's row on that component is the very object the
-column was planned from, the factor ids are equal and so is the threshold
-pair.  A column numbers its entries within its component, so reuse does not
-depend on the other columns.  The verdicts of an endo (g, r) run share
-their rows on every component but the last, so they plan and form those
-columns once; a petri run reuses nothing, so it keeps no verdict's columns
-past its first.
-Both tables last until :func:`ellchain.elliptic.clear_memos` empties them,
-which a sweep does where each (g, r) run starts.
+algebra's: shared by every product and every call.  A component's oracle
+column is kept with the :func:`product_sections` column it was planned on,
+and the next verdict reuses it exactly when :func:`product_sections` reused
+that column and the threshold pair is equal.  A column numbers its entries
+within its component, so reuse does not depend on the other columns.  The
+verdicts of an endo (g, r) run share their rows on every component but the
+last, so they plan those columns once; a petri run reuses no column, so it
+keeps no verdict's oracle columns past its first.  The jet table and the
+kept columns last until :func:`ellchain.elliptic.clear_memos` empties
+them, which a sweep does where each (g, r) run starts.
 
 Rows, sections, survivors, passes, certificates, the oracle configuration
 and its plan are value types made by :func:`ellchain.elliptic.value`, like
@@ -49,7 +47,6 @@ the symbols they are built from.
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -141,15 +138,20 @@ ROW_BITS = 20
 
 
 class _Formed:
-    """What :func:`product_sections`' previous call formed: its columns, and
-    the row numbering and row table they were formed with."""
+    """What :func:`product_sections`' previous call formed: its columns, the
+    oracle column planned on each (``None`` until :func:`oracle_plan` plans
+    it), the row numbering and row table they were formed with, and the
+    products it returned, kept (else ``None``) only when that call was its
+    run's first or reused a column."""
 
-    __slots__ = ("columns", "number", "shared")
+    __slots__ = ("columns", "oracle", "number", "shared", "products")
 
     def __init__(self) -> None:
         self.columns: list[Column] = []
+        self.oracle: list[OracleColumn | None] = []
         self.number: dict[SectionSymbol, int] = {}
         self.shared: dict[int, ProductRow] = {}
+        self.products: tuple[ProductSection, ...] | None = None
 
 
 @memo
@@ -175,12 +177,13 @@ def product_sections(
     and the pair list are the very objects (``is``) that column was formed
     from and its width is equal: an endo run hands each verdict the same
     tables off the last component.  Such a call keeps the previous call's
-    row numbering and row table too; a call that reuses no column starts
-    both afresh, so a petri verdict, whose tables are all new, holds its
-    own rows only.  Rows of equal value are one shared :class:`ProductRow`
-    object, keyed by one integer that packs the product slot with the
-    numbers of its two factor rows, :data:`ROW_BITS` bits each: each
-    distinct factor row is numbered once, so no pair hashes a
+    row numbering and row table too, and the oracle column planned on a
+    reused column (:func:`oracle_plan`); a call that reuses no column
+    starts them all afresh, so a petri verdict, whose tables are all new,
+    holds its own rows only.  Rows of equal value are one shared
+    :class:`ProductRow` object, keyed by one integer that packs the product
+    slot with the numbers of its two factor rows, :data:`ROW_BITS` bits
+    each: each distinct factor row is numbered once, so no pair hashes a
     :class:`SectionSymbol`, and a number that does not fit raises
     :class:`AlgebraError` rather than let two keys collide.  The previous
     call is kept in a memo table, so
@@ -192,6 +195,7 @@ def product_sections(
         pairs = [(t, l) for t in range(series_a.dimension) for l in range(series_b.dimension)]
     formed = _formed()
     old = formed.columns
+    first = not old
     sources = [
         (series_a.tables[i], series_b.tables[i], len(series_b.bundles[i].slots))
         for i in range(series_a.chain.components)
@@ -202,8 +206,8 @@ def product_sections(
         for i, (ta, tb, width) in enumerate(sources)
     ]
     if not any(reused):
-        old = formed.columns = []
-        formed.number, formed.shared = {}, {}
+        old = formed.columns = formed.oracle = []
+        formed.number, formed.shared, formed.products = {}, {}, None
     number, shared = formed.number, formed.shared
     columns: list[Column] = []
     for i, (table_a, table_b, width) in enumerate(sources):
@@ -235,10 +239,15 @@ def product_sections(
             rows.append(row)
         columns.append((table_a, table_b, width, pairs, tuple(rows)))
     formed.columns = columns
-    return tuple(
+    formed.oracle = [formed.oracle[i] if reuse else None for i, reuse in enumerate(reused)]
+    products = tuple(
         ProductSection(t, l, rows)
         for (t, l), rows in zip(pairs, zip(*(column[4] for column in columns)))
     )
+    # kept products cost a petri run's collector: keep them only where an
+    # oracle column can be reused
+    formed.products = products if first or any(reused) else None
+    return products
 
 
 def product_series(
@@ -485,30 +494,24 @@ JetKey = tuple[str, int, int, str, int, bool]
 
 
 class OracleColumn:
-    """One component's part of the oracle matrix, and what it was planned from.
+    """One component's part of the oracle matrix.
 
-    ``rows`` are the products' :class:`ProductRow` objects on the
-    component and ``threshold`` its pair.  ``keys`` are the distinct jet
+    ``threshold`` is the component's pair.  ``keys`` are the distinct jet
     keys the column reads, in first-use order, and ``cells`` its entries,
     those of live products only: ``(product, column, pairs)`` is the sum of
     ``vals[a] * vals[b]`` over the flat ``pairs`` ``(a0, b0, a1, b1, ...)``,
     where ``vals[k]`` is one trial's scalar for ``keys[k]``.  ``column`` is
     ``(slot * 2 + point) * 2 + offset``, numbered within the component;
-    ``top`` is the largest slot of a live product.  ``formed`` is ``None``
-    until :func:`oracle_plan` reuses the column; then it maps ``(prime,
-    seed, trial)`` to the nonzero entries formed for that trial, flat:
-    ``(product, column, value, product, column, value, ...)``.
+    ``top`` is the largest slot of a live product.
     """
 
-    __slots__ = ("rows", "threshold", "top", "keys", "cells", "formed")
+    __slots__ = ("threshold", "top", "keys", "cells")
 
-    def __init__(self, rows, threshold, top, keys, cells) -> None:
-        self.rows: tuple[ProductRow, ...] = rows
+    def __init__(self, threshold, top, keys, cells) -> None:
         self.threshold: tuple[int, int] = threshold
         self.top = top
         self.keys: list[JetKey] = keys
         self.cells: list[tuple[int, int, tuple[int, ...]]] = cells
-        self.formed: dict[tuple[int, int, int], tuple[int, ...]] | None = None
 
     def form(self, rows, jet: Jet, prime: int, base: int) -> None:
         """Set one trial's nonzero entries in ``rows``, a map from product
@@ -523,18 +526,6 @@ class OracleColumn:
             total %= prime
             if total:
                 rows[p][base + col] = total
-
-    def kept(self, jet: Jet, prime: int, seed: int, trial: int) -> tuple[int, ...]:
-        """One trial's nonzero entries, flat, formed on the first call for
-        ``(prime, seed, trial)`` and kept in ``formed`` (a reused column's)."""
-        entries = self.formed.get((prime, seed, trial))
-        if entries is None:
-            made: dict[int, dict[int, int]] = collections.defaultdict(dict)
-            self.form(made, jet, prime, 0)
-            entries = self.formed[prime, seed, trial] = tuple(
-                x for p, row in made.items() for col, total in row.items() for x in (p, col, total)
-            )
-        return entries
 
 
 @value
@@ -551,25 +542,6 @@ class OraclePlan:
     count: int
     width: int
     columns: tuple[OracleColumn, ...]
-
-
-class _Planned:
-    """The columns :func:`oracle_plan`'s previous call kept, the factor ids
-    they were planned with, and whether no call has been made yet."""
-
-    __slots__ = ("columns", "factors", "first")
-
-    def __init__(self) -> None:
-        self.columns: list[OracleColumn] = []
-        self.factors: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-        self.first = True
-
-
-@memo
-def _planned() -> _Planned:
-    """The one :class:`_Planned`, in a memo table so that
-    :func:`~ellchain.elliptic.clear_memos` drops it with a run's other state."""
-    return _Planned()
 
 
 def _plan_column(
@@ -610,7 +582,7 @@ def _plan_column(
                     )
                 if pairs:
                     cells.append((p, col + level - th, tuple(pairs)))
-    return OracleColumn(rows, threshold, top, list(index), cells)
+    return OracleColumn(threshold, top, list(index), cells)
 
 
 def oracle_plan(
@@ -633,50 +605,33 @@ def oracle_plan(
     pair per component raises ``ValueError``.
 
     Every jet key holds its component, and a column numbers its entries
-    within the component, so each column is planned alone.  The previous
-    call's columns are kept in a memo table until
-    :func:`~ellchain.elliptic.clear_memos`; a component's column is that
-    call's when every product's row on it is the very object (``is``) the
-    column was planned from, the factor ids are equal and so is the
-    threshold pair.  Such rows give the same keys, hence the same scalars
-    and entries: an endo run hands each verdict the same rows on every
-    component but the last.  A reused column keeps the entries it forms per
-    ``(prime, seed, trial)`` (:meth:`OracleColumn.kept`).  A call keeps its
-    columns only when it is the first since the tables were emptied or it
-    reused one: a petri run, whose rows are all new, then frees each
-    verdict's columns with the verdict, as the collector would otherwise
-    pay for them.
+    within the component, so each column is planned alone.  When
+    ``products`` is the tuple :func:`product_sections` kept, each
+    component's rows are read off its product column, and the column's
+    oracle column is kept with it (``_Formed.oracle``) and reused exactly
+    when :func:`product_sections` reused the product column and the
+    threshold pair is equal: the same rows and factor ids give the same
+    keys, hence the same scalars and entries, and an endo run hands each
+    verdict the same rows on every component but the last.  Any other
+    tuple is planned in full and keeps nothing.
     """
     _check_thresholds(products, thresholds)
     n = len(products)
-    by_component = list(zip(*map(_rows, products))) if n else [()] * len(thresholds)
     factors = (tuple(map(_factor_a, products)), tuple(map(_factor_b, products)))
-    planned = _planned()
-    old = planned.columns
-    # the first product's row rejects a column planned from other rows at once
-    same = [
-        i < len(old) and len(old[i].rows) == n > 0 and old[i].rows[0] is rows[0]
-        and old[i].threshold == threshold and all(map(operator.is_, old[i].rows, rows))
-        for i, (rows, threshold) in enumerate(zip(by_component, thresholds))
-    ]
-    if any(same) and planned.factors != factors:
-        same = [False] * len(same)
-    columns = []
-    for i, (rows, threshold, reuse) in enumerate(zip(by_component, thresholds, same)):
-        if reuse:
-            column = old[i]
-            if column.formed is None:
-                column.formed = {}
-        else:
-            column = _plan_column(i, rows, factors, tuple(threshold))
-        columns.append(column)
-    # columns that live past their verdict cost the collector; keep them
-    # only where reuse is seen or possible
-    if planned.first or any(same):
-        planned.columns, planned.factors = columns, factors
+    formed = _formed()
+    if n and products is formed.products:  # () is one object: it never matches
+        kept = formed.oracle
+        by_component = [column[4] for column in formed.columns]
     else:
-        planned.columns, planned.factors = [], ((), ())
-    planned.first = False
+        kept = [None] * len(thresholds)
+        by_component = list(zip(*map(_rows, products))) if n else [()] * len(thresholds)
+    columns = []
+    for i, (rows, threshold) in enumerate(zip(by_component, thresholds)):
+        threshold = tuple(threshold)
+        column = kept[i]
+        if column is None or column.threshold != threshold:
+            column = kept[i] = _plan_column(i, rows, factors, threshold)
+        columns.append(column)
     width = 1 + max((column.top for column in columns), default=0)
     return OraclePlan(n, width, tuple(columns))
 
@@ -705,10 +660,8 @@ def oracle_rank(
     them and eliminates.  A column draws its scalars from
     :func:`_trial_jets`, a memo table shared by every call until
     :func:`~ellchain.elliptic.clear_memos`, so a sweep hashes no scalar
-    twice within a (g, r) run; a column reused from an earlier verdict
-    reads the entries it formed then (:meth:`OracleColumn.kept`).  An
-    entry depends on nothing but its keys and the trial, so the rank is the
-    same however warm the tables are.
+    twice within a (g, r) run.  An entry depends on nothing but its keys
+    and the trial, so the rank is the same however warm the tables are.
     """
     prime, seed = cfg.prime, cfg.seed
     if plan is None:
@@ -719,11 +672,6 @@ def oracle_rank(
         jet = _trial_jets(prime, seed, trial)
         rows: list[dict[int, int]] = [{} for _ in range(plan.count)]
         for base, column in zip(range(0, len(plan.columns) * step, step), plan.columns):
-            if column.formed is None:
-                column.form(rows, jet, prime, base)
-                continue
-            flat = iter(column.kept(jet, prime, seed, trial))
-            for p, col, total in zip(flat, flat, flat):
-                rows[p][base + col] = total
+            column.form(rows, jet, prime, base)
         best = max(best, _rank_mod_p(rows, prime))
     return best

@@ -10,8 +10,9 @@ fields by name, tuples as lists, plus the tags and read-only properties in
 the tables below.  Output has one writer: :func:`to_text` (and ``dumps``)
 writes an object straight to the ``indent=2, sort_keys=True`` text through a
 per-class plan of its sorted keys, with no payload tree in between.  The
-dict form stays for readers: :func:`to_payload` builds it and
-:func:`encode` writes it, to the same bytes.  Decoding follows the same
+dict form stays for readers: :func:`to_payload` builds it, and its
+``json.dumps(payload, sort_keys=True, indent=2)`` is the same text.
+Decoding follows the same
 fields' type hints; a missing key, a wrong type or a non-object raises
 :class:`SchemaError` naming the field path.
 """
@@ -132,23 +133,9 @@ def to_payload(obj: Any) -> dict:
     return _plain(obj)
 
 
-def encode(payload: Any, pad: str = "") -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte, for
-    the shapes :func:`_plain` emits: str-keyed dicts, lists, int, bool, None
-    and str.  Every line after the first starts with ``pad``, so an element
-    of an enclosing list can be written at its own depth.  Any other type
-    raises :class:`TypeError`.
-
-    ``json.dumps`` with an indent always runs the pure-Python encoder; this
-    writer does the same work with less generality.
-    """
-    parts: list[str] = []
-    _write(payload, pad, parts, False)
-    return "".join(parts)
-
-
 def to_text(obj: Any, pad: str = "") -> str:
-    """``encode(to_payload(obj), pad)``, written from ``obj`` itself.
+    """``json.dumps(to_payload(obj), sort_keys=True, indent=2)`` with ``pad``
+    after each newline, written from ``obj`` itself.
 
     ``obj`` is of a type in :data:`TYPES`, or a dict of such values and JSON
     scalars (the ``canonical`` payload).  Objects are written through their
@@ -158,7 +145,7 @@ def to_text(obj: Any, pad: str = "") -> str:
     if type(obj) not in TYPES and type(obj) is not dict:
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
     parts: list[str] = []
-    _write(obj, pad, parts, True)
+    _write(obj, pad, parts)
     return "".join(parts)
 
 
@@ -181,14 +168,16 @@ def _plan(cls: type, pad: str) -> tuple[tuple[str, str | None], ...]:
     for i, key in enumerate(sorted(names)):
         text = ("{\n" if i == 0 else ",\n") + pad + "  " + _quote(key) + ": "
         name = names[key]
-        plan.append((text + encode(head[key]), None) if name is None else (text, name))
+        if name is None:  # a head tag: the schema int or a str
+            tag = head[key]
+            text += _quote(tag) if type(tag) is str else repr(tag)
+        plan.append((text, name))
     return tuple(plan)
 
 
-def _write(value: Any, pad: str, out: list[str], typed: bool) -> None:
-    """Append the text of ``value`` at depth ``pad`` to ``out``: the
-    :func:`encode` of a payload shape, or when ``typed`` the
-    :func:`to_payload` form of a value object too."""
+def _write(value: Any, pad: str, out: list[str]) -> None:
+    """Append the text of ``value``'s :func:`to_payload` form at depth
+    ``pad`` to ``out``."""
     cls = type(value)
     if cls is str:
         out.append(_quote(value))
@@ -196,7 +185,7 @@ def _write(value: Any, pad: str, out: list[str], typed: bool) -> None:
         out.append(repr(value))
     elif cls is bool or value is None:
         out.append(_CONSTANTS[value])
-    elif cls is dict or cls is list or (typed and cls is tuple):
+    elif cls is dict or cls is list or cls is tuple:
         if not value:
             out.append("{}" if cls is dict else "[]")
             return
@@ -206,27 +195,25 @@ def _write(value: Any, pad: str, out: list[str], typed: bool) -> None:
             sep = "{\n" + inner
             for key in sorted(value):  # a key that is not a str fails to sort or quote
                 out.append(sep + _quote(key) + ": ")
-                _write(value[key], inner, out, typed)
+                _write(value[key], inner, out)
                 sep = comma
             out.append("\n" + pad + "}")
         else:
             sep = "[\n" + inner
             for item in value:
                 out.append(sep)
-                _write(item, inner, out, typed)
+                _write(item, inner, out)
                 sep = comma
             out.append("\n" + pad + "]")
-    elif not typed:
-        raise TypeError(f"cannot encode {cls.__name__}")
     elif cls is Degree0Class:
-        _write(_symbol_keyed(value), pad, out, True)
+        _write(_symbol_keyed(value), pad, out)
     else:
         plan = _plan(cls, pad)  # a type that is not a dataclass raises SchemaError
         inner = pad + "  "
         for text, name in plan:
             out.append(text)
             if name is not None:
-                _write(getattr(value, name), inner, out, True)
+                _write(getattr(value, name), inner, out)
         out.append("\n" + pad + "}" if plan else "{}")
 
 

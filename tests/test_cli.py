@@ -431,14 +431,18 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     last = run(6, 3)
     assert run.cache_info().misses == misses
     # and the product columns kept are those of that run's last verdict
-    columns = independence._formed().columns
+    formed = independence._formed()
+    columns = formed.columns
     assert len(columns) == 6 and columns[0][0] is last.canonical.tables[0]
     assert columns[0][3] is last.pairs
-    # and so are the oracle columns, planned from those very rows
-    planned = independence._planned().columns
-    assert len(planned) == 6
-    assert all(oracle.rows == column[4] and oracle.rows[0] is column[4][0]
-               for oracle, column in zip(planned, columns))
+    # and so are its products, and the oracle columns planned on them: a
+    # plan of those products plans none again
+    products = formed.products
+    assert all(p.rows[i] is column[4][n]
+               for n, p in enumerate(products) for i, column in enumerate(columns))
+    assert len(formed.oracle) == 6 and all(formed.oracle)
+    plan = independence.oracle_plan(products, [oracle.threshold for oracle in formed.oracle])
+    assert all(a is b for a, b in zip(plan.columns, formed.oracle))
     # and the class verdicts kept are that run's: h = 1 (d = 6, 7) and h = 3
     oracle = (independence.DEFAULT_PRIME, 0, 1)
     assert list(pipelines._decided()) == [(6, 3, 1, *oracle), (6, 3, 3, *oracle)]
@@ -446,9 +450,8 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     assert pipelines._decided.cache_info().currsize == 0
     assert run.cache_info().currsize == 0
     assert independence._formed.cache_info().currsize == 0
-    assert independence._formed().columns == []
-    assert independence._planned.cache_info().currsize == 0
-    assert independence._planned().columns == []
+    formed = independence._formed()
+    assert formed.columns == [] and formed.oracle == [] and formed.products is None
 
 
 @pytest.mark.parametrize("argv, decided, verdicts", [

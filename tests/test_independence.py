@@ -41,25 +41,36 @@ from ellchain.pipelines import (
 )
 
 
+def _petri_5273_factors():
+    build = petri_build(petri_params(5, 2, 7, 3))
+    return build.primary, build.dual, None
+
+
+def _endo_424_factors():
+    return canonical_series(4), endo_build(poin_params(4, 2, 4)).endo_series, colsec_pairs(4, 3)
+
+
+#: each fixture's two factor series and pair list, built anew on each call
+FACTORS = {"petri_5273": _petri_5273_factors, "endo_424": _endo_424_factors}
+
+
+def _products_and_thresholds(factors, dprime):
+    a, b, pairs = factors
+    products = product_sections(a, b, pairs)
+    return products, redistribute(product_series(a, b, products), dprime).thresholds
+
+
 @pytest.fixture(scope="module")
 def petri_5273():
-    build = petri_build(petri_params(5, 2, 7, 3))
-    products = product_sections(build.primary, build.dual)
-    series = product_series(build.primary, build.dual, products)
     rho = 4
-    redist = redistribute(series, (rho, 2 * rho, 2 * rho, 2 * rho, rho))
-    return products, redist.thresholds
+    return _products_and_thresholds(
+        _petri_5273_factors(), (rho, 2 * rho, 2 * rho, 2 * rho, rho)
+    )
 
 
 @pytest.fixture(scope="module")
 def endo_424():
-    build = endo_build(poin_params(4, 2, 4))
-    canonical = canonical_series(4)
-    pairs = colsec_pairs(4, 3)
-    products = product_sections(canonical, build.endo_series, pairs)
-    series = product_series(canonical, build.endo_series, products)
-    redist = redistribute(series, (9, 9, 9, 9))
-    return products, redist.thresholds
+    return _products_and_thresholds(_endo_424_factors(), (9, 9, 9, 9))
 
 
 class TestProducts:
@@ -483,11 +494,11 @@ _CONFIGS = [
 )
 def test_reused_columns_give_the_reference_and_the_cold_rank(g, r, monkeypatch):
     # an endo run's verdicts in sweep order, in one memo lifetime: a later
-    # verdict reuses the earlier one's columns and their formed entries
+    # verdict reuses the oracle columns kept with the product columns it reuses
     planned = _count_plans(monkeypatch)
     matrices = _record_matrices(monkeypatch)
     clear_memos()
-    verdicts, warm, counts = [], [], []
+    verdicts, warm, plans = [], [], []
     for d in PARAMS["endo"]["d"](g, r):
         try:
             params = poin_params(g, r, d)
@@ -497,22 +508,13 @@ def test_reused_columns_give_the_reference_and_the_cold_rank(g, r, monkeypatch):
         thresholds = draft.distribution.thresholds
         planned.clear()
         plan = oracle_plan(products, thresholds)
-        counts.append(len(planned))
+        plans.append(planned[:])
         warm.append([oracle_rank(products, thresholds, cfg, plan) for cfg in _CONFIGS])
         verdicts.append((products, thresholds))
     assert len(verdicts) >= 2
-    # g columns for the first verdict; a later one plans only the components
-    # on which some product's row is another object or the threshold moved,
-    # and only the last component's rows depend on d
-    assert counts[0] == g
-    for (before, th_before), (products, th), count in zip(verdicts, verdicts[1:], counts[1:]):
-        moved = [
-            i for i in range(g)
-            if th[i] != th_before[i]
-            or any(a.rows[i] is not b.rows[i] for a, b in zip(products, before))
-        ]
-        assert count == len(moved) <= 1
-        assert set(moved) <= {g - 1}
+    # every column for the first verdict; a later one plans component g
+    # alone, the one product column formed again, as its table depends on d
+    assert plans == [list(range(g))] + [[g - 1]] * (len(verdicts) - 1)
     # the ranks are full even modulo 3, so the matrices are compared as well:
     # the warm ones hold exactly the cold ones' entries, none of them zero
     warm_matrices, matrices[:] = matrices[:], []
@@ -527,10 +529,13 @@ def test_reused_columns_give_the_reference_and_the_cold_rank(g, r, monkeypatch):
 
 @pytest.mark.parametrize("fixture", ["petri_5273", "endo_424"])
 def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
-    products, thresholds = request.getfixturevalue(fixture)
+    fixed, thresholds = request.getfixturevalue(fixture)
     planned = _count_plans(monkeypatch)
     matrices = _record_matrices(monkeypatch)
     components = len(thresholds)
+    clear_memos()
+    products = product_sections(*FACTORS[fixture]())
+    assert products == fixed
     # the raised-order mutant of product 0 has new rows on every component;
     # the copy's rows on component 1 past product 0's are equal in value but
     # new objects.  Both keep every factor id
@@ -541,12 +546,10 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
     )
     assert copied == products
     assert not any(a.rows[1] is b.rows[1] for a, b in zip(copied[1:], products[1:]))
-    # nor are the columns of the same rows under other factor ids or another
-    # threshold; a wider slot moves the other columns' matrix columns only
+    # the same rows under other factor ids
     renamed = tuple(
         replace(prod, factor_a=prod.factor_b, factor_b=prod.factor_a) for prod in products
     )
-    moved = ((thresholds[0][0] + 1, thresholds[0][1]),) + tuple(thresholds[1:])
     # the first live cell's row moves to a slot past every other
     before = oracle_plan(products, thresholds)
     k = next(i for i, column in enumerate(before.columns) if column.cells)
@@ -556,17 +559,18 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
     rows[k] = replace(rows[k], slot=top + 1)
     widened = products[:q] + (replace(products[q], rows=tuple(rows)),) + products[q + 1:]
     assert oracle_plan(widened, thresholds).width > before.width
+    moved = ((thresholds[0][0] + 1, thresholds[0][1]),) + tuple(thresholds[1:])
     everything = list(range(components))
+    # only the tuple product_sections kept reuses a column: every mutant is
+    # planned in full and keeps nothing, and a moved threshold plans its own
+    # column again, both ways
     cases = [
-        (raised, thresholds, everything), (copied, thresholds, [1]),
-        (renamed, thresholds, everything), (products, moved, [0]), (widened, thresholds, [k]),
+        (products, thresholds, []), (raised, thresholds, everything),
+        (copied, thresholds, everything), (renamed, thresholds, everything),
+        (widened, thresholds, everything), (products, thresholds, []),
+        (products, moved, [0]), (products, moved, []), (products, thresholds, [0]),
     ]
     for stale, stale_thresholds, fresh in cases:
-        clear_memos()
-        # warm calls: the second reuses every column and keeps its entries
-        for _ in range(2):
-            for cfg in _CONFIGS:
-                oracle_rank(products, thresholds, cfg)
         planned.clear()
         plan = oracle_plan(stale, stale_thresholds)
         assert planned == fresh
@@ -575,24 +579,39 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
             assert oracle_rank(stale, stale_thresholds, cfg, plan) == _reference_oracle_rank(
                 stale, stale_thresholds, cfg
             )
-        # the matrices are a cold plan's, entry for entry
+        # the matrices are a plan's in full, entry for entry: a list is
+        # never the kept tuple
         warm_matrices, matrices[:] = matrices[:], []
-        clear_memos()
         for cfg in _CONFIGS:
-            oracle_rank(stale, stale_thresholds, cfg)
+            oracle_rank(list(stale), stale_thresholds, cfg)
         assert matrices == warm_matrices
+
+
+def test_an_empty_product_tuple_is_never_the_kept_one(monkeypatch):
+    # every empty tuple is the one object (), so it must not match a kept ()
+    series = canonical_series(4)
+    clear_memos()
+    assert product_sections(series, series, []) is _formed().products is ()
+    planned = _count_plans(monkeypatch)
+    for _ in range(2):
+        plan = oracle_plan((), ((0, 0),) * 4)
+        assert planned == [0, 1, 2, 3] and plan.count == 0
+        assert _formed().oracle == [None] * 4
+        planned.clear()
 
 
 def test_a_run_that_reuses_no_oracle_column_keeps_none():
     # petri rows are new objects in every verdict: only a run's first call
-    # keeps its columns, and a later call that reuses none frees its own
+    # keeps its products and oracle columns, and a later call that reuses no
+    # product column keeps neither
     clear_memos()
     kept = []
     for d, k in ((7, 3), (8, 1), (7, 3)):
         products, draft = petri_instance(petri_build(petri_params(5, 2, d, k)))
         oracle_plan(products, draft.distribution.thresholds)
-        kept.append(len(independence._planned().columns))
-    assert kept == [5, 0, 0]
+        formed = _formed()
+        kept.append((formed.products is products, sum(c is not None for c in formed.oracle)))
+    assert kept == [(True, 5), (False, 0), (False, 0)]
 
 
 def test_a_row_number_that_does_not_fit_its_bits_is_refused(monkeypatch):

@@ -193,12 +193,19 @@ PAYLOADS = st.recursive(
 )
 
 
+def _dumped(obj, pad=""):
+    """The text ``to_text(obj, pad)`` must equal: ``json.dumps`` of the
+    payload, with ``pad`` after each newline."""
+    payload = obj if type(obj) is dict else serialize.to_payload(obj)
+    return json.dumps(payload, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
 @settings(max_examples=400, deadline=None)
 @given(PAYLOADS)
-def test_encode_equals_json_dumps(payload):
-    want = json.dumps(payload, sort_keys=True, indent=2)
-    assert serialize.encode(payload) == want
-    assert serialize.encode(payload, "  ") == want.replace("\n", "\n  ")
+def test_the_writer_equals_json_dumps_on_every_json_shape(payload):
+    # to_text writes a dict of JSON values as it writes a payload's
+    for pad in ("", "  "):
+        assert serialize.to_text({"payload": payload}, pad) == _dumped({"payload": payload}, pad)
 
 
 @pytest.mark.parametrize("make", [
@@ -208,18 +215,8 @@ def test_encode_equals_json_dumps(payload):
 def test_padded_encoding_is_the_reindented_text(make):
     # a sweep writes each verdict at list depth: the text it wrote before
     v = make()
-    assert serialize.encode(serialize.to_payload(v), "  ") == (
-        serialize.dumps(v)[:-1].replace("\n", "\n  ")
-    )
+    assert serialize.to_text(v, "  ") == serialize.dumps(v)[:-1].replace("\n", "\n  ")
     assert serialize.dumps(v) == json.dumps(serialize.to_payload(v), sort_keys=True, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("payload", [
-    1.5, (1, 2), {1: "a"}, {"a": [0.0]}, {"a": {"b": (3,)}}, [{"x": 1}, {2: 3}], {"a": {1, 2}},
-], ids=["float", "tuple", "int-key", "nested-float", "nested-tuple", "nested-int-key", "set"])
-def test_encode_rejects_shapes_the_codec_does_not_emit(payload):
-    with pytest.raises(TypeError):
-        serialize.encode(payload)
 
 
 # the typed writer: the text of to_payload, written without the payload tree
@@ -280,8 +277,8 @@ def _verdicts_of_every_status():
 def test_typed_writer_equals_the_encoded_payload(verdict, changes):
     v = replace(verdict, **changes)
     for pad in ("", "  "):
-        assert serialize.to_text(v, pad) == serialize.encode(serialize.to_payload(v), pad)
-    assert serialize.dumps(v) == serialize.encode(serialize.to_payload(v)) + "\n"
+        assert serialize.to_text(v, pad) == _dumped(v, pad)
+    assert serialize.dumps(v) == _dumped(v) + "\n"
 
 
 def _twisted_series():
@@ -299,7 +296,7 @@ def test_typed_writer_equals_the_encoded_payload_for_every_type(kind):
         objects += [_twisted_series(), petri_build(petri_params(5, 2, 7, 3)).dual]
     for obj in objects:
         for pad in ("", "  "):
-            assert serialize.to_text(obj, pad) == serialize.encode(serialize.to_payload(obj), pad)
+            assert serialize.to_text(obj, pad) == _dumped(obj, pad)
 
 
 @pytest.mark.parametrize("obj", [
