@@ -43,7 +43,10 @@ that are the very same objects.  Another holds verdicts:
 ``pipelines._decided``, keyed by the integers (g, r, h, prime, seed,
 trials), keeps the endo verdict of each h = gcd(r, d - g + 1) class (End E
 depends on d only through h) that its first admitted d decided, and the
-class's other d get a copy with their own params.  The tables
+class's other d get a copy with their own params.  The last holds text:
+``serialize._kept``, keyed by a kept class verdict's certificate's ``id``
+and the depth it was written at, keeps that certificate's text, so each
+copy writes it instead of rendering its survivors again.  The tables
 last until :func:`clear_memos` empties them: ``ellchain.cli`` does so
 where each (g, r) run of a sweep, or a single verdict, starts, so they
 hold one run's values.  A caller that decides many verdicts itself

@@ -8,11 +8,18 @@ invert ``dumps``/``to_payload`` for every payload type.
 The dataclasses state the layout once: an object is written as its ``init``
 fields by name, tuples as lists, plus the tags and read-only properties in
 the tables below.  Output has one writer: :func:`to_text` (and ``dumps``)
-writes an object straight to the ``indent=2, sort_keys=True`` text through a
-per-class plan of its sorted keys, with no payload tree in between.  The
-dict form stays for readers: :func:`to_payload` builds it, and its
-``json.dumps(payload, sort_keys=True, indent=2)`` is the same text.
-Decoding follows the same
+writes an object straight to the ``indent=2, sort_keys=True`` text, with no
+payload tree in between.  Each value type gets one writer function per
+depth (:func:`_writer`), generated on first use: it appends its sorted key
+texts and writes each field inline by the field's runtime type, so
+:func:`_write` is left the scalars, dicts, lists and degree-0 classes.  The
+certificate of a kept endo class verdict (``pipelines._decided``) is
+written once per depth and run: a memo table (:func:`_kept`), emptied by
+:func:`~ellchain.elliptic.clear_memos` with the run's other tables, holds
+its text for the class's other d.  Every other certificate is written fresh
+and kept nowhere.  The dict form stays for readers: :func:`to_payload`
+builds it, and its ``json.dumps(payload, sort_keys=True, indent=2)`` is the
+same text.  Decoding follows the same
 fields' type hints; a missing key, a wrong type or a non-object raises
 :class:`SchemaError` naming the field path.
 """
@@ -24,12 +31,12 @@ import functools
 import json
 import types
 import typing
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from ellchain.chain import LimitLinearSeries, Redistribution, ValidationReport
-from ellchain.elliptic import Degree0Class, IndecomposableSlot, LineBundleClass
+from ellchain.elliptic import Degree0Class, IndecomposableSlot, LineBundleClass, memo
 from ellchain.independence import Certificate
-from ellchain.pipelines import Audit, DistributionInfo, OracleBlock, Verdict
+from ellchain.pipelines import Audit, DistributionInfo, OracleBlock, Verdict, _decided
 
 SCHEMA_VERSION = 1
 
@@ -139,7 +146,8 @@ def to_text(obj: Any, pad: str = "") -> str:
 
     ``obj`` is of a type in :data:`TYPES`, or a dict of such values and JSON
     scalars (the ``canonical`` payload).  Objects are written through their
-    plan (:func:`_plan`) and tuples as lists, so no payload tree is built.
+    type's writer (:func:`_writer`) and tuples as lists, so no payload tree
+    is built.
     Any other type raises :class:`SchemaError`.
     """
     if type(obj) not in TYPES and type(obj) is not dict:
@@ -154,25 +162,91 @@ def dumps(obj: Any) -> str:
 
 
 @functools.cache
-def _plan(cls: type, pad: str) -> tuple[tuple[str, str | None], ...]:
-    """The keys of a ``cls`` payload written at depth ``pad``, in sorted order.
+def _writer(cls: type, pad: str) -> Callable[[Any, list[str]], None]:
+    """The writer of a ``cls`` value at depth ``pad``, generated on first use.
 
-    Each key is its text up to the value (the brace or comma, the new line
-    and indent, the quoted key) and the attribute that holds the value.  A
-    head tag has no attribute: its encoded value ends the text.
+    It appends the text of each key in sorted order (the brace or comma, the
+    new line and indent, the quoted key; a head tag's value too) and writes
+    each field inline by its runtime type, as :func:`_write` does: an int by
+    ``repr``, a bool or None as its constant, a str quoted, anything else
+    through :func:`_write`.  A field's hinted type is tested first.  The
+    writer of :class:`Certificate` also keeps the text of a class verdict's
+    certificate (:func:`_kept`).
     """
-    head, fields, derived = _layout(cls)
+    head, fields, derived = _layout(cls)  # a type that is not a dataclass raises SchemaError
+    hints = {f.name: f.hint for f in fields if f.scalar}
     names = {tag: None for tag in head}
     names.update((name, name) for name in (*(f.name for f in fields), *derived))
-    plan = []
+    inner = pad + "  "
+    text, body = "", []
     for i, key in enumerate(sorted(names)):
-        text = ("{\n" if i == 0 else ",\n") + pad + "  " + _quote(key) + ": "
+        text += ("{\n" if i == 0 else ",\n") + inner + _quote(key) + ": "
         name = names[key]
         if name is None:  # a head tag: the schema int or a str
             tag = head[key]
             text += _quote(tag) if type(tag) is str else repr(tag)
-        plan.append((text, name))
-    return tuple(plan)
+            continue
+        body.append(f"v = value.{name}")
+        rest = [f"out.append({text!r})", f"_write(v, {inner!r}, out)"]
+        if name in hints:
+            hinted = typing.get_args(hints[name]) or (hints[name],)
+            for n, t in enumerate(sorted(_BRANCHES, key=lambda t: t not in hinted)):
+                test, encoded = _BRANCHES[t]
+                body.append(f"{'elif' if n else 'if'} {test}: out.append({text!r} + {encoded})")
+            body.append("else:")
+            rest = ["    " + line for line in rest]
+        body += rest
+        text = ""
+    close = text + "\n" + pad + "}" if names else "{}"
+    body.append(f"out.append({close!r})")
+    # _write, _quote and _CONSTANTS are closure cells of the writer, as in elliptic.value
+    src = (
+        "def make(_write, _quote, _CONSTANTS):\n"
+        "    def write(value, out):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "    return write\n"
+    )
+    namespace: dict[str, Any] = {}
+    exec(src, {}, namespace)
+    write = namespace["make"](_write, _quote, _CONSTANTS)
+    write.__qualname__ = f"_writer.<{cls.__name__}>"
+    return _keeping(write, pad) if cls is Certificate else write
+
+
+#: each scalar type's runtime test and text, in the writer's source
+_BRANCHES = {
+    int: ("type(v) is int", "repr(v)"),
+    str: ("type(v) is str", "_quote(v)"),
+    bool: ("v is True or v is False", "_CONSTANTS[v]"),
+    type(None): ("v is None", "'null'"),
+}
+
+
+@memo
+def _kept() -> dict[tuple[int, str], tuple[Certificate, str]]:
+    """The text of each certificate a kept endo class verdict
+    (``pipelines._decided``) holds, keyed by the certificate's ``id`` and the
+    depth it was written at.  The entry holds the certificate too, so its
+    ``id`` is not reused while the entry lasts.  A memo table keeps it, so
+    :func:`~ellchain.elliptic.clear_memos` empties it with the run."""
+    return {}
+
+
+def _keeping(fresh: Callable[[Any, list[str]], None], pad: str) -> Callable:
+    """The certificate writer at ``pad``: ``fresh``, except that the text of a
+    kept class verdict's certificate is written once and then taken from
+    :func:`_kept`.  Every other certificate is written fresh and kept nowhere."""
+    def write(cert: Certificate, out: list[str]) -> None:
+        kept, key = _kept(), (id(cert), pad)
+        if key not in kept:
+            if not any(v.certificate is cert for v in _decided().values()):
+                fresh(cert, out)
+                return
+            parts: list[str] = []
+            fresh(cert, parts)
+            kept[key] = cert, "".join(parts)
+        out.append(kept[key][1])
+    return write
 
 
 def _write(value: Any, pad: str, out: list[str]) -> None:
@@ -201,20 +275,25 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
         else:
             sep = "[\n" + inner
             for item in value:
-                out.append(sep)
-                _write(item, inner, out)
+                t = type(item)
+                if t is int:
+                    out.append(sep + repr(item))
+                elif t in _PLAIN:
+                    out.append(sep)
+                    _write(item, inner, out)
+                else:  # a value type goes straight to its writer
+                    out.append(sep)
+                    _writer(t, inner)(item, out)
                 sep = comma
             out.append("\n" + pad + "]")
     elif cls is Degree0Class:
         _write(_symbol_keyed(value), pad, out)
     else:
-        plan = _plan(cls, pad)  # a type that is not a dataclass raises SchemaError
-        inner = pad + "  "
-        for text, name in plan:
-            out.append(text)
-            if name is not None:
-                _write(getattr(value, name), inner, out)
-        out.append("\n" + pad + "}" if plan else "{}")
+        _writer(cls, pad)(value, out)
+
+
+#: the types :func:`_write` itself dispatches on
+_PLAIN = frozenset({str, int, bool, type(None), dict, list, tuple, Degree0Class})
 
 
 def _got(value: Any) -> str:

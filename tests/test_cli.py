@@ -20,6 +20,7 @@ import pytest
 import ellchain.cli as cli
 import ellchain.independence as independence
 import ellchain.pipelines as pipelines
+import ellchain.serialize as serialize
 from ellchain.cli import main
 from ellchain.elliptic import AlgebraError, Degree0Class, clear_memos
 from ellchain.tableaux import enumerate_tableaux
@@ -446,8 +447,13 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     # and the class verdicts kept are that run's: h = 1 (d = 6, 7) and h = 3
     oracle = (independence.DEFAULT_PRIME, 0, 1)
     assert list(pipelines._decided()) == [(6, 3, 1, *oracle), (6, 3, 3, *oracle)]
+    # and the certificate texts kept are those class verdicts', at list depth
+    assert set(serialize._kept()) == {
+        (id(v.certificate), "    ") for v in pipelines._decided().values()
+    }
     clear_memos()
     assert pipelines._decided.cache_info().currsize == 0
+    assert serialize._kept.cache_info().currsize == 0
     assert run.cache_info().currsize == 0
     assert independence._formed.cache_info().currsize == 0
     formed = independence._formed()

@@ -36,6 +36,8 @@ from ellchain.pipelines import (
     poin_params,
     quoted_thresholds,
 )
+from ellchain.tableaux import Tableau
+from reference import is_standard_filling
 
 
 class TestPetriParams:
@@ -166,6 +168,68 @@ def test_rank_one_is_the_line_bundle_technique():
                     assert validate_rank1(build.dual).refined, (g, d, k)
                 assert petri_certificate(g, 1, d, k).status == "proven", (g, d, k)
     assert (admitted, non_empty_duals) == (516, 191)
+
+
+def test_rank_one_builds_realize_the_column_major_tableau():
+    # row j of an r = 1 primary has order sum d (its slot's coincidence) on
+    # the components of row j of a standard k x alpha filling: column-major
+    read = {}
+    for g in range(2, 13):
+        for d in range(1, 4 * g + 1):
+            for k in range(1, 4 * g + 1):
+                try:
+                    p = petri_params(g, 1, d, k)
+                except ParamsError:
+                    continue
+                if p.alpha == 0:
+                    continue
+                tables = petri_build(p).primary.tables
+                rows = tuple(
+                    tuple(i for i, t in enumerate(tables, start=1)
+                          if t.rows[j].ord_p + t.rows[j].ord_q == d)
+                    for j in range(k)
+                )
+                assert is_standard_filling(Tableau(rows), g), (g, d, k, rows)
+                assert rows == tuple(
+                    tuple(j + 1 + c * k for c in range(p.alpha)) for j in range(k)
+                ), (g, d, k, rows)
+                read[(g, d, k)] = rows
+    assert len(read) == 127
+    assert read[(6, 5, 2)] == ((1, 3), (2, 4))
+
+
+def test_rank_one_outside_the_hypothesis(monkeypatch):
+    # rho = g - k * alpha; case d2=k2=0 admits r = 1 only at rho >= 2. Past it,
+    # Gieseker-Petri still holds: rho = 1 builds are proven, and rho = 0 ones
+    # need g structured components where the template has g - 1
+    real = pipelines.petri_params
+
+    def admit_past_the_hypothesis(g, r, d, k):
+        try:
+            return real(g, r, d, k)
+        except ParamsError as exc:
+            if "hypothesis fails" not in str(exc):
+                raise
+        alpha = g + k - d - 1
+        return pipelines.PetriParams(g, r, d, k, d, 0, k, 0, alpha, CASE_B, k * alpha, g - 2)
+
+    monkeypatch.setattr(pipelines, "petri_params", admit_past_the_hypothesis)
+    outcomes: dict[int, list] = {0: [], 1: []}
+    for g in range(2, 11):
+        for d in range(1, 2 * g + 1):
+            for k in range(1, g + 2):
+                alpha = g + k - d - 1
+                if alpha >= 1 and g - k * alpha in outcomes:
+                    outcomes[g - k * alpha].append((g, petri_certificate(g, 1, d, k)))
+    assert len(outcomes[1]) == 23
+    for g, v in outcomes[1]:
+        assert v.status == "proven" and all(a.ok for a in v.audits), v.params
+    assert len(outcomes[0]) == 17
+    for g, v in outcomes[0]:
+        assert v.status == "not-proven", v.params
+        assert v.certificate_error == (
+            f"build failed: component {g}: structured range {g} exceeds g - 1 = {g - 1}"
+        )
 
 
 def test_builds_are_pinned():

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellchain import serialize
+from ellchain import pipelines, serialize
 from ellchain.chain import StabilityVerdict, canonical_series, redistribute, validate_lls
+from ellchain.cli import main
 from ellchain.elliptic import (
     BundleOnComponent,
     Degree0Class,
     IndecomposableSlot,
     LineBundleClass,
+    clear_memos,
 )
 from ellchain.independence import DEFAULT_PRIME, Certificate, EliminationPass, Survivor
 from ellchain.pipelines import (
@@ -306,3 +308,87 @@ def test_typed_writer_equals_the_encoded_payload_for_every_type(kind):
 def test_dumps_rejects_an_unsupported_type(obj):
     with pytest.raises(serialize.SchemaError, match="cannot serialize"):
         serialize.dumps(obj)
+
+
+# the generated writers write each field by its runtime type, not its hint
+
+#: what an int- or bool-hinted field may hold: bools, None, negatives, big ints
+WILD = st.none() | st.booleans() | st.integers(-3, 40) | st.integers(-2**70, 2**70)
+WILD_TUPLES = st.lists(WILD, max_size=3).map(tuple)
+WILD_PAIRS = st.lists(st.tuples(WILD, WILD), max_size=3).map(tuple)
+WILD_PASSES = st.builds(
+    EliminationPass, WILD,
+    st.lists(st.builds(Survivor, WILD, WILD, WILD, WILD, WILD, WILD), max_size=3).map(tuple),
+)
+#: each value type's values, each placed in a verdict as ``replace`` changes
+PLACED = st.one_of(
+    st.builds(Survivor, WILD, WILD, WILD, WILD, WILD, WILD).map(
+        lambda s: {"certificate": Certificate((EliminationPass(1, (s, s)),), 2, ())}),
+    WILD_PASSES.map(lambda p: {"certificate": Certificate((p,), 1, ((0, 1),))}),
+    st.builds(Certificate, st.lists(WILD_PASSES, max_size=2).map(tuple), WILD, WILD_PAIRS)
+    .map(lambda c: {"certificate": c}),
+    st.builds(OracleBlock, WILD, WILD, WILD_TUPLES, WILD_TUPLES, WILD)
+    .map(lambda o: {"oracle": o}),
+    st.lists(st.builds(Audit, TEXT | WILD, AUDIT_VALUES, AUDIT_VALUES), min_size=1, max_size=2)
+    .map(lambda a: {"audits": tuple(a)}),
+    st.builds(DistributionInfo, WILD_TUPLES, WILD_PAIRS, st.none() | WILD_PAIRS)
+    .map(lambda d: {"distribution": d}),
+    st.builds(StabilityVerdict, TEXT | WILD, TEXT | WILD).map(lambda s: {"stability": s}),
+    st.fixed_dictionaries({"expected_products": WILD, "product_count": WILD}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_verdicts_of_every_status()), PLACED)
+def test_generated_writers_follow_runtime_types(verdict, changes):
+    v = replace(verdict, **changes)
+    for pad in ("", "  ", "    "):
+        assert serialize.to_text(v, pad) == _dumped(v, pad)
+
+
+# a kept class verdict's certificate is written once per depth and run
+
+def test_a_sweep_writes_each_copy_as_its_single_verdict(tmp_path):
+    # at (8, 4) d = 8 and d = 10 are the h = 1 class, d = 9 is h = 2 and d = 11
+    # h = 4: d = 10, a copy, is written after another class's verdict
+    out = tmp_path / "sweep.json"
+    assert main(["endo", "--sweep", "--g", "8", "--r", "4", "--out", str(out)]) == 0
+    text = out.read_text()
+    first = pipelines._decided()[(8, 4, 1, DEFAULT_PRIME, 0, 1)].certificate
+    kept = serialize._kept()[(id(first), "    ")][1]
+    assert text.count(kept) == 2
+    singles = []
+    for d in (8, 9, 10, 11):
+        single = tmp_path / f"{d}.json"
+        assert main(["endo", "--g", "8", "--r", "4", "--d", str(d), "--out", str(single)]) == 0
+        singles.append(single.read_text()[:-1].replace("\n", "\n  "))
+    assert text == "[\n  " + ",\n  ".join(singles) + "\n]\n"
+
+
+def test_a_kept_certificate_text_is_its_own_at_each_depth():
+    copy = onto_certificate(8, 4, 10)
+    cert = copy.certificate
+    assert cert is pipelines._decided()[(8, 4, 1, DEFAULT_PRIME, 0, 1)].certificate
+    # written at two depths: two texts, each the fresh writer's, kept apart
+    for _ in range(2):
+        for pad in ("", "  "):
+            assert serialize.to_text(cert, pad) == _dumped(cert, pad)
+    assert set(serialize._kept()) == {(id(cert), ""), (id(cert), "  ")}
+    # the copy written at list depth keeps its certificate's text at "    ";
+    # another class's certificate, or one no verdict keeps, in its place is
+    # written as itself
+    assert serialize.to_text(copy, "  ") == _dumped(copy, "  ")
+    others = (onto_certificate(8, 4, 9).certificate, replace(cert, passes=cert.passes[:1]))
+    for other in others:
+        v = replace(copy, certificate=other)
+        assert serialize.to_text(v, "  ") == _dumped(v, "  ") != serialize.to_text(copy, "  ")
+    assert (id(others[1]), "    ") not in serialize._kept()
+    clear_memos()
+    assert serialize._kept.cache_info().currsize == 0
+
+
+def test_a_petri_sweep_keeps_no_certificate_text(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["petri", "--sweep", "--g", "5", "--r", "2", "--out", str(out)]) == 0
+    assert any(v["certificate"] for v in json.loads(out.read_text()))
+    assert serialize._kept() == {}
