@@ -471,12 +471,13 @@ def cmd_certify(args) -> int:
 
     A sweep runs one loop over the (g, r) runs of its tuples.  The memo
     tables (:func:`~ellchain.elliptic.memo`: the class algebra's, the
-    oracle's jet scalars, an endo run's d-independent half, built once per
-    (g, r) run, the product columns of the previous verdict with the oracle
-    matrix column planned on each, ``pipelines._decided``, the endo
-    verdict of each (g, r, h, prime, seed, trials) class, h = gcd(r, d - g +
-    1), decided at the class's first d and copied with its own params for
-    the others, and ``serialize._kept``, the text of each such verdict's
+    oracle's numbered jet keys and their scalars, an endo run's
+    d-independent half, built once per (g, r) run, the product columns of
+    the previous verdict with the oracle matrix column planned on each,
+    ``pipelines._decided``, the endo verdict of each (g, r, h, prime, seed,
+    trials) class with more than one d, h = gcd(r, d - g + 1), decided at
+    the class's first d and copied with its own params for the others, and
+    ``serialize._kept``, the text of each such verdict's
     certificate per depth, which the copies write) are emptied where
     each run starts, a single verdict's included, so the verdicts of a run
     share them and they hold one run's values at most.

@@ -20,25 +20,29 @@ judges death on a component by its own rule, read off the factor rows
 (:func:`oracle_plan`), not by :func:`ellchain.chain.survives`, which the
 certificate uses.  The matrix's sparsity pattern depends on no seed:
 :func:`oracle_plan` lays it out once per verdict, one
-:class:`OracleColumn` per component of the chain.  A column holds its own
-jet keys (every key names its component, so no two columns share one) and
-entries for the products live on it only; a dead cell stores nothing.
-Each seed and trial draws a column's scalars, forms its entries, puts the
-product rows together from the columns and eliminates.  Matrix columns are
-numbered in the sort order of their ``(component, slot, point, offset)``
-keys, so slots of different components never share a column however many
-there are.  Each jet scalar is cached by exactly what it depends on, in a
-per-trial table that :func:`ellchain.elliptic.memo` keeps like the class
-algebra's: shared by every product and every call.  A component's oracle
-column is kept with the :func:`product_sections` column it was planned on,
-and the next verdict reuses it exactly when :func:`product_sections` reused
-that column and the threshold pair is equal.  A column numbers its entries
+:class:`OracleColumn` per component of the chain, with entries for the
+products live on it only; a dead cell stores nothing.  Every jet key
+(every key names its component, so no two columns share one) is numbered
+once per run, in one table (:class:`_Jets`) that
+:func:`ellchain.elliptic.memo` keeps like the class algebra's, and the
+cells hold those numbers.  The table keeps each key's hashed text and, per
+seed and trial, one flat list of the scalars drawn so far: each seed and
+trial draws the keys not drawn yet, forms every column's entries from that
+list, puts the product rows together from the columns and eliminates.
+Matrix columns are numbered in the sort order of their ``(component, slot,
+point, offset)`` keys, so slots of different components never share a
+column however many there are.  A component's oracle column is kept with
+the :func:`product_sections` column it was planned on, and the next
+verdict reuses it exactly when :func:`product_sections` reused that column
+and the threshold pair is equal.  A column numbers its entries
 within its component, so reuse does not depend on the other columns.  The
 verdicts of an endo (g, r) run share their rows on every component but the
 last, so they plan those columns once; a petri run reuses no column, so it
 keeps no verdict's oracle columns past its first.  The jet table and the
 kept columns last until :func:`ellchain.elliptic.clear_memos` empties
-them, which a sweep does where each (g, r) run starts.
+them, which a sweep does where each (g, r) run starts; a column holds the
+table it was numbered in, so a plan ranked after that still reads its own
+run's scalars.
 
 Rows, sections, survivors, passes, certificates, the oracle configuration
 and its plan are value types made by :func:`ellchain.elliptic.value`, like
@@ -52,7 +56,7 @@ import hashlib
 import itertools
 import operator
 from dataclasses import field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ellchain.chain import LimitLinearSeries, generic_gluing, survives
 from ellchain.elliptic import (
@@ -438,30 +442,60 @@ class OracleConfig:
             raise AlgebraError(f"modulus {self.prime} is not prime")
 
 
-def _coeff(prime: int, seed: int, trial: int, key: str, nonzero: bool) -> int:
-    digest = hashlib.sha256(f"{seed}:{trial}:{key}".encode()).digest()
-    value = int.from_bytes(digest, "big")
-    return value % (prime - 1) + 1 if nonzero else value % prime
+#: a jet scalar's key: ``(tag, fid, comp, point, level, nonzero)``
+JetKey = tuple[str, int, int, str, int, bool]
 
 
-#: one trial's ``jet(tag, fid, comp, point, level, nonzero)`` scalar
-Jet = Callable[[str, int, int, str, int, bool], int]
+class _Jets:
+    """The jet keys of a run, each numbered once, and the scalars drawn for
+    them.
+
+    ``number`` maps a key to its number, in first-use order; key ``n``'s
+    hashed text ``b"tag:fid:comp:point:level"`` is ``text[n]`` and its flag
+    ``nonzero[n]``, stored once per run in flat lists.  ``drawn`` maps
+    ``(prime, seed, trial)`` to that trial's scalars of keys ``0, 1, ...``,
+    as far as :meth:`draw` has drawn them.  The flag is part of the key (a
+    mutated product may give a factor another order than elsewhere), so a
+    drawn scalar is the one a fresh hash of its key would give.
+    """
+
+    __slots__ = ("number", "text", "nonzero", "drawn")
+
+    def __init__(self) -> None:
+        self.number: dict[JetKey, int] = {}
+        self.text: list[bytes] = []
+        self.nonzero: list[bool] = []
+        self.drawn: dict[tuple[int, int, int], list[int]] = {}
+
+    def keep_new(self) -> None:
+        """Keep the text and flag of each key numbered since the last call:
+        the last ones in ``number``, whose length has grown by their count."""
+        new = len(self.number) - len(self.text)
+        if new:
+            keys = list(itertools.islice(reversed(self.number), new))
+            keys.reverse()
+            self.text += [f"{t}:{f}:{c}:{p}:{l}".encode() for t, f, c, p, l, _ in keys]
+            self.nonzero += [key[5] for key in keys]
+
+    def draw(self, prime: int, seed: int, trial: int) -> list[int]:
+        """One trial's scalars, one per numbered key, hashing the keys not
+        drawn yet: ``int(SHA-256(b"seed:trial:" + text))`` reduced into
+        ``[1, prime)`` for a nonzero key and into ``[0, prime)`` otherwise."""
+        vals = self.drawn.setdefault((prime, seed, trial), [])
+        done = len(vals)
+        if done < len(self.text):
+            head, sha256, unit = f"{seed}:{trial}:".encode(), hashlib.sha256, prime - 1
+            for text, nonzero in zip(self.text[done:], self.nonzero[done:]):
+                v = int.from_bytes(sha256(head + text).digest(), "big")
+                vals.append(v % unit + 1 if nonzero else v % prime)
+        return vals
 
 
 @memo
-def _trial_jets(prime: int, seed: int, trial: int) -> Jet:
-    """One trial's jet scalars, each hashed on its first use only.
-
-    The cache key is every argument of the hashed string, ``nonzero``
-    included (a mutated product may give a factor another order than
-    elsewhere), so a cached scalar is the one a fresh hash would give.
-    """
-
-    @functools.cache
-    def jet(tag: str, fid: int, comp: int, point: str, level: int, nonzero: bool) -> int:
-        return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
-
-    return jet
+def _jets() -> _Jets:
+    """The run's one :class:`_Jets`, in a memo table so that
+    :func:`~ellchain.elliptic.clear_memos` starts each run a new one."""
+    return _Jets()
 
 
 def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
@@ -489,34 +523,30 @@ def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
     return rank
 
 
-#: a jet scalar's key: ``(tag, fid, comp, point, level, nonzero)``
-JetKey = tuple[str, int, int, str, int, bool]
-
-
 class OracleColumn:
     """One component's part of the oracle matrix.
 
-    ``threshold`` is the component's pair.  ``keys`` are the distinct jet
-    keys the column reads, in first-use order, and ``cells`` its entries,
-    those of live products only: ``(product, column, pairs)`` is the sum of
-    ``vals[a] * vals[b]`` over the flat ``pairs`` ``(a0, b0, a1, b1, ...)``,
-    where ``vals[k]`` is one trial's scalar for ``keys[k]``.  ``column`` is
-    ``(slot * 2 + point) * 2 + offset``, numbered within the component;
-    ``top`` is the largest slot of a live product.
+    ``threshold`` is the component's pair and ``jets`` the :class:`_Jets`
+    table its keys were numbered in.  ``cells`` are its entries, those of
+    live products only: ``(product, column, pairs)`` is the sum of
+    ``vals[a] * vals[b]`` over the flat ``pairs`` ``(a0, b0, a1, b1, ...)``
+    of key numbers, where ``vals`` is one trial's scalars drawn from
+    ``jets``.  ``column`` is ``(slot * 2 + point) * 2 + offset``, numbered
+    within the component; ``top`` is the largest slot of a live product.
     """
 
-    __slots__ = ("threshold", "top", "keys", "cells")
+    __slots__ = ("threshold", "top", "cells", "jets")
 
-    def __init__(self, threshold, top, keys, cells) -> None:
+    def __init__(self, threshold, top, cells, jets) -> None:
         self.threshold: tuple[int, int] = threshold
         self.top = top
-        self.keys: list[JetKey] = keys
         self.cells: list[tuple[int, int, tuple[int, ...]]] = cells
+        self.jets: _Jets = jets
 
-    def form(self, rows, jet: Jet, prime: int, base: int) -> None:
+    def form(self, rows, vals: list[int], prime: int, base: int) -> None:
         """Set one trial's nonzero entries in ``rows``, a map from product
-        to its row, at matrix column ``base + column``."""
-        vals = list(itertools.starmap(jet, self.keys))
+        to its row, at matrix column ``base + column``; ``vals`` is that
+        trial's scalars drawn from :attr:`jets`."""
         for p, col, pairs in self.cells:
             # the plan leaves out empty convolutions: every cell has a pair
             total = vals[pairs[0]] * vals[pairs[1]]
@@ -546,14 +576,15 @@ class OraclePlan:
 
 def _plan_column(
     i: int, rows: tuple[ProductRow, ...], factors: tuple[tuple[int, ...], tuple[int, ...]],
-    threshold: tuple[int, int],
+    threshold: tuple[int, int], jets: _Jets,
 ) -> OracleColumn:
     """Plan component ``i``'s column: the death rule and the convolutions of
     :func:`oracle_plan`, for the products whose rows on it are ``rows`` and
-    whose factor ids are ``factors`` (every ``factor_a``, every ``factor_b``)."""
+    whose factor ids are ``factors`` (every ``factor_a``, every ``factor_b``),
+    with its jet keys numbered in ``jets``."""
     factor_a, factor_b = factors
-    index: dict[JetKey, int] = {}
-    key = index.setdefault
+    number = jets.number
+    key = number.setdefault
     th_p, th_q = threshold
     cells = []
     top = 0
@@ -577,12 +608,13 @@ def _plan_column(
                 for la in range(ord_a, level - ord_b + 1):
                     lb = level - la
                     pairs += (
-                        key(("A", fa, i, point, la, exact_a and la == ord_a), len(index)),
-                        key(("B", fb, i, point, lb, exact_b and lb == ord_b), len(index)),
+                        key(("A", fa, i, point, la, exact_a and la == ord_a), len(number)),
+                        key(("B", fb, i, point, lb, exact_b and lb == ord_b), len(number)),
                     )
                 if pairs:
                     cells.append((p, col + level - th, tuple(pairs)))
-    return OracleColumn(threshold, top, list(index), cells)
+    jets.keep_new()
+    return OracleColumn(threshold, top, cells, jets)
 
 
 def oracle_plan(
@@ -605,7 +637,11 @@ def oracle_plan(
     pair per component raises ``ValueError``.
 
     Every jet key holds its component, and a column numbers its entries
-    within the component, so each column is planned alone.  When
+    within the component, so each column is planned alone.  Its keys are
+    numbered in the run's jet table (:class:`_Jets`, through
+    ``dict.setdefault``), which keeps the text of each new one, and the
+    column holds that table, so the plan reads the scalars of the run it
+    was planned in wherever it is ranked.  When
     ``products`` is the tuple :func:`product_sections` kept, each
     component's rows are read off its product column, and the column's
     oracle column is kept with it (``_Formed.oracle``) and reused exactly
@@ -618,7 +654,7 @@ def oracle_plan(
     _check_thresholds(products, thresholds)
     n = len(products)
     factors = (tuple(map(_factor_a, products)), tuple(map(_factor_b, products)))
-    formed = _formed()
+    formed, jets = _formed(), _jets()
     if n and products is formed.products:  # () is one object: it never matches
         kept = formed.oracle
         by_component = [column[4] for column in formed.columns]
@@ -630,7 +666,7 @@ def oracle_plan(
         threshold = tuple(threshold)
         column = kept[i]
         if column is None or column.threshold != threshold:
-            column = kept[i] = _plan_column(i, rows, factors, threshold)
+            column = kept[i] = _plan_column(i, rows, factors, threshold, jets)
         columns.append(column)
     width = 1 + max((column.top for column in columns), default=0)
     return OraclePlan(n, width, tuple(columns))
@@ -657,21 +693,27 @@ def oracle_rank(
     plan's entries one component column at a time
     (:meth:`OracleColumn.form`), at matrix column ``i * width * 4 + c`` for
     component ``i``'s column ``c``, puts the product rows together from
-    them and eliminates.  A column draws its scalars from
-    :func:`_trial_jets`, a memo table shared by every call until
+    them and eliminates.  Each trial first extends its flat list of
+    scalars in each table the plan's columns were numbered in
+    (:meth:`_Jets.draw`, one SHA-256 call per key not drawn yet), and the
+    columns read it by key number.  The table is shared by every call until
     :func:`~ellchain.elliptic.clear_memos`, so a sweep hashes no scalar
-    twice within a (g, r) run.  An entry depends on nothing but its keys
-    and the trial, so the rank is the same however warm the tables are.
+    twice within a (g, r) run.  An entry depends on nothing but its key
+    and the trial, so the rank is the same however warm the table is.
     """
     prime, seed = cfg.prime, cfg.seed
     if plan is None:
         plan = oracle_plan(products, thresholds)
     step = plan.width * 4  # the matrix columns of one component
+    # each table the plan's columns were numbered in (one, unless a memo
+    # table was emptied between them) -> this trial's scalars from it
+    drawn = dict.fromkeys(column.jets for column in plan.columns)
     best = 0
     for trial in range(cfg.trials):
-        jet = _trial_jets(prime, seed, trial)
+        for jets in drawn:
+            drawn[jets] = jets.draw(prime, seed, trial)
         rows: list[dict[int, int]] = [{} for _ in range(plan.count)]
         for base, column in zip(range(0, len(plan.columns) * step, step), plan.columns):
-            column.form(rows, jet, prime, base)
+            column.form(rows, drawn[column.jets], prime, base)
         best = max(best, _rank_mod_p(rows, prime))
     return best

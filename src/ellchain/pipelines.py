@@ -503,9 +503,9 @@ def decide(
 
 @memo
 def _decided() -> dict[tuple[int, ...], Verdict]:
-    """The endo verdicts of a run, one per class: keyed by the integers
-    (g, r, h, prime, seed, trials), each the verdict of the class's first
-    admitted d.  A memo table keeps it, so
+    """The endo verdicts of a run, one per class with another d: keyed by
+    the integers (g, r, h, prime, seed, trials), each the verdict of the
+    class's first admitted d.  A memo table keeps it, so
     :func:`~ellchain.elliptic.clear_memos` empties it with the run."""
     return {}
 
@@ -527,12 +527,15 @@ def _certify(
     decides each (g, r, h) class at its first admitted d, keeps that verdict
     in :func:`_decided`, and hands every d of the class a copy with its own
     params; a hypothesis-not-met verdict, which names d, is never shared.
+    The class has phi(r/h) members in the window [g, g + r), so a verdict
+    is kept only when r/h > 2: the class of h = r or h = r/2 has no other
+    d, and its verdict is returned as it was settled.
     """
     try:
         p = admit(**params)
     except ParamsError as exc:
         return Verdict(kind, params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
-    if kind == "petri":
+    if kind == "petri" or p.r <= 2 * p.h:  # no other d reads the verdict
         return _settle(kind, params, p, build, instance, prime, seed, trials)
     decided = _decided()
     key = (p.g, p.r, p.h, prime, seed, trials)

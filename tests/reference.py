@@ -17,10 +17,15 @@ package computes, so a test can compare the two.
 * ``validate_every_row`` is the series validator that asks the class rule
   (``chain._row_class_conflict``) about every row, with no per-slot bound in
   front of it; ``chain.validate_lls`` must return exactly its report.
+* ``coeff`` is the oracle's jet scalar hashed from its key string alone;
+  every scalar the oracle draws must equal it.
+* ``assert_same_text`` asserts two texts are equal and, when they are not,
+  reports where they first differ without diffing them whole.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -268,3 +273,33 @@ def validate_every_row(series: LimitLinearSeries) -> ValidationReport:
                 f" [{series.a * series.rank}, {(series.a + 1) * series.rank})"
             )
     return ValidationReport((), Conditions(cond1, cond2, cond3), tuple(failures))
+
+
+def coeff(prime: int, seed: int, trial: int, key: str, nonzero: bool) -> int:
+    """The scalar of jet ``key`` (``"tag:fid:comp:point:level"``) in trial
+    ``trial`` of ``seed``: SHA-256 of ``"seed:trial:key"`` as a big-endian
+    integer, in ``[1, prime)`` when ``nonzero`` and in ``[0, prime)`` else."""
+    digest = hashlib.sha256(f"{seed}:{trial}:{key}".encode()).digest()
+    value = int.from_bytes(digest, "big")
+    return value % (prime - 1) + 1 if nonzero else value % prime
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Raise ``AssertionError`` unless ``got == want``, naming both lengths,
+    the first differing offset and about 80 characters around it.
+
+    A plain ``assert got == want`` on two endo verdict texts (about 275 kB
+    at g = 20) has pytest diff them line by line, which takes tens of
+    seconds; this reports at once.
+    """
+    if got == want:
+        return
+    at = next(
+        (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+    )
+    start = max(at - 40, 0)
+    raise AssertionError(
+        f"texts differ: lengths {len(got)} and {len(want)}, first at offset {at}\n"
+        f"  got:  {got[start:at + 40]!r}\n"
+        f"  want: {want[start:at + 40]!r}"
+    )

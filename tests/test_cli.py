@@ -24,6 +24,7 @@ import ellchain.serialize as serialize
 from ellchain.cli import main
 from ellchain.elliptic import AlgebraError, Degree0Class, clear_memos
 from ellchain.tableaux import enumerate_tableaux
+from reference import assert_same_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -363,21 +364,37 @@ def test_sweep_json_is_pinned(capsys, argv, digest):
 
 
 def test_a_sweep_hashes_each_jet_scalar_once_per_g_r_run(monkeypatch, tmp_path):
-    real_certify, real_coeff = cli.petri_certificate, independence._coeff
-    current, hashed = [], Counter()
+    real_certify, real_clear, real_sha256 = cli.petri_certificate, cli.clear_memos, hashlib.sha256
+    current, hashed, calls = [], Counter(), []
 
     def certify(g, r, *args, **kwargs):
         current[:] = [(g, r)]
         return real_certify(g, r, *args, **kwargs)
 
-    def coeff(prime, seed, trial, key, nonzero):
-        hashed[current[0], seed, trial, key, nonzero] += 1
-        return real_coeff(prime, seed, trial, key, nonzero)
+    def drawn():
+        # every scalar the ending run's jet table drew, by its key
+        jets = independence._jets()
+        for (_, seed, trial), vals in jets.drawn.items():
+            for n in range(len(vals)):
+                hashed[current[0], seed, trial, jets.text[n].decode(), jets.nonzero[n]] += 1
+
+    def clear():
+        drawn()
+        real_clear()
+
+    def sha256(data):
+        calls.append(data)
+        return real_sha256(data)
 
     monkeypatch.setattr(cli, "petri_certificate", certify)
-    monkeypatch.setattr(independence, "_coeff", coeff)
+    monkeypatch.setattr(cli, "clear_memos", clear)
+    monkeypatch.setattr(hashlib, "sha256", sha256)
     argv = ["petri", "--sweep", "--g", "2..6", "--r", "1..3", "--seed", "2208", "--trials", "2"]
     assert main([*argv, "--out", str(tmp_path / "sweep.json")]) == 0
+    drawn()
+    monkeypatch.undo()
+    # one hash per drawn scalar
+    assert len(calls) == sum(hashed.values())
     assert {trial for _, _, trial, _, _ in hashed} == {0, 1}
     assert max(hashed.values()) == 1
     # each run starts a table of its own: some scalar is hashed again in a later run
@@ -407,8 +424,8 @@ def test_a_sweep_empties_the_memo_tables_once_per_g_r_run(monkeypatch, tmp_path)
 
 def test_a_sweep_leaves_only_its_last_runs_jet_tables(tmp_path):
     def scalars_per_seed():
-        tables = (independence._trial_jets(independence.DEFAULT_PRIME, s, 0) for s in range(3))
-        return [jet.cache_info().currsize for jet in tables]
+        drawn = independence._jets().drawn
+        return [len(drawn[independence.DEFAULT_PRIME, s, 0]) for s in range(3)]
 
     out = str(tmp_path / "sweep.json")
     assert main(["petri", "--sweep", "--g", "5", "--r", "2", "--out", out]) == 0
@@ -416,10 +433,10 @@ def test_a_sweep_leaves_only_its_last_runs_jet_tables(tmp_path):
     assert main(["petri", "--sweep", "--g", "4..5", "--r", "1..2", "--out", out]) == 0
     # one table per seed of the last run, (5, 2), holding that run's scalars
     # only: the earlier runs' tables are gone
-    assert independence._trial_jets.cache_info().currsize == 3
+    assert len(independence._jets().drawn) == 3
     assert scalars_per_seed() == last_run
     clear_memos()
-    assert independence._trial_jets.cache_info().currsize == 0
+    assert independence._jets.cache_info().currsize == 0
 
 
 def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
@@ -444,9 +461,10 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     assert len(formed.oracle) == 6 and all(formed.oracle)
     plan = independence.oracle_plan(products, [oracle.threshold for oracle in formed.oracle])
     assert all(a is b for a, b in zip(plan.columns, formed.oracle))
-    # and the class verdicts kept are that run's: h = 1 (d = 6, 7) and h = 3
+    # and the class verdicts kept are that run's with another d: h = 1 (d =
+    # 6, 7), not h = 3 (d = 8 alone)
     oracle = (independence.DEFAULT_PRIME, 0, 1)
-    assert list(pipelines._decided()) == [(6, 3, 1, *oracle), (6, 3, 3, *oracle)]
+    assert list(pipelines._decided()) == [(6, 3, 1, *oracle)]
     # and the certificate texts kept are those class verdicts', at list depth
     assert set(serialize._kept()) == {
         (id(v.certificate), "    ") for v in pipelines._decided().values()
@@ -479,6 +497,19 @@ def test_an_endo_sweep_decides_each_class_once(monkeypatch, tmp_path, argv, deci
     assert len(json.loads(out.read_text())) == verdicts
 
 
+def test_an_endo_sweep_keeps_only_the_classes_a_later_d_copies(capsys):
+    # at (20, 5) h is 1 for d = 20..23 and 5 for d = 24, which has no other d:
+    # its verdict and certificate text are not kept
+    code, out, _ = run(capsys, "endo", "--sweep", "--g", "20", "--r", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "ea62e026e5901ba02390fb497c38b0614be290f5955fc8e35a43414b961d554c"
+    )
+    assert list(pipelines._decided()) == [(20, 5, 1, independence.DEFAULT_PRIME, 0, 1)]
+    (kept,) = pipelines._decided().values()
+    assert list(serialize._kept()) == [(id(kept.certificate), "    ")]
+
+
 def test_an_endo_sweep_from_the_middle_of_a_class_decides_from_its_own_build(
     capsys, monkeypatch
 ):
@@ -496,7 +527,7 @@ def test_an_endo_sweep_from_the_middle_of_a_class_decides_from_its_own_build(
     # the sweep's last two elements, byte for byte: an element after the
     # first, and nothing else, starts ",\n  {"
     assert full.count(",\n  {") == 4
-    assert tail == "[\n  {" + ",\n  {".join(full.split(",\n  {")[-2:])
+    assert_same_text(tail, "[\n  {" + ",\n  {".join(full.split(",\n  {")[-2:]))
     # d = 23 is the first of its class here, so it is built from its own series
     assert built == [23, 24]
 

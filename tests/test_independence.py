@@ -3,6 +3,8 @@
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellchain import independence
 from ellchain.chain import canonical_series, redistribute, survives
@@ -15,10 +17,9 @@ from ellchain.independence import (
     OracleConfig,
     ProductRow,
     ProductSection,
-    _coeff,
     _formed,
+    _jets,
     _rank_mod_p,
-    _trial_jets,
     certify_independence,
     oracle_plan,
     oracle_rank,
@@ -39,6 +40,7 @@ from ellchain.pipelines import (
     petri_params,
     poin_params,
 )
+from reference import coeff
 
 
 def _petri_5273_factors():
@@ -235,7 +237,17 @@ def _reference_factor_jet(prime, seed, trial, tag, fid, comp, point, level, row)
     if level < order:
         return 0
     nonzero = exact and level == order
-    return _coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
+    return coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
+
+
+def _drawn(start=0):
+    """``(seed, trial, key, nonzero)`` of every scalar the run's jet table
+    has drawn, from the ``start``-th of each trial's list on."""
+    jets = _jets()
+    return {
+        (seed, trial, jets.text[n].decode(), jets.nonzero[n])
+        for (_, seed, trial), vals in jets.drawn.items() for n in range(start, len(vals))
+    }
 
 
 def _reference_oracle_rank(products, thresholds, cfg=OracleConfig()):
@@ -300,9 +312,7 @@ class TestOracleReference:
                     products, thresholds, cfg
                 )
 
-    def test_a_warm_shared_jet_table_gives_the_reference_rank(
-        self, petri_5273, endo_424, monkeypatch
-    ):
+    def test_a_warm_shared_jet_table_gives_the_reference_rank(self, petri_5273, endo_424):
         # a sweep ranks many product lists through one memo table per trial;
         # a scalar cached for one list must be the one a fresh hash gives for
         # the next.  Earlier tests leave the tables warm: empty them first
@@ -312,22 +322,16 @@ class TestOracleReference:
         for cfg in cfgs:
             oracle_rank(products, thresholds, cfg)
         # seeds 0..2 x trials 0 and 1
-        assert _trial_jets.cache_info().currsize == 6
-
-        hashed = []
-
-        def recording(prime, seed, trial, key, nonzero):
-            hashed.append((seed, trial, key, nonzero))
-            return _coeff(prime, seed, trial, key, nonzero)
+        assert len(_jets().drawn) == 6
 
         # the raised-order mutant reads factor A:0's level-1 P-jet on component
         # 0 as a leading coefficient: the warm table holds only its free residue
-        monkeypatch.setattr("ellchain.independence._coeff", recording)
+        warm = len(_jets().drawn[DEFAULT_PRIME, 0, 0])
         raised = (_raise_order(products[0]),) + products[1:]
         oracle_rank(raised, thresholds, cfgs[0])
+        hashed = _drawn(warm)
         assert (0, 0, "A:0:0:P:1", True) in hashed
         assert (0, 0, "A:0:0:P:1", False) not in hashed
-        monkeypatch.undo()
 
         cases = [
             (products + (products[len(products) // 2],), thresholds),
@@ -340,22 +344,16 @@ class TestOracleReference:
                     _reference_oracle_rank(case_products, case_thresholds, cfg)
                 )
 
-    def test_jet_cache_keeps_orders_of_one_factor_apart(self, petri_5273, monkeypatch):
+    def test_jet_cache_keeps_orders_of_one_factor_apart(self, petri_5273):
         # the raised-order mutant gives factor A:0 on component 0 P-order 1,
         # where every other product has it at order 0: its level-1 jet is the
         # nonzero leading coefficient there and a free residue elsewhere, so
         # the same key string must be hashed both ways
         products, thresholds = petri_5273
         products = (_raise_order(products[0]),) + products[1:]
-        hashed = set()
-
-        def recording(prime, seed, trial, key, nonzero):
-            hashed.add((key, nonzero))
-            return _coeff(prime, seed, trial, key, nonzero)
-
-        monkeypatch.setattr("ellchain.independence._coeff", recording)
         clear_memos()  # a warm table would hash nothing
         oracle_rank(products, thresholds)
+        hashed = {(key, nonzero) for _, _, key, nonzero in _drawn()}
         assert {("A:0:0:P:1", True), ("A:0:0:P:1", False)} <= hashed
 
     def test_slot_4096_does_not_collide_with_next_component(self):
@@ -421,17 +419,17 @@ class TestOraclePlan:
         thresholds = draft.distribution.thresholds
         hashed = {"decide": set(), "reference": set()}
 
-        def recording(into, hash_=_coeff):
+        def recording(into, hash_=coeff):
             def coeff(prime, seed, trial, key, nonzero):
                 hashed[into].add((seed, trial, key, nonzero))
                 return hash_(prime, seed, trial, key, nonzero)
             return coeff
 
-        # decide ranks seeds 0..2; the reference hashes through this module's _coeff
-        monkeypatch.setattr("ellchain.independence._coeff", recording("decide"))
+        # decide ranks seeds 0..2; the reference hashes through this module's coeff
         clear_memos()  # a warm table would hash nothing
         assert decide(products, draft, DEFAULT_PRIME, 0, 1).status == "proven"
-        monkeypatch.setitem(globals(), "_coeff", recording("reference"))
+        hashed["decide"] = _drawn()
+        monkeypatch.setitem(globals(), "coeff", recording("reference"))
         for seed in range(3):
             _reference_oracle_rank(products, thresholds, OracleConfig(seed=seed))
         assert hashed["decide"] and hashed["decide"] == hashed["reference"]
@@ -598,6 +596,69 @@ def test_an_empty_product_tuple_is_never_the_kept_one(monkeypatch):
         assert planned == [0, 1, 2, 3] and plan.count == 0
         assert _formed().oracle == [None] * 4
         planned.clear()
+
+
+def test_a_plan_ranks_with_the_jet_numbering_it_was_planned_in(monkeypatch):
+    # a plan's cells hold key numbers of the run's jet table; once that table
+    # is replaced, by clear_memos or alone, the plan and the oracle columns
+    # kept with the product columns must still read their own table's scalars
+    matrices = _record_matrices(monkeypatch)
+    other, draft = petri_instance(petri_build(petri_params(5, 2, 7, 3)))
+    # a list is never the kept tuple: ranking it plans in full and keeps nothing
+    other, other_thresholds = list(other), draft.distribution.thresholds
+
+    def endo_637():
+        products, draft = endo_instance(endo_build(poin_params(6, 3, 7)))
+        return products, draft.distribution.thresholds
+
+    def ranked(products, thresholds, plan):
+        matrices.clear()
+        return [oracle_rank(products, thresholds, cfg, plan) for cfg in _CONFIGS], matrices[:]
+
+    clear_memos()
+    products, thresholds = endo_637()
+    plan = oracle_plan(products, thresholds)
+    cold = ranked(products, thresholds, plan)
+    assert cold[0] == [len(products)] * len(_CONFIGS)
+    # the next run numbers other keys first into a table of its own
+    clear_memos()
+    oracle_rank(other, other_thresholds)
+    assert ranked(products, thresholds, plan) == cold
+    # the oracle columns kept with the product columns, after the jet table
+    # alone is emptied and another list numbers its keys into the new one
+    clear_memos()
+    products, thresholds = endo_637()
+    kept = oracle_plan(products, thresholds).columns
+    _jets.cache_clear()
+    oracle_rank(other, other_thresholds)
+    plan = oracle_plan(products, thresholds)
+    assert all(a is b for a, b in zip(plan.columns, kept))
+    assert ranked(products, thresholds, plan) == cold
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("AB"), st.integers(0, 5000), st.integers(0, 60),
+                  st.sampled_from("PQ"), st.integers(0, 90)),
+        min_size=1, max_size=4, unique=True,
+    ),
+    st.integers(1, 7), st.integers(-(2**40), 2**40), st.integers(0, 2),
+    st.sampled_from([3, DEFAULT_PRIME]),
+)
+def test_a_drawn_jet_scalar_is_the_reference_scalar(texts, split, seed, trial, prime):
+    # each key text under both flags, numbered in two batches: the second
+    # draw extends the list of the first
+    keys = [(*text, nonzero) for text in texts for nonzero in (True, False)]
+    jets = independence._Jets()
+    for batch in (keys[:split], keys[split:]):
+        for key in batch:
+            jets.number.setdefault(key, len(jets.number))
+        jets.keep_new()
+        assert jets.draw(prime, seed, trial) == [
+            coeff(prime, seed, trial, ":".join(map(str, key[:5])), key[5])
+            for key in keys[:len(jets.number)]
+        ]
 
 
 def test_a_run_that_reuses_no_oracle_column_keeps_none():

@@ -32,6 +32,7 @@ from ellchain.pipelines import (
     petri_instance,
     petri_params,
 )
+from reference import assert_same_text
 
 
 @pytest.mark.parametrize("g", [2, 3, 6])
@@ -50,7 +51,8 @@ def test_slotted_values_survive_pickle_and_deepcopy(make):
     value = make()
     text = serialize.dumps(value)
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
-        assert twin == value and serialize.dumps(twin) == text
+        assert twin == value
+        assert_same_text(serialize.dumps(twin), text)
 
 
 def test_series_with_twists_round_trip():
@@ -81,7 +83,7 @@ def test_verdict_and_certificate_round_trip():
 def test_deterministic_encoding():
     a = serialize.dumps(petri_certificate(4, 2, 6, 2, seed=5))
     b = serialize.dumps(petri_certificate(4, 2, 6, 2, seed=5))
-    assert a == b
+    assert_same_text(a, b)
 
 
 def test_schema_version_enforced():
@@ -217,8 +219,10 @@ def test_the_writer_equals_json_dumps_on_every_json_shape(payload):
 def test_padded_encoding_is_the_reindented_text(make):
     # a sweep writes each verdict at list depth: the text it wrote before
     v = make()
-    assert serialize.to_text(v, "  ") == serialize.dumps(v)[:-1].replace("\n", "\n  ")
-    assert serialize.dumps(v) == json.dumps(serialize.to_payload(v), sort_keys=True, indent=2) + "\n"
+    assert_same_text(serialize.to_text(v, "  "), serialize.dumps(v)[:-1].replace("\n", "\n  "))
+    assert_same_text(
+        serialize.dumps(v), json.dumps(serialize.to_payload(v), sort_keys=True, indent=2) + "\n"
+    )
 
 
 # the typed writer: the text of to_payload, written without the payload tree
@@ -279,8 +283,8 @@ def _verdicts_of_every_status():
 def test_typed_writer_equals_the_encoded_payload(verdict, changes):
     v = replace(verdict, **changes)
     for pad in ("", "  "):
-        assert serialize.to_text(v, pad) == _dumped(v, pad)
-    assert serialize.dumps(v) == _dumped(v) + "\n"
+        assert_same_text(serialize.to_text(v, pad), _dumped(v, pad))
+    assert_same_text(serialize.dumps(v), _dumped(v) + "\n")
 
 
 def _twisted_series():
@@ -298,7 +302,7 @@ def test_typed_writer_equals_the_encoded_payload_for_every_type(kind):
         objects += [_twisted_series(), petri_build(petri_params(5, 2, 7, 3)).dual]
     for obj in objects:
         for pad in ("", "  "):
-            assert serialize.to_text(obj, pad) == _dumped(obj, pad)
+            assert_same_text(serialize.to_text(obj, pad), _dumped(obj, pad))
 
 
 @pytest.mark.parametrize("obj", [
@@ -343,7 +347,7 @@ PLACED = st.one_of(
 def test_generated_writers_follow_runtime_types(verdict, changes):
     v = replace(verdict, **changes)
     for pad in ("", "  ", "    "):
-        assert serialize.to_text(v, pad) == _dumped(v, pad)
+        assert_same_text(serialize.to_text(v, pad), _dumped(v, pad))
 
 
 # a kept class verdict's certificate is written once per depth and run
@@ -362,7 +366,7 @@ def test_a_sweep_writes_each_copy_as_its_single_verdict(tmp_path):
         single = tmp_path / f"{d}.json"
         assert main(["endo", "--g", "8", "--r", "4", "--d", str(d), "--out", str(single)]) == 0
         singles.append(single.read_text()[:-1].replace("\n", "\n  "))
-    assert text == "[\n  " + ",\n  ".join(singles) + "\n]\n"
+    assert_same_text(text, "[\n  " + ",\n  ".join(singles) + "\n]\n")
 
 
 def test_a_kept_certificate_text_is_its_own_at_each_depth():
@@ -372,16 +376,17 @@ def test_a_kept_certificate_text_is_its_own_at_each_depth():
     # written at two depths: two texts, each the fresh writer's, kept apart
     for _ in range(2):
         for pad in ("", "  "):
-            assert serialize.to_text(cert, pad) == _dumped(cert, pad)
+            assert_same_text(serialize.to_text(cert, pad), _dumped(cert, pad))
     assert set(serialize._kept()) == {(id(cert), ""), (id(cert), "  ")}
     # the copy written at list depth keeps its certificate's text at "    ";
     # another class's certificate, or one no verdict keeps, in its place is
     # written as itself
-    assert serialize.to_text(copy, "  ") == _dumped(copy, "  ")
+    assert_same_text(serialize.to_text(copy, "  "), _dumped(copy, "  "))
     others = (onto_certificate(8, 4, 9).certificate, replace(cert, passes=cert.passes[:1]))
     for other in others:
         v = replace(copy, certificate=other)
-        assert serialize.to_text(v, "  ") == _dumped(v, "  ") != serialize.to_text(copy, "  ")
+        assert_same_text(serialize.to_text(v, "  "), _dumped(v, "  "))
+        assert _dumped(v, "  ") != serialize.to_text(copy, "  ")
     assert (id(others[1]), "    ") not in serialize._kept()
     clear_memos()
     assert serialize._kept.cache_info().currsize == 0
