@@ -48,6 +48,7 @@ from ellchain.pipelines import (
     ParamsError,
     PetriParams,
     PoinParams,
+    Run,
     Verdict,
     endo_build,
     endo_h0,

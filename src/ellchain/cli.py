@@ -23,8 +23,8 @@ from typing import Callable, Iterator, NoReturn, Sequence
 from ellchain import serialize
 from ellchain.chain import canonical_series, redistribute, validate_lls, validate_rank1
 from ellchain.elliptic import AlgebraError, LineBundleClass, clear_memos
-from ellchain.independence import DEFAULT_PRIME, OracleConfig
-from ellchain.pipelines import HYPOTHESIS_NOT_MET, Verdict, onto_certificate, petri_certificate
+from ellchain.independence import DEFAULT_PRIME, OracleConfig, Verdict
+from ellchain.pipelines import HYPOTHESIS_NOT_MET, Run, onto_certificate, petri_certificate
 from ellchain.tableaux import TableauError, count_tableaux, enumerate_tableaux
 
 EXIT_OK = 0
@@ -469,21 +469,10 @@ def _sweep(args) -> Iterator[tuple[int, ...]]:
 def cmd_certify(args) -> int:
     """``petri`` and ``endo``: one verdict, or the admitted verdicts of a sweep.
 
-    A sweep runs one loop over the (g, r) runs of its tuples.  The memo
-    tables (:func:`~ellchain.elliptic.memo`: the class algebra's, the
-    oracle's numbered jet keys and their scalars, an endo run's
-    d-independent half, built once per (g, r) run, the product columns of
-    the previous verdict with the oracle matrix column planned on each,
-    ``pipelines._decided``, the endo verdict of each (g, r, h, prime, seed,
-    trials) class with more than one d, h = gcd(r, d - g + 1), decided at
-    the class's first d and copied with its own params for the others, and
-    ``serialize._kept``, the text of each such verdict's
-    certificate per depth, which the copies write) are emptied where
-    each run starts, a single verdict's included, so the verdicts of a run
-    share them and they hold one run's values at most.
-    Each admitted verdict's text is written as soon as it is decided, and
-    the verdict is dropped before the next one starts (an endo class keeps
-    its own copy until the run ends): only the worst exit code is kept, so
+    Each (g, r) run of a sweep, and a single verdict, is decided in a
+    :class:`~ellchain.pipelines.Run` of its own, after the memo tables are
+    emptied.  Each admitted verdict's text is written as soon as it is
+    decided and the verdict dropped: only the worst exit code is kept, so
     memory does not grow with the grid.  The bytes are those of the whole
     list encoded at once.
     """
@@ -501,23 +490,24 @@ def cmd_certify(args) -> int:
         raise _UsageError(str(exc)) from None
     if not args.sweep:
         clear_memos()
-        v = certify(*single, **oracle)
+        v = certify(*single, **oracle, run=Run())
         _emit(_verdict_line(v) + "\n" if table else serialize.dumps(v), args.out)
         return _verdict_exit(v)
 
     worst, written = EXIT_OK, 0
     with _writer(args.out) as write:
-        for _, run in runs:
+        for _, tuples in runs:
             clear_memos()
-            for t in run:
-                v = certify(*t, **oracle)
+            run = Run()
+            for t in tuples:
+                v = certify(*t, **oracle, run=run)
                 if v.status != HYPOTHESIS_NOT_MET:  # most tuples of a grid are not admitted
                     if table:
                         write(_verdict_line(v) + "\n")
                     else:
                         # the text of the whole list encoded at once, one element at a time
                         write(",\n  " if written else "[\n  ")
-                        write(serialize.to_text(v, "  "))
+                        write(serialize.to_text(v, "  ", run.kept))
                     worst, written = max(worst, _verdict_exit(v)), written + 1
                 del v  # only its text and exit code outlive it
         if not written:

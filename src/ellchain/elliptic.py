@@ -26,34 +26,11 @@ costs about half of the ``object.__setattr__`` a frozen dataclass uses.
 
 The pure operations that a sweep repeats on the same few classes are
 memoized by :func:`memo`: :class:`Degree0Class` sums and negations (so
-differences too), :meth:`Degree0Class.of_generic`, the slot tensor
-product behind :func:`ellchain.independence.product_bundle`, and the
-d-independent half of an endo run (``pipelines._endo_run``, keyed by the
-integers (g, r): the bundles and tables off the last component, their
-trivial summands, the canonical series and the product list).
-Each table is keyed by the operands' values (their ``==`` and hash), and
-an operation that raises stores nothing.  Value types are immutable with
-unique normal forms, so a stored result equals a fresh one.  Other tables
-hold state rather than a result.  ``independence._jets`` numbers the
-oracle's jet keys once per run and keeps each key's hashed text and, per
-(prime, seed, trial), the scalars drawn so far; a jet scalar is its key's
-hash, so a drawn scalar equals a fresh one.  ``independence._formed``
-holds the columns of the previous
-:func:`~ellchain.independence.product_sections` call and the oracle matrix
-column planned on each, which the next call reuses only for factor tables
-that are the very same objects.  Another holds verdicts:
-``pipelines._decided``, keyed by the integers (g, r, h, prime, seed,
-trials), keeps the endo verdict of each h = gcd(r, d - g + 1) class (End E
-depends on d only through h) that its first admitted d decided, when the
-class has another d, and the class's other d get a copy with their own
-params.  The last holds text:
-``serialize._kept``, keyed by a kept class verdict's certificate's ``id``
-and the depth it was written at, keeps that certificate's text, so each
-copy writes it instead of rendering its survivors again.  The tables
-last until :func:`clear_memos` empties them: ``ellchain.cli`` does so
-where each (g, r) run of a sweep, or a single verdict, starts, so they
-hold one run's values.  A caller that decides many verdicts itself
-empties them the same way.
+differences too) and :meth:`Degree0Class.of_generic`.  Each table is keyed
+by the operands' values (their ``==`` and hash), and an operation that
+raises stores nothing.  Value types are immutable with unique normal forms,
+so a stored result equals a fresh one, and :func:`clear_memos` frees the
+tables' memory without changing any result.
 """
 
 from __future__ import annotations

@@ -16,37 +16,20 @@ scalars) as pseudo-random residues modulo a prime and computes the rank of
 the matrix of surviving leading-jet coordinates.  Identical factor pairs
 produce identical rows, so injected duplicates drop the rank; the oracle can
 confirm a certificate but never certify anything on its own.  The oracle
-judges death on a component by its own rule, read off the factor rows
-(:func:`oracle_plan`), not by :func:`ellchain.chain.survives`, which the
-certificate uses.  The matrix's sparsity pattern depends on no seed:
-:func:`oracle_plan` lays it out once per verdict, one
-:class:`OracleColumn` per component of the chain, with entries for the
-products live on it only; a dead cell stores nothing.  Every jet key
-(every key names its component, so no two columns share one) is numbered
-once per run, in one table (:class:`_Jets`) that
-:func:`ellchain.elliptic.memo` keeps like the class algebra's, and the
-cells hold those numbers.  The table keeps each key's hashed text and, per
-seed and trial, one flat list of the scalars drawn so far: each seed and
-trial draws the keys not drawn yet, forms every column's entries from that
-list, puts the product rows together from the columns and eliminates.
-Matrix columns are numbered in the sort order of their ``(component, slot,
-point, offset)`` keys, so slots of different components never share a
-column however many there are.  A component's oracle column is kept with
-the :func:`product_sections` column it was planned on, and the next
-verdict reuses it exactly when :func:`product_sections` reused that column
-and the threshold pair is equal.  A column numbers its entries
-within its component, so reuse does not depend on the other columns.  The
-verdicts of an endo (g, r) run share their rows on every component but the
-last, so they plan those columns once; a petri run reuses no column, so it
-keeps no verdict's oracle columns past its first.  The jet table and the
-kept columns last until :func:`ellchain.elliptic.clear_memos` empties
-them, which a sweep does where each (g, r) run starts; a column holds the
-table it was numbered in, so a plan ranked after that still reads its own
-run's scalars.
+judges death on a component by its own rule, read off the factor rows, not
+by :func:`ellchain.chain.survives`, which the certificate uses.  Its matrix
+depends on no seed: :func:`oracle_plan` lays it out once per verdict, one
+:class:`OracleColumn` per component, numbers its jet keys in a
+:class:`_Jets` table and reuses the oracle columns kept with the product
+columns they were planned on (:class:`_Formed`).  A caller that decides
+many verdicts passes one run's :class:`_Formed` and :class:`_Jets` to each
+(:class:`ellchain.pipelines.Run`); without them every call starts afresh.
 
 Rows, sections, survivors, passes, certificates, the oracle configuration
 and its plan are value types made by :func:`ellchain.elliptic.value`, like
-the symbols they are built from.
+the symbols they are built from.  A :class:`Verdict` records what a
+certification of :mod:`ellchain.pipelines` settled: its audits, thresholds,
+certificate and oracle ranks.
 """
 
 from __future__ import annotations
@@ -55,10 +38,10 @@ import functools
 import hashlib
 import itertools
 import operator
-from dataclasses import field
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from ellchain.chain import LimitLinearSeries, generic_gluing, survives
+from ellchain.chain import LimitLinearSeries, StabilityVerdict, generic_gluing, survives
 from ellchain.elliptic import (
     AlgebraError,
     BundleOnComponent,
@@ -145,8 +128,8 @@ class _Formed:
     """What :func:`product_sections`' previous call formed: its columns, the
     oracle column planned on each (``None`` until :func:`oracle_plan` plans
     it), the row numbering and row table they were formed with, and the
-    products it returned, kept (else ``None``) only when that call was its
-    run's first or reused a column."""
+    products it returned, kept (else ``None``) only when that call was the
+    first given this ``_Formed`` or reused a column."""
 
     __slots__ = ("columns", "oracle", "number", "shared", "products")
 
@@ -158,17 +141,11 @@ class _Formed:
         self.products: tuple[ProductSection, ...] | None = None
 
 
-@memo
-def _formed() -> _Formed:
-    """The one :class:`_Formed`, in a memo table so that
-    :func:`~ellchain.elliptic.clear_memos` drops it with a run's other state."""
-    return _Formed()
-
-
 def product_sections(
     series_a: LimitLinearSeries,
     series_b: LimitLinearSeries,
     pairs: Sequence[tuple[int, int]] | None = None,
+    formed: _Formed | None = None,
 ) -> tuple[ProductSection, ...]:
     """Form product sections for the requested (or all) factor pairs.
 
@@ -177,7 +154,8 @@ def product_sections(
     column at a time, one component's row of every product, and the
     columns are zipped into :class:`ProductSection` values.
 
-    A component's column is the previous call's when its two factor tables
+    ``formed`` holds the previous call's columns (none when it is None).  A
+    component's column is the previous call's when its two factor tables
     and the pair list are the very objects (``is``) that column was formed
     from and its width is equal: an endo run hands each verdict the same
     tables off the last component.  Such a call keeps the previous call's
@@ -189,15 +167,13 @@ def product_sections(
     slot with the numbers of its two factor rows, :data:`ROW_BITS` bits
     each: each distinct factor row is numbered once, so no pair hashes a
     :class:`SectionSymbol`, and a number that does not fit raises
-    :class:`AlgebraError` rather than let two keys collide.  The previous
-    call is kept in a memo table, so
-    :func:`~ellchain.elliptic.clear_memos` empties it.
+    :class:`AlgebraError` rather than let two keys collide.
     """
     if series_a.chain != series_b.chain:
         raise AlgebraError("product sections need both series on the same chain")
     if pairs is None:
         pairs = [(t, l) for t in range(series_a.dimension) for l in range(series_b.dimension)]
-    formed = _formed()
+    formed = _Formed() if formed is None else formed
     old = formed.columns
     first = not old
     sources = [
@@ -491,13 +467,6 @@ class _Jets:
         return vals
 
 
-@memo
-def _jets() -> _Jets:
-    """The run's one :class:`_Jets`, in a memo table so that
-    :func:`~ellchain.elliptic.clear_memos` starts each run a new one."""
-    return _Jets()
-
-
 def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
     """Gaussian elimination over F_p on sparse rows (dict: column -> value).
 
@@ -526,27 +495,26 @@ def _rank_mod_p(rows: list[dict[int, int]], prime: int) -> int:
 class OracleColumn:
     """One component's part of the oracle matrix.
 
-    ``threshold`` is the component's pair and ``jets`` the :class:`_Jets`
-    table its keys were numbered in.  ``cells`` are its entries, those of
-    live products only: ``(product, column, pairs)`` is the sum of
+    ``threshold`` is the component's pair.  ``cells`` are its entries,
+    those of live products only: ``(product, column, pairs)`` is the sum of
     ``vals[a] * vals[b]`` over the flat ``pairs`` ``(a0, b0, a1, b1, ...)``
-    of key numbers, where ``vals`` is one trial's scalars drawn from
-    ``jets``.  ``column`` is ``(slot * 2 + point) * 2 + offset``, numbered
-    within the component; ``top`` is the largest slot of a live product.
+    of key numbers, where ``vals`` is one trial's scalars drawn from the
+    plan's :class:`_Jets` table.  ``column`` is ``(slot * 2 + point) * 2 +
+    offset``, numbered within the component; ``top`` is the largest slot of
+    a live product.
     """
 
-    __slots__ = ("threshold", "top", "cells", "jets")
+    __slots__ = ("threshold", "top", "cells")
 
-    def __init__(self, threshold, top, cells, jets) -> None:
+    def __init__(self, threshold, top, cells) -> None:
         self.threshold: tuple[int, int] = threshold
         self.top = top
         self.cells: list[tuple[int, int, tuple[int, ...]]] = cells
-        self.jets: _Jets = jets
 
     def form(self, rows, vals: list[int], prime: int, base: int) -> None:
         """Set one trial's nonzero entries in ``rows``, a map from product
         to its row, at matrix column ``base + column``; ``vals`` is that
-        trial's scalars drawn from :attr:`jets`."""
+        trial's scalars."""
         for p, col, pairs in self.cells:
             # the plan leaves out empty convolutions: every cell has a pair
             total = vals[pairs[0]] * vals[pairs[1]]
@@ -561,7 +529,8 @@ class OracleColumn:
 @value
 class OraclePlan:
     """The seed-independent half of a verdict's oracle matrix: ``count``
-    product rows, laid out in one :class:`OracleColumn` per component.
+    product rows, laid out in one :class:`OracleColumn` per component, whose
+    cells number their keys in ``jets``.
 
     Component ``i``'s column ``c`` is the matrix column ``i * width * 4 +
     c``, so matrix columns are numbered in the sort order of their
@@ -572,6 +541,7 @@ class OraclePlan:
     count: int
     width: int
     columns: tuple[OracleColumn, ...]
+    jets: _Jets
 
 
 def _plan_column(
@@ -614,11 +584,14 @@ def _plan_column(
                 if pairs:
                     cells.append((p, col + level - th, tuple(pairs)))
     jets.keep_new()
-    return OracleColumn(threshold, top, cells, jets)
+    return OracleColumn(threshold, top, cells)
 
 
 def oracle_plan(
-    products: Sequence[ProductSection], thresholds: Sequence[tuple[int, int]]
+    products: Sequence[ProductSection],
+    thresholds: Sequence[tuple[int, int]],
+    formed: _Formed | None = None,
+    jets: _Jets | None = None,
 ) -> OraclePlan:
     """Plan the oracle matrix of ``products`` under ``thresholds``, one
     :class:`OracleColumn` per component.
@@ -637,25 +610,22 @@ def oracle_plan(
     pair per component raises ``ValueError``.
 
     Every jet key holds its component, and a column numbers its entries
-    within the component, so each column is planned alone.  Its keys are
-    numbered in the run's jet table (:class:`_Jets`, through
-    ``dict.setdefault``), which keeps the text of each new one, and the
-    column holds that table, so the plan reads the scalars of the run it
-    was planned in wherever it is ranked.  When
-    ``products`` is the tuple :func:`product_sections` kept, each
-    component's rows are read off its product column, and the column's
-    oracle column is kept with it (``_Formed.oracle``) and reused exactly
-    when :func:`product_sections` reused the product column and the
-    threshold pair is equal: the same rows and factor ids give the same
-    keys, hence the same scalars and entries, and an endo run hands each
-    verdict the same rows on every component but the last.  Any other
-    tuple is planned in full and keeps nothing.
+    within the component, so each column is planned alone, its keys
+    numbered in ``jets`` (a new :class:`_Jets` when None), which the plan
+    holds.  When ``products`` is the tuple :func:`product_sections` kept in
+    ``formed``, each component's rows are read off its product column, and
+    the oracle column planned on it is kept with it (``formed.oracle``) and
+    reused exactly when :func:`product_sections` reused the product column
+    and the threshold pair is equal: the same rows and factor ids give the
+    same keys, hence the same entries.  Kept columns hold key numbers of
+    ``jets``, so a caller passes one run's ``formed`` and ``jets`` together.
+    Any other tuple is planned in full and keeps nothing.
     """
     _check_thresholds(products, thresholds)
     n = len(products)
     factors = (tuple(map(_factor_a, products)), tuple(map(_factor_b, products)))
-    formed, jets = _formed(), _jets()
-    if n and products is formed.products:  # () is one object: it never matches
+    jets = _Jets() if jets is None else jets
+    if n and formed is not None and products is formed.products:  # every () is one object
         kept = formed.oracle
         by_component = [column[4] for column in formed.columns]
     else:
@@ -669,7 +639,7 @@ def oracle_plan(
             column = kept[i] = _plan_column(i, rows, factors, threshold, jets)
         columns.append(column)
     width = 1 + max((column.top for column in columns), default=0)
-    return OraclePlan(n, width, tuple(columns))
+    return OraclePlan(n, width, tuple(columns), jets)
 
 
 def oracle_rank(
@@ -688,32 +658,89 @@ def oracle_rank(
     bilinear convolution of its factors' jets.  A dead product contributes
     nothing on the component.  The rank can only underestimate the generic
     rank, never exceed the product count.
-    ``plan`` is ``oracle_plan(products, thresholds)``, passed in by a caller
-    that ranks the same products under several seeds.  Each trial forms the
-    plan's entries one component column at a time
-    (:meth:`OracleColumn.form`), at matrix column ``i * width * 4 + c`` for
-    component ``i``'s column ``c``, puts the product rows together from
-    them and eliminates.  Each trial first extends its flat list of
-    scalars in each table the plan's columns were numbered in
-    (:meth:`_Jets.draw`, one SHA-256 call per key not drawn yet), and the
-    columns read it by key number.  The table is shared by every call until
-    :func:`~ellchain.elliptic.clear_memos`, so a sweep hashes no scalar
-    twice within a (g, r) run.  An entry depends on nothing but its key
-    and the trial, so the rank is the same however warm the table is.
+
+    ``plan`` is ``oracle_plan(products, thresholds)`` (planned here when
+    None), passed in by a caller that ranks the same products under several
+    seeds.  Each trial draws the scalars of the plan's table not drawn yet
+    (:meth:`_Jets.draw`), so plans numbered in one table hash no scalar
+    twice, forms the entries one component column at a time
+    (:meth:`OracleColumn.form`) and eliminates.  An entry depends on nothing
+    but its key and the trial, so the rank is the same however warm the
+    table is.
     """
     prime, seed = cfg.prime, cfg.seed
     if plan is None:
         plan = oracle_plan(products, thresholds)
     step = plan.width * 4  # the matrix columns of one component
-    # each table the plan's columns were numbered in (one, unless a memo
-    # table was emptied between them) -> this trial's scalars from it
-    drawn = dict.fromkeys(column.jets for column in plan.columns)
     best = 0
     for trial in range(cfg.trials):
-        for jets in drawn:
-            drawn[jets] = jets.draw(prime, seed, trial)
+        vals = plan.jets.draw(prime, seed, trial)
         rows: list[dict[int, int]] = [{} for _ in range(plan.count)]
         for base, column in zip(range(0, len(plan.columns) * step, step), plan.columns):
-            column.form(rows, drawn[column.jets], prime, base)
+            column.form(rows, vals, prime, base)
         best = max(best, _rank_mod_p(rows, prime))
     return best
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Audit:
+    name: str
+    expected: object
+    actual: object
+
+    @property
+    def ok(self) -> bool:
+        return self.expected == self.actual
+
+
+@dataclass(frozen=True)
+class OracleBlock:
+    prime: int
+    trials: int
+    seeds: tuple[int, ...]
+    ranks: tuple[int, ...]
+    expected: int
+
+    @property
+    def agreed(self) -> bool:
+        return all(rank == self.expected for rank in self.ranks)
+
+
+@dataclass(frozen=True)
+class DistributionInfo:
+    dprime: tuple[int, ...]
+    thresholds: tuple[tuple[int, int], ...]
+    quoted_thresholds: tuple[tuple[int, int], ...] | None
+
+    @property
+    def matches_quoted(self) -> bool | None:
+        if self.quoted_thresholds is None:
+            return None
+        return self.thresholds == self.quoted_thresholds
+
+
+@dataclass(frozen=True)
+class Verdict:
+    kind: str
+    params: dict
+    case: str | None
+    status: str  # proven | not-proven | hypothesis-not-met | vacuous
+    # a verdict reached before any product is formed leaves the rest empty
+    expected_products: int = 0
+    product_count: int = 0
+    audits: tuple[Audit, ...] = ()
+    distribution: DistributionInfo | None = None
+    certificate: Certificate | None = None
+    certificate_error: str | None = None
+    oracle: OracleBlock | None = None
+    stability: StabilityVerdict | None = None
+    notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.status in ("proven", "vacuous")

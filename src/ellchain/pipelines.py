@@ -23,8 +23,8 @@ the rank oracle, not the builder, decide the verdict.  ``petri_instance`` and
 ``not-proven`` :class:`Verdict` with every build fact filled in (the
 thresholds, audits, notes, and a ``certificate_error`` when the thresholds
 are off their closed form).  One body, :func:`_certify`, takes either
-statement from its parameters to its verdict through :func:`decide`; an
-endo run decides each h = gcd(r, d - g + 1) class once (:func:`_decided`).
+statement from its parameters to its verdict through :func:`decide`, in a
+:class:`Run` that the verdicts of one (g, r) run share.
 
 A verdict reads one (P, Q) vanishing threshold pair per component: the prefix
 sums of the a-parts (d'_i - (d_i mod r)) // r of the product series' degrees,
@@ -45,7 +45,6 @@ from ellchain.chain import (
     GluingData,
     LimitLinearSeries,
     NodeGluing,
-    StabilityVerdict,
     ValidationReport,
     canonical_series,
     check_stability,
@@ -67,14 +66,19 @@ from ellchain.elliptic import (
     VanishingTable,
     end_decomposition,
     iter_trivial_slots,
-    memo,
     section_space,
 )
 from ellchain.independence import (
     DEFAULT_PRIME,
+    Audit,
     Certificate,
+    DistributionInfo,
+    OracleBlock,
     OracleConfig,
     ProductSection,
+    Verdict,
+    _Formed,
+    _Jets,
     certify_independence,
     oracle_plan,
     oracle_rank,
@@ -164,7 +168,7 @@ class PoinParams:
     g: int
     r: int
     d: int
-    h: int  # gcd(r, d - g + 1): with g and r, the class whose verdict _decided keeps
+    h: int  # gcd(r, d - g + 1): with g and r, the class whose verdict Run.decided keeps
     case = None  # one case only; not a field
 
     @property
@@ -394,67 +398,8 @@ def petri_build(p: PetriParams) -> PetriBuild:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers and verdicts
+# verdicts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Audit:
-    name: str
-    expected: object
-    actual: object
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass(frozen=True)
-class OracleBlock:
-    prime: int
-    trials: int
-    seeds: tuple[int, ...]
-    ranks: tuple[int, ...]
-    expected: int
-
-    @property
-    def agreed(self) -> bool:
-        return all(rank == self.expected for rank in self.ranks)
-
-
-@dataclass(frozen=True)
-class DistributionInfo:
-    dprime: tuple[int, ...]
-    thresholds: tuple[tuple[int, int], ...]
-    quoted_thresholds: tuple[tuple[int, int], ...] | None
-
-    @property
-    def matches_quoted(self) -> bool | None:
-        if self.quoted_thresholds is None:
-            return None
-        return self.thresholds == self.quoted_thresholds
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    params: dict
-    case: str | None
-    status: str  # proven | not-proven | hypothesis-not-met | vacuous
-    # a verdict reached before any product is formed leaves the rest empty
-    expected_products: int = 0
-    product_count: int = 0
-    audits: tuple[Audit, ...] = ()
-    distribution: DistributionInfo | None = None
-    certificate: Certificate | None = None
-    certificate_error: str | None = None
-    oracle: OracleBlock | None = None
-    stability: StabilityVerdict | None = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("proven", "vacuous")
 
 
 PROVEN = "proven"
@@ -463,8 +408,40 @@ HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 VACUOUS = "vacuous"
 
 
+class Run:
+    """The state that the verdicts of one (g, r) run share.
+
+    A verdict reads and fills the run it is decided in, yet depends on
+    nothing else its run decided: a tuple gives the same bytes in any run,
+    warm or fresh.  A run lasts as long as its holder keeps it;
+    ``ellchain.cli`` makes one per (g, r) run of a sweep and one per single
+    verdict, and an entry point called without one makes a fresh one.
+
+    * ``endo``: the d-independent half of each endo build (:class:`_EndoRun`),
+      keyed by (g, r), so a run shared across (g, r) runs serves each its own;
+    * ``formed``: the product columns of the last
+      :func:`~ellchain.independence.product_sections` call and the oracle
+      columns planned on them, reused for the very same factor tables;
+    * ``jets``: the oracle's jet keys, each numbered once, and the scalars
+      drawn for them per (prime, seed, trial), so none is hashed twice;
+    * ``decided``: the endo verdict of each h = gcd(r, d - g + 1) class with
+      another d, keyed by (g, r, h, prime, seed, trials) (:func:`_certify`);
+    * ``kept``: the text of each ``decided`` certificate per depth, keyed by
+      its ``id`` (which ``decided`` keeps alive), written once by
+      :func:`ellchain.serialize.to_text` for the class's copies.
+    """
+
+    def __init__(self) -> None:
+        self.endo: dict[tuple[int, int], _EndoRun] = {}
+        self.formed = _Formed()
+        self.jets = _Jets()
+        self.decided: dict[tuple[int, ...], Verdict] = {}
+        self.kept: dict[int, dict[str, str]] = {}
+
+
 def decide(
-    products: tuple[ProductSection, ...], draft: Verdict, prime: int, seed: int, trials: int
+    products: tuple[ProductSection, ...], draft: Verdict, prime: int, seed: int, trials: int,
+    run: Run | None = None,
 ) -> Verdict:
     """Certify, cross-check with the oracle on seeds seed..seed+2, and settle
     ``draft``, a not-proven verdict carrying the build's facts.
@@ -472,16 +449,15 @@ def decide(
     The products are judged against ``draft.distribution.thresholds`` alone.
     Proven needs every product eliminated, every audit passed and every
     oracle rank equal to the product count; the draft's other fields are
-    kept as they are.  The oracle's matrix is planned once
-    (:func:`~ellchain.independence.oracle_plan`) and the plan passed to all
-    three seeds, whose jet scalars stay in the memo tables until
-    :func:`~ellchain.elliptic.clear_memos` empties them.
+    kept as they are.  The oracle's matrix is planned once in ``run`` (a
+    fresh :class:`Run` when None) and the plan passed to all three seeds.
     """
+    run = Run() if run is None else run
     thresholds = draft.distribution.thresholds
     outcome = certify_independence(products, thresholds)
     certificate = outcome if isinstance(outcome, Certificate) else None
     seeds = (seed, seed + 1, seed + 2)
-    plan = oracle_plan(products, thresholds)
+    plan = oracle_plan(products, thresholds, run.formed, run.jets)
     ranks = tuple(
         oracle_rank(products, thresholds, OracleConfig(prime=prime, seed=s, trials=trials), plan)
         for s in seeds
@@ -501,21 +477,13 @@ def decide(
     )
 
 
-@memo
-def _decided() -> dict[tuple[int, ...], Verdict]:
-    """The endo verdicts of a run, one per class with another d: keyed by
-    the integers (g, r, h, prime, seed, trials), each the verdict of the
-    class's first admitted d.  A memo table keeps it, so
-    :func:`~ellchain.elliptic.clear_memos` empties it with the run."""
-    return {}
-
-
 def _certify(
     kind: str, params: dict, admit: Callable, build: Callable, instance: Callable,
-    prime: int, seed: int, trials: int,
+    prime: int, seed: int, trials: int, run: Run,
 ) -> Verdict:
-    """The verdict path of both statements: ``admit`` the params, ``build``,
-    form the products and the draft (``instance``), and :func:`decide` it.
+    """The verdict path of both statements in ``run``: ``admit`` the params,
+    ``build``, form the products and the draft (``instance``), and
+    :func:`decide` it.
 
     A :class:`ParamsError` gives hypothesis-not-met, rank 1 a vacuous endo
     verdict and a build failure a not-proven one; a draft whose thresholds
@@ -523,30 +491,30 @@ def _certify(
     points pass the builders the module binds when they are called.
 
     End E depends on d only through h = gcd(r, d - g + 1) (Atiyah), and so
-    does every field of an admitted endo verdict but its params.  So a run
-    decides each (g, r, h) class at its first admitted d, keeps that verdict
-    in :func:`_decided`, and hands every d of the class a copy with its own
-    params; a hypothesis-not-met verdict, which names d, is never shared.
-    The class has phi(r/h) members in the window [g, g + r), so a verdict
-    is kept only when r/h > 2: the class of h = r or h = r/2 has no other
-    d, and its verdict is returned as it was settled.
+    does every field of an admitted endo verdict but its params.  So the
+    first admitted d of a (g, r, h) class decides the class verdict, kept in
+    ``run.decided``, and every d of the class gets a copy with its own
+    params.  The class has phi(r/h) members in [g, g + r), so only a class
+    with r/h > 2 is kept; a refused tuple, whose verdict names d, never is.
     """
     try:
         p = admit(**params)
     except ParamsError as exc:
         return Verdict(kind, params, None, HYPOTHESIS_NOT_MET, certificate_error=str(exc))
     if kind == "petri" or p.r <= 2 * p.h:  # no other d reads the verdict
-        return _settle(kind, params, p, build, instance, prime, seed, trials)
-    decided = _decided()
+        return _settle(kind, params, p, build, instance, prime, seed, trials, run)
     key = (p.g, p.r, p.h, prime, seed, trials)
-    if key not in decided:
-        decided[key] = _settle(kind, params, p, build, instance, prime, seed, trials)
-    return replace(decided[key], params=params)  # never the stored object itself
+    v = run.decided.get(key)
+    if v is None:
+        v = run.decided[key] = _settle(kind, params, p, build, instance, prime, seed, trials, run)
+        if v.certificate is not None:
+            run.kept[id(v.certificate)] = {}
+    return replace(v, params=params)  # never the stored object itself
 
 
 def _settle(
     kind: str, params: dict, p: PetriParams | PoinParams, build: Callable, instance: Callable,
-    prime: int, seed: int, trials: int,
+    prime: int, seed: int, trials: int, run: Run,
 ) -> Verdict:
     """The admitted ``p``'s verdict: the rest of :func:`_certify`."""
     if kind == "endo-onto" and p.r == 1:
@@ -558,10 +526,10 @@ def _settle(
         return Verdict(
             kind, params, p.case, NOT_PROVEN, p.expected, certificate_error=f"build failed: {exc}"
         )
-    products, draft = instance(built)
+    products, draft = instance(built, run)
     if draft.certificate_error is not None:  # the thresholds are not the closed form's
         return draft
-    return decide(products, draft, prime, seed, trials)
+    return decide(products, draft, prime, seed, trials, run)
 
 
 def _dual_valid(series: LimitLinearSeries) -> bool:
@@ -618,12 +586,14 @@ def _threshold_error(
 
 
 def _spread_products(
-    a: LimitLinearSeries, b: LimitLinearSeries, pairs: Sequence | None, parts: tuple[int, ...]
+    a: LimitLinearSeries, b: LimitLinearSeries, pairs: Sequence | None, parts: tuple[int, ...],
+    run: Run | None,
 ) -> tuple[tuple[ProductSection, ...], LimitLinearSeries, DistributionInfo, str | None]:
-    """The products of ``a`` and ``b`` for ``pairs`` (all when None), their
-    series, its :func:`~ellchain.chain.spread` to dprime = rank * ``parts``
-    with the closed form, and why the thresholds are not that (or None)."""
-    products = product_sections(a, b, pairs)
+    """The products of ``a`` and ``b`` for ``pairs`` (all when None), formed
+    in ``run`` (afresh when None), their series, its
+    :func:`~ellchain.chain.spread` to dprime = rank * ``parts`` with the
+    closed form, and why the thresholds are not that (or None)."""
+    products = product_sections(a, b, pairs, None if run is None else run.formed)
     series = product_series(a, b, products)
     dprime = tuple(series.rank * part for part in parts)
     _, thresholds = spread(series.component_degrees, dprime, series.rank, series.degree)
@@ -632,12 +602,15 @@ def _spread_products(
     return products, series, info, _threshold_error(thresholds, quoted)
 
 
-def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdict]:
+def petri_instance(
+    build: PetriBuild, run: Run | None = None
+) -> tuple[tuple[ProductSection, ...], Verdict]:
     """The k * kbar products of the two series, spread r^2 on the end
-    components and 2r^2 on the others, and the petri draft for :func:`decide`."""
+    components and 2r^2 on the others, and the petri draft for :func:`decide`;
+    the products are formed in ``run`` (afresh when None)."""
     p, primary, dual = build.params, build.primary, build.dual
     g, r, rho = p.g, p.r, p.r * p.r
-    products, prod_series, dist, error = _spread_products(primary, dual, None, petri_parts(g))
+    products, prod_series, dist, error = _spread_products(primary, dual, None, petri_parts(g), run)
     # every slot has the bundle's slope, so each is a destabilizing sub-slot
     stability = check_stability(
         primary.bundles, primary.gluing, [tuple(range(len(b.slots))) for b in primary.bundles]
@@ -672,11 +645,16 @@ def petri_instance(build: PetriBuild) -> tuple[tuple[ProductSection, ...], Verdi
 
 
 def petri_certificate(
-    g: int, r: int, d: int, k: int, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 1
+    g: int, r: int, d: int, k: int, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 1,
+    run: Run | None = None,
 ) -> Verdict:
-    """Build, certify and cross-check the k * kbar products."""
+    """Build, certify and cross-check the k * kbar products in ``run`` (a
+    fresh :class:`Run` when None)."""
     params = {"g": g, "r": r, "d": d, "k": k}
-    return _certify("petri", params, petri_params, petri_build, petri_instance, prime, seed, trials)
+    return _certify(
+        "petri", params, petri_params, petri_build, petri_instance, prime, seed, trials,
+        Run() if run is None else run,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -720,32 +698,23 @@ class _EndoRun:
     pairs: tuple[tuple[int, int], ...]  # colsec_pairs(g, r^2 - 1)
 
 
-@memo
-def _endo_run(g: int, r: int) -> _EndoRun:
-    """Components 1..g-1 of every endo build of the (g, r) run, and the
-    canonical series and product list of its products.
-
-    Off the last component the bundle is one indecomposable slot of rank r
-    and degree 1 whatever d is, so its Hom decomposition is taken once.
-    A memo table keeps the run, so every verdict of it gets these very
-    objects and :func:`~ellchain.independence.product_sections` reuses its
-    columns off the last component.  Only the first d of each h class
-    builds at all: the later ones are served from :func:`_decided`, the
-    run's table of class verdicts keyed by (g, r, h, prime, seed, trials).
-    """
-    rho = r * r - 1
-    ends = end_decomposition(BundleOnComponent((IndecomposableSlot(r, 1),)))
-    built = [_traceless(g, i, ends, rho) for i in range(1, g)]
-    return _EndoRun(
-        tuple(b for b, _ in built),
-        tuple(t for _, t in built),
-        frozenset(iter_trivial_slots(ends)),
-        canonical_series(g),
-        colsec_pairs(g, rho),
-    )
+def _endo_run(run: Run, g: int, r: int) -> _EndoRun:
+    """``run``'s (g, r) half, built at its first use: off the last component
+    the bundle is one indecomposable slot of rank r and degree 1 whatever d
+    is, so its Hom decomposition is taken once per run."""
+    half = run.endo.get((g, r))
+    if half is None:
+        rho = r * r - 1
+        ends = end_decomposition(BundleOnComponent((IndecomposableSlot(r, 1),)))
+        bundles, tables = zip(*(_traceless(g, i, ends, rho) for i in range(1, g)))
+        half = run.endo[g, r] = _EndoRun(
+            bundles, tables, frozenset(iter_trivial_slots(ends)), canonical_series(g),
+            colsec_pairs(g, rho),
+        )
+    return half
 
 
-def endo_build(p: PoinParams) -> EndoBuild:
+def endo_build(p: PoinParams, run: Run | None = None) -> EndoBuild:
     """The degree-d bundle with indecomposable degree-1 aspects, and its
     canonical-times-traceless-endomorphisms series.
 
@@ -758,15 +727,11 @@ def endo_build(p: PoinParams) -> EndoBuild:
     of the g - 1 vanishing windows.
 
     Only the last component depends on d, and its Hom decomposition only
-    through h.  Components 1..g-1 come from the run's memo table
-    (:func:`_endo_run`), built by the run's first verdict and shared as
-    the same objects by the others; this call builds the last component's
-    bundle, Hom decomposition and windows.  :func:`_certify` calls it once
-    per (g, r, h) class of a run, at the class's first admitted d, and
-    keeps that verdict in :func:`_decided` for the class's other d.
+    through h: this call builds them, and takes components 1..g-1 from
+    ``run`` (a fresh :class:`Run` when None).
     """
     g, r = p.g, p.r
-    run = _endo_run(g, r)
+    half = _endo_run(Run() if run is None else run, g, r)
     ends = end_decomposition(_balanced(r, p.d - g + 1, lambda j: f"L{j + 1}"))
     rho = r * r - 1
     bundle, table = _traceless(g, g, ends, rho)
@@ -776,11 +741,11 @@ def endo_build(p: PoinParams) -> EndoBuild:
         degree=(2 * g - 2) * rho,
         dimension=rho * (g - 1),
         a=2 * g - 2,
-        bundles=run.bundles + (bundle,),
-        tables=run.tables + (table,),
+        bundles=half.bundles + (bundle,),
+        tables=half.tables + (table,),
         gluing=generic_gluing(g),
     )
-    trivial = (run.trivial,) * (g - 1) + (frozenset(iter_trivial_slots(ends)),)
+    trivial = (half.trivial,) * (g - 1) + (frozenset(iter_trivial_slots(ends)),)
     return EndoBuild(p, trivial, series)
 
 
@@ -814,16 +779,20 @@ def colsec_pairs(g: int, rho: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict]:
+def endo_instance(
+    build: EndoBuild, run: Run | None = None
+) -> tuple[tuple[ProductSection, ...], Verdict]:
     """Canonical sections times traceless-endomorphism windows, spread 3rho
     on the first and the last three components and 4rho elsewhere, and the
-    endo-onto draft for :func:`decide`."""
+    endo-onto draft for :func:`decide`; the products are formed in ``run``
+    (a fresh :class:`Run` when None)."""
     p = build.params
     g, r = p.g, p.r
     rho = r * r - 1
-    run = _endo_run(g, r)
+    run = Run() if run is None else run
+    half = _endo_run(run, g, r)
     products, prod_series, dist, error = _spread_products(
-        run.canonical, build.endo_series, run.pairs, endo_parts(g)
+        half.canonical, build.endo_series, half.pairs, endo_parts(g), run
     )
     audits = (
         Audit("endo-series-valid", True, validate_lls(build.endo_series).ok),
@@ -846,10 +815,14 @@ def endo_instance(build: EndoBuild) -> tuple[tuple[ProductSection, ...], Verdict
 
 
 def onto_certificate(
-    g: int, r: int, d: int, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 1
+    g: int, r: int, d: int, prime: int = DEFAULT_PRIME, seed: int = 0, trials: int = 1,
+    run: Run | None = None,
 ) -> Verdict:
-    """Certify surjectivity of canonical x traceless-endomorphism products."""
+    """Certify surjectivity of canonical x traceless-endomorphism products in
+    ``run`` (a fresh :class:`Run` when None)."""
     params = {"g": g, "r": r, "d": d}
+    run = Run() if run is None else run
     return _certify(
-        "endo-onto", params, poin_params, endo_build, endo_instance, prime, seed, trials
+        "endo-onto", params, poin_params, lambda p: endo_build(p, run), endo_instance,
+        prime, seed, trials, run,
     )

@@ -12,16 +12,13 @@ writes an object straight to the ``indent=2, sort_keys=True`` text, with no
 payload tree in between.  Each value type gets one writer function per
 depth (:func:`_writer`), generated on first use: it appends its sorted key
 texts and writes each field inline by the field's runtime type, so
-:func:`_write` is left the scalars, dicts, lists and degree-0 classes.  The
-certificate of a kept endo class verdict (``pipelines._decided``) is
-written once per depth and run: a memo table (:func:`_kept`), emptied by
-:func:`~ellchain.elliptic.clear_memos` with the run's other tables, holds
-its text for the class's other d.  Every other certificate is written fresh
-and kept nowhere.  The dict form stays for readers: :func:`to_payload`
-builds it, and its ``json.dumps(payload, sort_keys=True, indent=2)`` is the
-same text.  Decoding follows the same
-fields' type hints; a missing key, a wrong type or a non-object raises
-:class:`SchemaError` naming the field path.
+:func:`_write` is left the scalars, dicts, lists and degree-0 classes.  A
+certificate in the ``kept`` table passed to :func:`to_text` (a run's, see
+:class:`ellchain.pipelines.Run`) is written once per depth and its text
+reused.  The dict form stays for readers: :func:`to_payload` builds it, and
+its ``json.dumps(payload, sort_keys=True, indent=2)`` is the same text.
+Decoding follows the same fields' type hints; a missing key, a wrong type
+or a non-object raises :class:`SchemaError` naming the field path.
 """
 
 from __future__ import annotations
@@ -34,9 +31,8 @@ import typing
 from typing import Any, Callable, NamedTuple
 
 from ellchain.chain import LimitLinearSeries, Redistribution, ValidationReport
-from ellchain.elliptic import Degree0Class, IndecomposableSlot, LineBundleClass, memo
-from ellchain.independence import Certificate
-from ellchain.pipelines import Audit, DistributionInfo, OracleBlock, Verdict, _decided
+from ellchain.elliptic import Degree0Class, IndecomposableSlot, LineBundleClass
+from ellchain.independence import Audit, Certificate, DistributionInfo, OracleBlock, Verdict
 
 SCHEMA_VERSION = 1
 
@@ -140,20 +136,21 @@ def to_payload(obj: Any) -> dict:
     return _plain(obj)
 
 
-def to_text(obj: Any, pad: str = "") -> str:
+def to_text(obj: Any, pad: str = "", kept: dict[int, dict[str, str]] | None = None) -> str:
     """``json.dumps(to_payload(obj), sort_keys=True, indent=2)`` with ``pad``
     after each newline, written from ``obj`` itself.
 
     ``obj`` is of a type in :data:`TYPES`, or a dict of such values and JSON
     scalars (the ``canonical`` payload).  Objects are written through their
     type's writer (:func:`_writer`) and tuples as lists, so no payload tree
-    is built.
+    is built.  ``kept`` maps the ``id`` of each certificate whose text is
+    reused to its texts by depth (``Run.kept``), filled as they are written.
     Any other type raises :class:`SchemaError`.
     """
     if type(obj) not in TYPES and type(obj) is not dict:
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
     parts: list[str] = []
-    _write(obj, pad, parts)
+    _write(obj, pad, parts, {} if kept is None else kept)
     return "".join(parts)
 
 
@@ -162,7 +159,7 @@ def dumps(obj: Any) -> str:
 
 
 @functools.cache
-def _writer(cls: type, pad: str) -> Callable[[Any, list[str]], None]:
+def _writer(cls: type, pad: str) -> Callable[[Any, list[str], dict], None]:
     """The writer of a ``cls`` value at depth ``pad``, generated on first use.
 
     It appends the text of each key in sorted order (the brace or comma, the
@@ -170,8 +167,8 @@ def _writer(cls: type, pad: str) -> Callable[[Any, list[str]], None]:
     each field inline by its runtime type, as :func:`_write` does: an int by
     ``repr``, a bool or None as its constant, a str quoted, anything else
     through :func:`_write`.  A field's hinted type is tested first.  The
-    writer of :class:`Certificate` also keeps the text of a class verdict's
-    certificate (:func:`_kept`).
+    writer of :class:`Certificate` reuses the texts of the ``kept`` table
+    (:func:`_keeping`).
     """
     head, fields, derived = _layout(cls)  # a type that is not a dataclass raises SchemaError
     hints = {f.name: f.hint for f in fields if f.scalar}
@@ -187,7 +184,7 @@ def _writer(cls: type, pad: str) -> Callable[[Any, list[str]], None]:
             text += _quote(tag) if type(tag) is str else repr(tag)
             continue
         body.append(f"v = value.{name}")
-        rest = [f"out.append({text!r})", f"_write(v, {inner!r}, out)"]
+        rest = [f"out.append({text!r})", f"_write(v, {inner!r}, out, kept)"]
         if name in hints:
             hinted = typing.get_args(hints[name]) or (hints[name],)
             for n, t in enumerate(sorted(_BRANCHES, key=lambda t: t not in hinted)):
@@ -202,7 +199,7 @@ def _writer(cls: type, pad: str) -> Callable[[Any, list[str]], None]:
     # _write, _quote and _CONSTANTS are closure cells of the writer, as in elliptic.value
     src = (
         "def make(_write, _quote, _CONSTANTS):\n"
-        "    def write(value, out):\n"
+        "    def write(value, out, kept):\n"
         + "".join(f"        {line}\n" for line in body)
         + "    return write\n"
     )
@@ -222,36 +219,26 @@ _BRANCHES = {
 }
 
 
-@memo
-def _kept() -> dict[tuple[int, str], tuple[Certificate, str]]:
-    """The text of each certificate a kept endo class verdict
-    (``pipelines._decided``) holds, keyed by the certificate's ``id`` and the
-    depth it was written at.  The entry holds the certificate too, so its
-    ``id`` is not reused while the entry lasts.  A memo table keeps it, so
-    :func:`~ellchain.elliptic.clear_memos` empties it with the run."""
-    return {}
-
-
-def _keeping(fresh: Callable[[Any, list[str]], None], pad: str) -> Callable:
-    """The certificate writer at ``pad``: ``fresh``, except that the text of a
-    kept class verdict's certificate is written once and then taken from
-    :func:`_kept`.  Every other certificate is written fresh and kept nowhere."""
-    def write(cert: Certificate, out: list[str]) -> None:
-        kept, key = _kept(), (id(cert), pad)
-        if key not in kept:
-            if not any(v.certificate is cert for v in _decided().values()):
-                fresh(cert, out)
-                return
+def _keeping(fresh: Callable[[Any, list[str], dict], None], pad: str) -> Callable:
+    """The certificate writer at ``pad``: ``fresh``, except that a
+    certificate named in ``kept`` is written once at this depth and its text
+    kept there for the next write.  Every other certificate is written
+    fresh and kept nowhere."""
+    def write(cert: Certificate, out: list[str], kept: dict[int, dict[str, str]]) -> None:
+        texts = kept.get(id(cert))
+        if texts is None:
+            return fresh(cert, out, kept)
+        if pad not in texts:
             parts: list[str] = []
-            fresh(cert, parts)
-            kept[key] = cert, "".join(parts)
-        out.append(kept[key][1])
+            fresh(cert, parts, kept)
+            texts[pad] = "".join(parts)
+        out.append(texts[pad])
     return write
 
 
-def _write(value: Any, pad: str, out: list[str]) -> None:
+def _write(value: Any, pad: str, out: list[str], kept: dict[int, dict[str, str]]) -> None:
     """Append the text of ``value``'s :func:`to_payload` form at depth
-    ``pad`` to ``out``."""
+    ``pad`` to ``out``, reusing the certificate texts in ``kept``."""
     cls = type(value)
     if cls is str:
         out.append(_quote(value))
@@ -269,7 +256,7 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
             sep = "{\n" + inner
             for key in sorted(value):  # a key that is not a str fails to sort or quote
                 out.append(sep + _quote(key) + ": ")
-                _write(value[key], inner, out)
+                _write(value[key], inner, out, kept)
                 sep = comma
             out.append("\n" + pad + "}")
         else:
@@ -280,16 +267,16 @@ def _write(value: Any, pad: str, out: list[str]) -> None:
                     out.append(sep + repr(item))
                 elif t in _PLAIN:
                     out.append(sep)
-                    _write(item, inner, out)
+                    _write(item, inner, out, kept)
                 else:  # a value type goes straight to its writer
                     out.append(sep)
-                    _writer(t, inner)(item, out)
+                    _writer(t, inner)(item, out, kept)
                 sep = comma
             out.append("\n" + pad + "]")
     elif cls is Degree0Class:
-        _write(_symbol_keyed(value), pad, out)
+        _write(_symbol_keyed(value), pad, out, kept)
     else:
-        _writer(cls, pad)(value, out)
+        _writer(cls, pad)(value, out, kept)
 
 
 #: the types :func:`_write` itself dispatches on

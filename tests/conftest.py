@@ -9,9 +9,7 @@ from ellchain.elliptic import clear_memos
 def empty_memo_tables():
     """Start each test with empty memo tables, as the CLI starts each run.
 
-    The tables outlive a call on purpose: an endo run hands every d of a
-    (g, r, h) class the verdict its first d decided.  Without this, a test
-    could be served a verdict an earlier test decided, perhaps under a
-    patched builder or threshold rule.
+    The tables hold pure value algebra only, so no result depends on this:
+    it keeps each test's memory and cache counters its own.
     """
     clear_memos()

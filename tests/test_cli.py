@@ -233,7 +233,7 @@ BUILD_FAILURES = {
 ], ids=["BuildError", "AlgebraError"])
 def test_a_build_failure_is_a_not_proven_verdict(capsys, monkeypatch, command, error):
     # either statement's build failure is a verdict and exit 3, in a sweep too
-    def failing(p):
+    def failing(p, *args):
         raise error
 
     builder, single, expected, sweep, admitted = BUILD_FAILURES[command]
@@ -363,36 +363,52 @@ def test_sweep_json_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+class _RunWatch:
+    """Wraps the CLI's binding of an entry point to see the :class:`Run`
+    each verdict is decided in: ``seen`` holds a weak reference to each new
+    one in turn, ``live`` how many of those were alive as each one started,
+    and ``held`` the current one, the only one held here."""
+
+    def __init__(self, monkeypatch, name):
+        real, self.seen, self.live, self.held = getattr(cli, name), [], [], []
+
+        def certify(*args, run, **kwargs):
+            self.held[:] = [run]
+            if not self.seen or self.seen[-1]() is not run:
+                self.seen.append(weakref.ref(run))
+                self.live.append(sum(ref() is not None for ref in self.seen))
+            return real(*args, run=run, **kwargs)
+
+        monkeypatch.setattr(cli, name, certify)
+
+
 def test_a_sweep_hashes_each_jet_scalar_once_per_g_r_run(monkeypatch, tmp_path):
-    real_certify, real_clear, real_sha256 = cli.petri_certificate, cli.clear_memos, hashlib.sha256
-    current, hashed, calls = [], Counter(), []
+    real_certify, real_sha256 = cli.petri_certificate, hashlib.sha256
+    runs, calls = {}, []
 
-    def certify(g, r, *args, **kwargs):
-        current[:] = [(g, r)]
-        return real_certify(g, r, *args, **kwargs)
-
-    def drawn():
-        # every scalar the ending run's jet table drew, by its key
-        jets = independence._jets()
-        for (_, seed, trial), vals in jets.drawn.items():
-            for n in range(len(vals)):
-                hashed[current[0], seed, trial, jets.text[n].decode(), jets.nonzero[n]] += 1
-
-    def clear():
-        drawn()
-        real_clear()
+    def certify(g, r, *args, run, **kwargs):
+        runs.setdefault((g, r), set()).add(run)
+        return real_certify(g, r, *args, run=run, **kwargs)
 
     def sha256(data):
         calls.append(data)
         return real_sha256(data)
 
     monkeypatch.setattr(cli, "petri_certificate", certify)
-    monkeypatch.setattr(cli, "clear_memos", clear)
     monkeypatch.setattr(hashlib, "sha256", sha256)
     argv = ["petri", "--sweep", "--g", "2..6", "--r", "1..3", "--seed", "2208", "--trials", "2"]
     assert main([*argv, "--out", str(tmp_path / "sweep.json")]) == 0
-    drawn()
     monkeypatch.undo()
+    # one Run per (g, r) run, each its own
+    assert all(len(run) == 1 for run in runs.values())
+    assert len(set.union(*runs.values())) == len(runs) == 15
+    # every scalar each run's jet table drew, by its key
+    hashed = Counter()
+    for (g, r), (run,) in runs.items():
+        jets = run.jets
+        for (_, seed, trial), vals in jets.drawn.items():
+            for n in range(len(vals)):
+                hashed[(g, r), seed, trial, jets.text[n].decode(), jets.nonzero[n]] += 1
     # one hash per drawn scalar
     assert len(calls) == sum(hashed.values())
     assert {trial for _, _, trial, _, _ in hashed} == {0, 1}
@@ -408,48 +424,56 @@ def test_a_sweep_empties_the_memo_tables_once_per_g_r_run(monkeypatch, tmp_path)
         events.append("emptied")
         real_clear()
 
-    def certify(g, r, *args, **kwargs):
-        events.append((g, r))
-        return real_certify(g, r, *args, **kwargs)
+    def certify(g, r, *args, run, **kwargs):
+        events.append((g, r, run))
+        return real_certify(g, r, *args, run=run, **kwargs)
 
     monkeypatch.setattr(cli, "clear_memos", clear)
     monkeypatch.setattr(cli, "petri_certificate", certify)
     argv = ["petri", "--sweep", "--g", "4..5", "--r", "1..2"]
     assert main([*argv, "--out", str(tmp_path / "sweep.json")]) == 0
-    # each run's first verdict follows an emptying, and no other verdict does
-    assert [e for e, _ in itertools.groupby(events)] == [
+    # each run's first verdict follows an emptying, and no other verdict
+    # does; the verdicts of a run share one Run, a new one for each run
+    runs = [e for e, _ in itertools.groupby(events)]
+    assert [e if e == "emptied" else e[:2] for e in runs] == [
         "emptied", (4, 1), "emptied", (4, 2), "emptied", (5, 1), "emptied", (5, 2)
     ]
+    assert len({id(e[2]) for e in runs if e != "emptied"}) == 4
 
 
-def test_a_sweep_leaves_only_its_last_runs_jet_tables(tmp_path):
-    def scalars_per_seed():
-        drawn = independence._jets().drawn
+def test_a_sweep_leaves_only_its_last_runs_jet_tables(monkeypatch, tmp_path):
+    def scalars_per_seed(run):
+        drawn = run.jets.drawn
         return [len(drawn[independence.DEFAULT_PRIME, s, 0]) for s in range(3)]
 
+    watch = _RunWatch(monkeypatch, "petri_certificate")
     out = str(tmp_path / "sweep.json")
     assert main(["petri", "--sweep", "--g", "5", "--r", "2", "--out", out]) == 0
-    last_run = scalars_per_seed()
+    last_run = scalars_per_seed(watch.held[0])
+    watch.seen.clear()
+    watch.live.clear()
     assert main(["petri", "--sweep", "--g", "4..5", "--r", "1..2", "--out", out]) == 0
-    # one table per seed of the last run, (5, 2), holding that run's scalars
-    # only: the earlier runs' tables are gone
-    assert len(independence._jets().drawn) == 3
-    assert scalars_per_seed() == last_run
-    clear_memos()
-    assert independence._jets.cache_info().currsize == 0
+    # four runs, each alone alive from its start: an earlier run's tables go
+    # with it
+    assert watch.live == [1, 1, 1, 1]
+    assert [ref() for ref in watch.seen] == [None, None, None, watch.held[0]]
+    # the last run, (5, 2), holds one table per seed, with its own scalars only
+    assert len(watch.held[0].jets.drawn) == 3
+    assert scalars_per_seed(watch.held[0]) == last_run
 
 
-def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
+def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(monkeypatch, tmp_path):
+    watch = _RunWatch(monkeypatch, "onto_certificate")
     out = str(tmp_path / "sweep.json")
     assert main(["endo", "--sweep", "--g", "4..6", "--r", "2..3", "--out", out]) == 0
-    # the (g, r) table holds the last run, (6, 3), alone: asking for it is a hit
-    run = pipelines._endo_run
-    assert run.cache_info().currsize == 1
-    misses = run.cache_info().misses
-    last = run(6, 3)
-    assert run.cache_info().misses == misses
+    # six runs, each alone alive from its start
+    assert watch.live == [1] * 6
+    (run,) = watch.held
+    # the last run, (6, 3), holds its own d-independent half alone
+    assert list(run.endo) == [(6, 3)]
+    last = run.endo[6, 3]
     # and the product columns kept are those of that run's last verdict
-    formed = independence._formed()
+    formed = run.formed
     columns = formed.columns
     assert len(columns) == 6 and columns[0][0] is last.canonical.tables[0]
     assert columns[0][3] is last.pairs
@@ -459,23 +483,18 @@ def test_a_sweep_leaves_only_its_last_endo_run_and_product_columns(tmp_path):
     assert all(p.rows[i] is column[4][n]
                for n, p in enumerate(products) for i, column in enumerate(columns))
     assert len(formed.oracle) == 6 and all(formed.oracle)
-    plan = independence.oracle_plan(products, [oracle.threshold for oracle in formed.oracle])
+    thresholds = [oracle.threshold for oracle in formed.oracle]
+    plan = independence.oracle_plan(products, thresholds, formed, run.jets)
     assert all(a is b for a, b in zip(plan.columns, formed.oracle))
     # and the class verdicts kept are that run's with another d: h = 1 (d =
     # 6, 7), not h = 3 (d = 8 alone)
     oracle = (independence.DEFAULT_PRIME, 0, 1)
-    assert list(pipelines._decided()) == [(6, 3, 1, *oracle)]
+    assert list(run.decided) == [(6, 3, 1, *oracle)]
     # and the certificate texts kept are those class verdicts', at list depth
-    assert set(serialize._kept()) == {
-        (id(v.certificate), "    ") for v in pipelines._decided().values()
+    assert run.kept == {
+        id(v.certificate): {"    ": serialize.to_text(v.certificate, "    ")}
+        for v in run.decided.values()
     }
-    clear_memos()
-    assert pipelines._decided.cache_info().currsize == 0
-    assert serialize._kept.cache_info().currsize == 0
-    assert run.cache_info().currsize == 0
-    assert independence._formed.cache_info().currsize == 0
-    formed = independence._formed()
-    assert formed.columns == [] and formed.oracle == [] and formed.products is None
 
 
 @pytest.mark.parametrize("argv, decided, verdicts", [
@@ -497,17 +516,21 @@ def test_an_endo_sweep_decides_each_class_once(monkeypatch, tmp_path, argv, deci
     assert len(json.loads(out.read_text())) == verdicts
 
 
-def test_an_endo_sweep_keeps_only_the_classes_a_later_d_copies(capsys):
+def test_an_endo_sweep_keeps_only_the_classes_a_later_d_copies(capsys, monkeypatch):
     # at (20, 5) h is 1 for d = 20..23 and 5 for d = 24, which has no other d:
     # its verdict and certificate text are not kept
+    watch = _RunWatch(monkeypatch, "onto_certificate")
     code, out, _ = run(capsys, "endo", "--sweep", "--g", "20", "--r", "5")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "ea62e026e5901ba02390fb497c38b0614be290f5955fc8e35a43414b961d554c"
     )
-    assert list(pipelines._decided()) == [(20, 5, 1, independence.DEFAULT_PRIME, 0, 1)]
-    (kept,) = pipelines._decided().values()
-    assert list(serialize._kept()) == [(id(kept.certificate), "    ")]
+    (last,) = watch.held
+    assert list(last.decided) == [(20, 5, 1, independence.DEFAULT_PRIME, 0, 1)]
+    (kept,) = last.decided.values()
+    assert {key: list(texts) for key, texts in last.kept.items()} == {
+        id(kept.certificate): ["    "]
+    }
 
 
 def test_an_endo_sweep_from_the_middle_of_a_class_decides_from_its_own_build(
@@ -517,9 +540,9 @@ def test_an_endo_sweep_from_the_middle_of_a_class_decides_from_its_own_build(
     assert code == 0
     real, built = pipelines.endo_build, []
 
-    def recorded(p):
+    def recorded(p, *args):
         built.append(p.d)
-        return real(p)
+        return real(p, *args)
 
     monkeypatch.setattr(pipelines, "endo_build", recorded)
     code, tail, _ = run(capsys, "endo", "--sweep", "--g", "20", "--r", "5", "--d", "23..24")
@@ -535,14 +558,17 @@ def test_an_endo_sweep_from_the_middle_of_a_class_decides_from_its_own_build(
 def test_verdicts_decided_with_tables_warmed_by_other_runs_keep_their_bytes(
     capsys, monkeypatch
 ):
-    # the tables are never emptied, so every run after the first, petri
-    # (5, 2, 7, 3) among them, reads classes and jet scalars an earlier run
-    # put there
+    # the tables are never emptied and every run is decided in one shared
+    # Run, so every run after the first, petri (5, 2, 7, 3) among them,
+    # reads classes and jet scalars an earlier run put there
+    shared = pipelines.Run()
     monkeypatch.setattr(cli, "clear_memos", lambda: None)
+    monkeypatch.setattr(cli, "Run", lambda: shared)
     clear_memos()
     try:
         code, out, _ = run(capsys, "petri", "--sweep", "--g", "2..5", "--r", "1..2")
         assert Degree0Class.__add__.cache_info().hits > 0
+        assert len(shared.jets.drawn) == 3
     finally:
         clear_memos()
     assert code == 0

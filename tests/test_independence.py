@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ellchain import independence
 from ellchain.chain import canonical_series, redistribute, survives
 from ellchain.cli import PARAMS, _verdict_exit
-from ellchain.elliptic import AlgebraError, SectionSymbol, VanishingTable, clear_memos
+from ellchain.elliptic import AlgebraError, SectionSymbol, VanishingTable
 from ellchain.independence import (
     Certificate,
     CertificateFailure,
@@ -17,8 +17,8 @@ from ellchain.independence import (
     OracleConfig,
     ProductRow,
     ProductSection,
-    _formed,
-    _jets,
+    _Formed,
+    _Jets,
     _rank_mod_p,
     certify_independence,
     oracle_plan,
@@ -30,6 +30,7 @@ from ellchain.independence import (
 from ellchain.pipelines import (
     Audit,
     ParamsError,
+    Run,
     Verdict,
     colsec_pairs,
     decide,
@@ -240,14 +241,18 @@ def _reference_factor_jet(prime, seed, trial, tag, fid, comp, point, level, row)
     return coeff(prime, seed, trial, f"{tag}:{fid}:{comp}:{point}:{level}", nonzero)
 
 
-def _drawn(start=0):
-    """``(seed, trial, key, nonzero)`` of every scalar the run's jet table
-    has drawn, from the ``start``-th of each trial's list on."""
-    jets = _jets()
+def _drawn(jets, start=0):
+    """``(seed, trial, key, nonzero)`` of every scalar ``jets`` has drawn,
+    from the ``start``-th of each trial's list on."""
     return {
         (seed, trial, jets.text[n].decode(), jets.nonzero[n])
         for (_, seed, trial), vals in jets.drawn.items() for n in range(start, len(vals))
     }
+
+
+def _rank_in(jets, products, thresholds, cfg=OracleConfig()):
+    """The oracle rank with the keys numbered and the scalars drawn in ``jets``."""
+    return oracle_rank(products, thresholds, cfg, oracle_plan(products, thresholds, jets=jets))
 
 
 def _reference_oracle_rank(products, thresholds, cfg=OracleConfig()):
@@ -313,23 +318,22 @@ class TestOracleReference:
                 )
 
     def test_a_warm_shared_jet_table_gives_the_reference_rank(self, petri_5273, endo_424):
-        # a sweep ranks many product lists through one memo table per trial;
-        # a scalar cached for one list must be the one a fresh hash gives for
-        # the next.  Earlier tests leave the tables warm: empty them first
+        # a run ranks many product lists through one jet table; a scalar
+        # drawn for one list must be the one a fresh hash gives for the next
         products, thresholds = petri_5273
         cfgs = [OracleConfig(seed=seed, trials=trials) for seed in range(3) for trials in (1, 2)]
-        clear_memos()
+        jets = _Jets()
         for cfg in cfgs:
-            oracle_rank(products, thresholds, cfg)
+            _rank_in(jets, products, thresholds, cfg)
         # seeds 0..2 x trials 0 and 1
-        assert len(_jets().drawn) == 6
+        assert len(jets.drawn) == 6
 
         # the raised-order mutant reads factor A:0's level-1 P-jet on component
         # 0 as a leading coefficient: the warm table holds only its free residue
-        warm = len(_jets().drawn[DEFAULT_PRIME, 0, 0])
+        warm = len(jets.drawn[DEFAULT_PRIME, 0, 0])
         raised = (_raise_order(products[0]),) + products[1:]
-        oracle_rank(raised, thresholds, cfgs[0])
-        hashed = _drawn(warm)
+        _rank_in(jets, raised, thresholds, cfgs[0])
+        hashed = _drawn(jets, warm)
         assert (0, 0, "A:0:0:P:1", True) in hashed
         assert (0, 0, "A:0:0:P:1", False) not in hashed
 
@@ -340,7 +344,7 @@ class TestOracleReference:
         ]
         for cfg in cfgs:
             for case_products, case_thresholds in cases:
-                assert oracle_rank(case_products, case_thresholds, cfg) == (
+                assert _rank_in(jets, case_products, case_thresholds, cfg) == (
                     _reference_oracle_rank(case_products, case_thresholds, cfg)
                 )
 
@@ -351,9 +355,9 @@ class TestOracleReference:
         # the same key string must be hashed both ways
         products, thresholds = petri_5273
         products = (_raise_order(products[0]),) + products[1:]
-        clear_memos()  # a warm table would hash nothing
-        oracle_rank(products, thresholds)
-        hashed = {(key, nonzero) for _, _, key, nonzero in _drawn()}
+        jets = _Jets()
+        _rank_in(jets, products, thresholds)
+        hashed = {(key, nonzero) for _, _, key, nonzero in _drawn(jets)}
         assert {("A:0:0:P:1", True), ("A:0:0:P:1", False)} <= hashed
 
     def test_slot_4096_does_not_collide_with_next_component(self):
@@ -426,9 +430,9 @@ class TestOraclePlan:
             return coeff
 
         # decide ranks seeds 0..2; the reference hashes through this module's coeff
-        clear_memos()  # a warm table would hash nothing
-        assert decide(products, draft, DEFAULT_PRIME, 0, 1).status == "proven"
-        hashed["decide"] = _drawn()
+        run = Run()
+        assert decide(products, draft, DEFAULT_PRIME, 0, 1, run).status == "proven"
+        hashed["decide"] = _drawn(run.jets)
         monkeypatch.setitem(globals(), "coeff", recording("reference"))
         for seed in range(3):
             _reference_oracle_rank(products, thresholds, OracleConfig(seed=seed))
@@ -491,21 +495,21 @@ _CONFIGS = [
     "g,r", [(g, r) for g in range(4, 9) for r in (2, 3)] + [(20, 5)], ids=str
 )
 def test_reused_columns_give_the_reference_and_the_cold_rank(g, r, monkeypatch):
-    # an endo run's verdicts in sweep order, in one memo lifetime: a later
-    # verdict reuses the oracle columns kept with the product columns it reuses
+    # an endo run's verdicts in sweep order, in one Run: a later verdict
+    # reuses the oracle columns kept with the product columns it reuses
     planned = _count_plans(monkeypatch)
     matrices = _record_matrices(monkeypatch)
-    clear_memos()
+    run = Run()
     verdicts, warm, plans = [], [], []
     for d in PARAMS["endo"]["d"](g, r):
         try:
             params = poin_params(g, r, d)
         except ParamsError:
             continue
-        products, draft = endo_instance(endo_build(params))
+        products, draft = endo_instance(endo_build(params, run), run)
         thresholds = draft.distribution.thresholds
         planned.clear()
-        plan = oracle_plan(products, thresholds)
+        plan = oracle_plan(products, thresholds, run.formed, run.jets)
         plans.append(planned[:])
         warm.append([oracle_rank(products, thresholds, cfg, plan) for cfg in _CONFIGS])
         verdicts.append((products, thresholds))
@@ -517,7 +521,6 @@ def test_reused_columns_give_the_reference_and_the_cold_rank(g, r, monkeypatch):
     # the warm ones hold exactly the cold ones' entries, none of them zero
     warm_matrices, matrices[:] = matrices[:], []
     for (products, thresholds), ranks in zip(verdicts, warm):
-        clear_memos()
         assert [oracle_rank(products, thresholds, cfg) for cfg in _CONFIGS] == ranks
         assert [_reference_oracle_rank(products, thresholds, cfg) for cfg in _CONFIGS] == ranks
         assert ranks == [len(products)] * len(_CONFIGS)
@@ -531,8 +534,8 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
     planned = _count_plans(monkeypatch)
     matrices = _record_matrices(monkeypatch)
     components = len(thresholds)
-    clear_memos()
-    products = product_sections(*FACTORS[fixture]())
+    formed, jets = _Formed(), _Jets()
+    products = product_sections(*FACTORS[fixture](), formed)
     assert products == fixed
     # the raised-order mutant of product 0 has new rows on every component;
     # the copy's rows on component 1 past product 0's are equal in value but
@@ -549,14 +552,14 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
         replace(prod, factor_a=prod.factor_b, factor_b=prod.factor_a) for prod in products
     )
     # the first live cell's row moves to a slot past every other
-    before = oracle_plan(products, thresholds)
+    before = oracle_plan(products, thresholds, formed, jets)
     k = next(i for i, column in enumerate(before.columns) if column.cells)
     q = before.columns[k].cells[0][0]
     top = max(row.slot for prod in products for row in prod.rows)
     rows = list(products[q].rows)
     rows[k] = replace(rows[k], slot=top + 1)
     widened = products[:q] + (replace(products[q], rows=tuple(rows)),) + products[q + 1:]
-    assert oracle_plan(widened, thresholds).width > before.width
+    assert oracle_plan(widened, thresholds, formed, jets).width > before.width
     moved = ((thresholds[0][0] + 1, thresholds[0][1]),) + tuple(thresholds[1:])
     everything = list(range(components))
     # only the tuple product_sections kept reuses a column: every mutant is
@@ -570,7 +573,7 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
     ]
     for stale, stale_thresholds, fresh in cases:
         planned.clear()
-        plan = oracle_plan(stale, stale_thresholds)
+        plan = oracle_plan(stale, stale_thresholds, formed, jets)
         assert planned == fresh
         matrices.clear()
         for cfg in _CONFIGS:
@@ -587,51 +590,50 @@ def test_a_stale_column_is_never_reused(request, fixture, monkeypatch):
 
 def test_an_empty_product_tuple_is_never_the_kept_one(monkeypatch):
     # every empty tuple is the one object (), so it must not match a kept ()
-    series = canonical_series(4)
-    clear_memos()
-    assert product_sections(series, series, []) is _formed().products is ()
+    series, formed = canonical_series(4), _Formed()
+    assert product_sections(series, series, [], formed) is formed.products is ()
     planned = _count_plans(monkeypatch)
     for _ in range(2):
-        plan = oracle_plan((), ((0, 0),) * 4)
+        plan = oracle_plan((), ((0, 0),) * 4, formed)
         assert planned == [0, 1, 2, 3] and plan.count == 0
-        assert _formed().oracle == [None] * 4
+        assert formed.oracle == [None] * 4
         planned.clear()
 
 
 def test_a_plan_ranks_with_the_jet_numbering_it_was_planned_in(monkeypatch):
-    # a plan's cells hold key numbers of the run's jet table; once that table
-    # is replaced, by clear_memos or alone, the plan and the oracle columns
-    # kept with the product columns must still read their own table's scalars
+    # a plan's cells hold key numbers of its run's jet table: ranked after
+    # another run's plan, or after another list numbered its keys into the
+    # same table, the plan and the oracle columns kept with the product
+    # columns must still read their own table's scalars
     matrices = _record_matrices(monkeypatch)
     other, draft = petri_instance(petri_build(petri_params(5, 2, 7, 3)))
     # a list is never the kept tuple: ranking it plans in full and keeps nothing
     other, other_thresholds = list(other), draft.distribution.thresholds
 
-    def endo_637():
-        products, draft = endo_instance(endo_build(poin_params(6, 3, 7)))
+    def endo_637(run):
+        products, draft = endo_instance(endo_build(poin_params(6, 3, 7), run), run)
         return products, draft.distribution.thresholds
 
     def ranked(products, thresholds, plan):
         matrices.clear()
         return [oracle_rank(products, thresholds, cfg, plan) for cfg in _CONFIGS], matrices[:]
 
-    clear_memos()
-    products, thresholds = endo_637()
-    plan = oracle_plan(products, thresholds)
+    run = Run()
+    products, thresholds = endo_637(run)
+    plan = oracle_plan(products, thresholds, run.formed, run.jets)
+    assert plan.jets is run.jets
     cold = ranked(products, thresholds, plan)
     assert cold[0] == [len(products)] * len(_CONFIGS)
     # the next run numbers other keys first into a table of its own
-    clear_memos()
-    oracle_rank(other, other_thresholds)
+    _rank_in(Run().jets, other, other_thresholds)
     assert ranked(products, thresholds, plan) == cold
-    # the oracle columns kept with the product columns, after the jet table
-    # alone is emptied and another list numbers its keys into the new one
-    clear_memos()
-    products, thresholds = endo_637()
-    kept = oracle_plan(products, thresholds).columns
-    _jets.cache_clear()
-    oracle_rank(other, other_thresholds)
-    plan = oracle_plan(products, thresholds)
+    # the oracle columns kept with the product columns, after another list
+    # numbers its keys into the same run's table
+    run = Run()
+    products, thresholds = endo_637(run)
+    kept = oracle_plan(products, thresholds, run.formed, run.jets).columns
+    _rank_in(run.jets, other, other_thresholds)
+    plan = oracle_plan(products, thresholds, run.formed, run.jets)
     assert all(a is b for a, b in zip(plan.columns, kept))
     assert ranked(products, thresholds, plan) == cold
 
@@ -665,12 +667,11 @@ def test_a_run_that_reuses_no_oracle_column_keeps_none():
     # petri rows are new objects in every verdict: only a run's first call
     # keeps its products and oracle columns, and a later call that reuses no
     # product column keeps neither
-    clear_memos()
-    kept = []
+    run, kept = Run(), []
     for d, k in ((7, 3), (8, 1), (7, 3)):
-        products, draft = petri_instance(petri_build(petri_params(5, 2, d, k)))
-        oracle_plan(products, draft.distribution.thresholds)
-        formed = _formed()
+        products, draft = petri_instance(petri_build(petri_params(5, 2, d, k)), run)
+        oracle_plan(products, draft.distribution.thresholds, run.formed, run.jets)
+        formed = run.formed
         kept.append((formed.products is products, sum(c is not None for c in formed.oracle)))
     assert kept == [(True, 5), (False, 0), (False, 0)]
 
@@ -679,17 +680,14 @@ def test_a_row_number_that_does_not_fit_its_bits_is_refused(monkeypatch):
     # packed row keys hold each factor row's number in ROW_BITS bits; a run
     # with more distinct factor rows must fail, not let two keys collide
     series = canonical_series(4)
-    clear_memos()
     before = product_sections(series, series)
     distinct = len({row for table in series.tables for row in table.rows})
     monkeypatch.setattr(independence, "ROW_BITS", (distinct - 1).bit_length() - 1)
-    clear_memos()
     bits = independence.ROW_BITS
     message = f"distinct factor rows overflow a {bits}-bit row number$"
     with pytest.raises(AlgebraError, match=message):
         product_sections(series, series)
     monkeypatch.setattr(independence, "ROW_BITS", (distinct - 1).bit_length())
-    clear_memos()
     assert product_sections(series, series) == before
 
 
@@ -708,9 +706,9 @@ def test_equal_product_rows_are_one_object_in_a_warm_run():
     # (20, 5, 24) after (20, 5, 22) of the same run: components 1..19 reuse
     # the earlier verdict's columns, and the last one is formed with its
     # numbering and row table, so equal rows are still one object
-    clear_memos()
-    endo_instance(endo_build(poin_params(20, 5, 22)))
-    products, _ = endo_instance(endo_build(poin_params(20, 5, 24)))
+    run = Run()
+    endo_instance(endo_build(poin_params(20, 5, 22), run), run)
+    products, _ = endo_instance(endo_build(poin_params(20, 5, 24), run), run)
     rows = [row for prod in products for row in prod.rows]
     assert len(rows) == 27360
     assert len({id(row) for row in rows}) == 5760
@@ -718,24 +716,25 @@ def test_equal_product_rows_are_one_object_in_a_warm_run():
     assert all(first.setdefault(row, row) is row for row in rows)
 
 
-def _columns():
-    """The rows of each column the last product_sections call returned."""
-    return [column[4] for column in _formed().columns]
+def _columns(formed):
+    """The rows of each column the last product_sections call with
+    ``formed`` returned."""
+    return [column[4] for column in formed.columns]
 
 
 def test_a_column_is_reused_for_the_same_tables_only():
     build = endo_build(poin_params(6, 3, 7))
     canonical, series, pairs = canonical_series(6), build.endo_series, colsec_pairs(6, 8)
-    clear_memos()
-    before = product_sections(canonical, series, pairs)
+    formed = _Formed()
+    before = product_sections(canonical, series, pairs, formed)
     # value-equal but distinct tables, or pair list, form every column again
     copied = replace(series, tables=tuple(VanishingTable(t.rows) for t in series.tables))
     for args in ((canonical_series(6), series, pairs), (canonical, copied, pairs),
                  (canonical, series, colsec_pairs(6, 8)), (canonical, series, pairs)):
-        product_sections(canonical, series, pairs)
-        columns = _columns()
-        assert product_sections(*args) == before
-        reused = [a is b for a, b in zip(_columns(), columns)]
+        product_sections(canonical, series, pairs, formed)
+        columns = _columns(formed)
+        assert product_sections(*args, formed) == before
+        reused = [a is b for a, b in zip(_columns(formed), columns)]
         # only the very same objects reuse a column, and then every one
         assert reused == [args[0] is canonical and args[1] is series and args[2] is pairs] * 6
 
@@ -743,17 +742,17 @@ def test_a_column_is_reused_for_the_same_tables_only():
 def test_a_replaced_table_forms_its_column_alone_again():
     build = endo_build(poin_params(6, 3, 7))
     canonical, series, pairs = canonical_series(6), build.endo_series, colsec_pairs(6, 8)
-    clear_memos()
-    before = product_sections(canonical, series, pairs)
-    columns = _columns()
+    formed = _Formed()
+    before = product_sections(canonical, series, pairs, formed)
+    columns = _columns(formed)
     # component 3's table with its row 4 shifted one order up at P
     rows = list(series.tables[2].rows)
     rows[4] = rows[4].shifted(-1, 0)
     tables = list(series.tables)
     tables[2] = VanishingTable(tuple(rows))
     shifted = replace(series, tables=tuple(tables))
-    after = product_sections(canonical, shifted, pairs)
-    for i, (a, b) in enumerate(zip(_columns(), columns)):
+    after = product_sections(canonical, shifted, pairs, formed)
+    for i, (a, b) in enumerate(zip(_columns(formed), columns)):
         assert (a is b) == (i != 2)
     for old, new in zip(before, after):
         assert all(new.rows[i] is old.rows[i] for i in range(6) if i != 2)
@@ -761,22 +760,21 @@ def test_a_replaced_table_forms_its_column_alone_again():
         assert new.rows[2].row_b == want
         assert (new.rows[2] == old.rows[2]) == (new.factor_b != 4)
     assert any(p.factor_b == 4 for p in after)
-    clear_memos()
     assert product_sections(canonical, shifted, pairs) == after
 
 
 def test_consecutive_petri_verdicts_share_no_column():
     # petri builds new tables for every verdict: each call starts afresh and
     # its row table holds that verdict's rows only
-    clear_memos()
+    run = Run()
     previous, previous_ids = [], set()
     for d, k in ((7, 3), (8, 1), (7, 3)):  # two consecutive tuples of the run, then one again
-        products = petri_instance(petri_build(petri_params(5, 2, d, k)))[0]
+        products = petri_instance(petri_build(petri_params(5, 2, d, k)), run)[0]
         ids = {id(row) for prod in products for row in prod.rows}
-        assert len(_formed().shared) == len(ids)
+        assert len(run.formed.shared) == len(ids)
         assert not ids & previous_ids
-        assert not any(a is b for a, b in zip(_columns(), previous))
-        previous, previous_ids = _columns(), ids
+        assert not any(a is b for a, b in zip(_columns(run.formed), previous))
+        previous, previous_ids = _columns(run.formed), ids
 
 
 def test_product_row_symbol_follows_replace(petri_5273):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import ellchain
 import ellchain.pipelines as pipelines
 from ellchain import serialize
 from ellchain.chain import (
@@ -14,14 +15,15 @@ from ellchain.chain import (
     validate_lls,
     validate_rank1,
 )
-from ellchain.cli import _verdict_exit
-from ellchain.elliptic import VanishingTable, clear_memos
+from ellchain.cli import _verdict_exit, main
+from ellchain.elliptic import VanishingTable
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
     CASE_A,
     CASE_B,
     CASE_C,
     ParamsError,
+    Run,
     colsec_pairs,
     endo_build,
     endo_h0,
@@ -37,7 +39,7 @@ from ellchain.pipelines import (
     quoted_thresholds,
 )
 from ellchain.tableaux import Tableau
-from reference import is_standard_filling
+from reference import assert_same_text, is_standard_filling
 
 
 class TestPetriParams:
@@ -379,19 +381,22 @@ def _endo_grid():
 
 def test_a_warm_endo_run_forms_what_a_cold_one_forms():
     # each verdict after the first of a (g, r) run takes components 1..g-1
-    # and the product columns there from the run's memo tables; no table is
-    # emptied between runs either, so a run also starts with the last one's
+    # and the product columns there from its Run; one Run serves every (g, r)
+    # run here, so a run also starts with the last one's columns
     cold = {}
     for t in _endo_grid():
-        clear_memos()
         build = endo_build(poin_params(*t))
         cold[t] = build, endo_instance(build)[0]
-    clear_memos()
+    run = Run()
     for t in _endo_grid():
-        build = endo_build(poin_params(*t))
+        build = endo_build(poin_params(*t), run)
         assert build == cold[t][0], t
-        assert endo_instance(build)[0] == cold[t][1], t
-    assert pipelines._endo_run.cache_info().hits > 0
+        assert endo_instance(build, run)[0] == cold[t][1], t
+        # components 1..g-1 are the very objects of the run's (g, r) half
+        half = run.endo[t[:2]]
+        assert all(a is b for a, b in zip(build.endo_series.tables, half.tables))
+    # one d-independent half per (g, r), built at its first d
+    assert list(run.endo) == list(dict.fromkeys(t[:2] for t in _endo_grid()))
 
 
 def _endo_runs_to_share():
@@ -404,41 +409,84 @@ def _endo_runs_to_share():
 @pytest.mark.parametrize("oracle", [{}, {"prime": 3, "trials": 2}], ids=["default", "p3-t2"])
 def test_a_shared_endo_verdict_is_the_one_decided_alone(oracle):
     # 185 tuples, each decided twice: about 8 s per oracle on a 2-vCPU host
-    for run in _endo_runs_to_share():
-        clear_memos()  # as the CLI starts each run
-        in_order = [serialize.dumps(onto_certificate(*t, **oracle)) for t in run]
-        for t, text in zip(run, in_order):
-            clear_memos()
+    for tuples in _endo_runs_to_share():
+        run = Run()  # as the CLI starts each run
+        in_order = [serialize.dumps(onto_certificate(*t, **oracle, run=run)) for t in tuples]
+        for t, text in zip(tuples, in_order):
             assert serialize.dumps(onto_certificate(*t, **oracle)) == text, t
 
 
 def test_a_returned_endo_verdict_is_a_copy_of_its_class_verdict():
-    first = onto_certificate(20, 5, 20)
+    run = Run()
+    first = onto_certificate(20, 5, 20, run=run)
     first.params["d"] = 99
     first.params["extra"] = True
     # d = 21 is of the same class, h = 1, and gets params of its own
-    second = onto_certificate(20, 5, 21)
+    second = onto_certificate(20, 5, 21, run=run)
     assert second.params == {"g": 20, "r": 5, "d": 21}
     assert replace(second, params=first.params) == first
-    stored = pipelines._decided()[(20, 5, 1, pipelines.DEFAULT_PRIME, 0, 1)]
+    stored = run.decided[(20, 5, 1, pipelines.DEFAULT_PRIME, 0, 1)]
     assert stored is not first and stored is not second
-    assert onto_certificate(20, 5, 22).params == {"g": 20, "r": 5, "d": 22}
+    # the copies share the class verdict's certificate, whose text the run keeps
+    assert second.certificate is stored.certificate
+    assert run.kept == {id(stored.certificate): {}}
+    assert onto_certificate(20, 5, 22, run=run).params == {"g": 20, "r": 5, "d": 22}
+
+
+def test_a_library_call_without_a_run_decides_from_scratch(monkeypatch):
+    # d = 10 is the second d of the (8, 4, h = 1) class: in a run of its own
+    # each call builds it, and writes the bytes the CLI pins for it alone
+    real, built = pipelines.endo_build, []
+
+    def counted(p, *args):
+        built.append(p.d)
+        return real(p, *args)
+
+    monkeypatch.setattr(pipelines, "endo_build", counted)
+    for _ in range(2):
+        text = serialize.dumps(onto_certificate(8, 4, 10))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "ccac8c418fa3674867d208cb72543b8271237cf5d41b6b9d55ef4b10defcf15c"
+        )
+    assert built == [10, 10]
+
+
+def test_a_callers_own_run_gives_the_sweeps_bytes(capsys, monkeypatch):
+    assert main(["endo", "--sweep", "--g", "8", "--r", "4"]) == 0
+    sweep = capsys.readouterr().out
+    real, built = pipelines.endo_build, []
+
+    def counted(p, *args):
+        built.append(p.d)
+        return real(p, *args)
+
+    monkeypatch.setattr(pipelines, "endo_build", counted)
+    run = ellchain.Run()  # the package exports it for library callers
+    verdicts = [onto_certificate(8, 4, d, run=run) for d in range(8, 12)]
+    # d = 10 is served the class verdict d = 8 decided, and its certificate
+    # text kept at list depth
+    assert built == [8, 9, 11]
+    assert list(run.decided) == [(8, 4, 1, pipelines.DEFAULT_PRIME, 0, 1)]
+    texts = [serialize.to_text(v, "  ", run.kept) for v in verdicts]
+    assert_same_text(sweep, "[\n  " + ",\n  ".join(texts) + "\n]\n")
 
 
 @pytest.mark.parametrize("oracle", [{"prime": 3}, {"seed": 7}, {"trials": 2}],
                          ids=["prime", "seed", "trials"])
 def test_other_oracle_settings_are_a_class_of_their_own(oracle):
-    # the memo tables are not emptied in between, as for a library caller
-    onto_certificate(6, 3, 6)
-    v = onto_certificate(6, 3, 7, **oracle)
-    clear_memos()
+    # one Run for both, as a library caller may share it
+    run = Run()
+    onto_certificate(6, 3, 6, run=run)
+    v = onto_certificate(6, 3, 7, **oracle, run=run)
+    assert len(run.decided) == 2
     assert serialize.dumps(v) == serialize.dumps(onto_certificate(6, 3, 7, **oracle))
 
 
 def test_a_refused_endo_tuple_is_not_served_a_class_verdict():
     # d = 25 is past the range; h = gcd(5, 6) = 1 names the class d = 20 decided
-    assert onto_certificate(20, 5, 20).status == "proven"
-    refused = onto_certificate(20, 5, 25)
+    run = Run()
+    assert onto_certificate(20, 5, 20, run=run).status == "proven"
+    refused = onto_certificate(20, 5, 25, run=run)
     assert refused.status == "hypothesis-not-met"
     assert refused.certificate_error == "need g <= d < g + r, got d = 25 for g = 20, r = 5"
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellchain import pipelines, serialize
+from ellchain import cli, serialize
 from ellchain.chain import StabilityVerdict, canonical_series, redistribute, validate_lls
 from ellchain.cli import main
 from ellchain.elliptic import (
@@ -18,13 +18,13 @@ from ellchain.elliptic import (
     Degree0Class,
     IndecomposableSlot,
     LineBundleClass,
-    clear_memos,
 )
 from ellchain.independence import DEFAULT_PRIME, Certificate, EliminationPass, Survivor
 from ellchain.pipelines import (
     Audit,
     DistributionInfo,
     OracleBlock,
+    Run,
     decide,
     onto_certificate,
     petri_build,
@@ -352,14 +352,29 @@ def test_generated_writers_follow_runtime_types(verdict, changes):
 
 # a kept class verdict's certificate is written once per depth and run
 
-def test_a_sweep_writes_each_copy_as_its_single_verdict(tmp_path):
+def _runs_of(monkeypatch, name):
+    """The Run of each verdict the CLI's ``name`` entry point decides."""
+    real, runs = getattr(cli, name), []
+
+    def certify(*args, run, **kwargs):
+        runs.append(run)
+        return real(*args, run=run, **kwargs)
+
+    monkeypatch.setattr(cli, name, certify)
+    return runs
+
+
+def test_a_sweep_writes_each_copy_as_its_single_verdict(tmp_path, monkeypatch):
     # at (8, 4) d = 8 and d = 10 are the h = 1 class, d = 9 is h = 2 and d = 11
     # h = 4: d = 10, a copy, is written after another class's verdict
     out = tmp_path / "sweep.json"
-    assert main(["endo", "--sweep", "--g", "8", "--r", "4", "--out", str(out)]) == 0
+    with monkeypatch.context() as m:
+        runs = _runs_of(m, "onto_certificate")
+        assert main(["endo", "--sweep", "--g", "8", "--r", "4", "--out", str(out)]) == 0
     text = out.read_text()
-    first = pipelines._decided()[(8, 4, 1, DEFAULT_PRIME, 0, 1)].certificate
-    kept = serialize._kept()[(id(first), "    ")][1]
+    (run,) = set(runs)
+    first = run.decided[(8, 4, 1, DEFAULT_PRIME, 0, 1)].certificate
+    kept = run.kept[id(first)]["    "]
     assert text.count(kept) == 2
     singles = []
     for d in (8, 9, 10, 11):
@@ -370,30 +385,34 @@ def test_a_sweep_writes_each_copy_as_its_single_verdict(tmp_path):
 
 
 def test_a_kept_certificate_text_is_its_own_at_each_depth():
-    copy = onto_certificate(8, 4, 10)
+    run = Run()
+    copy = onto_certificate(8, 4, 10, run=run)
     cert = copy.certificate
-    assert cert is pipelines._decided()[(8, 4, 1, DEFAULT_PRIME, 0, 1)].certificate
+    assert cert is run.decided[(8, 4, 1, DEFAULT_PRIME, 0, 1)].certificate
     # written at two depths: two texts, each the fresh writer's, kept apart
     for _ in range(2):
         for pad in ("", "  "):
-            assert_same_text(serialize.to_text(cert, pad), _dumped(cert, pad))
-    assert set(serialize._kept()) == {(id(cert), ""), (id(cert), "  ")}
+            assert_same_text(serialize.to_text(cert, pad, run.kept), _dumped(cert, pad))
+    assert run.kept == {id(cert): {pad: _dumped(cert, pad) for pad in ("", "  ")}}
     # the copy written at list depth keeps its certificate's text at "    ";
     # another class's certificate, or one no verdict keeps, in its place is
     # written as itself
-    assert_same_text(serialize.to_text(copy, "  "), _dumped(copy, "  "))
-    others = (onto_certificate(8, 4, 9).certificate, replace(cert, passes=cert.passes[:1]))
+    assert_same_text(serialize.to_text(copy, "  ", run.kept), _dumped(copy, "  "))
+    assert list(run.kept[id(cert)]) == ["", "  ", "    "]
+    others = (
+        onto_certificate(8, 4, 9, run=run).certificate, replace(cert, passes=cert.passes[:1])
+    )
     for other in others:
         v = replace(copy, certificate=other)
-        assert_same_text(serialize.to_text(v, "  "), _dumped(v, "  "))
-        assert _dumped(v, "  ") != serialize.to_text(copy, "  ")
-    assert (id(others[1]), "    ") not in serialize._kept()
-    clear_memos()
-    assert serialize._kept.cache_info().currsize == 0
+        assert_same_text(serialize.to_text(v, "  ", run.kept), _dumped(v, "  "))
+        assert _dumped(v, "  ") != serialize.to_text(copy, "  ", run.kept)
+    assert list(run.kept) == [id(cert)]
 
 
-def test_a_petri_sweep_keeps_no_certificate_text(tmp_path):
+def test_a_petri_sweep_keeps_no_certificate_text(tmp_path, monkeypatch):
     out = tmp_path / "sweep.json"
+    runs = _runs_of(monkeypatch, "petri_certificate")
     assert main(["petri", "--sweep", "--g", "5", "--r", "2", "--out", str(out)]) == 0
     assert any(v["certificate"] for v in json.loads(out.read_text()))
-    assert serialize._kept() == {}
+    (run,) = set(runs)
+    assert run.decided == {} and run.kept == {}
