@@ -187,12 +187,14 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
 
     Every row is judged against its slot's class, but a row within its slot's
     bound skips :func:`_row_class_conflict`, which only refutes rows past it.
-    The bound is read once per slot: an order sum of at most d - 1 on a line
-    slot of degree d without a special index (the rule's cases need a sum of
-    at least d there), at most d - 2 on one with a special index (its cases
-    need at least d - 1), and on an indecomposable slot of rank r an inexact
-    P-order or an exact one of at most d // r (then r * ord_p <= d, while the
-    rule needs r * ord_p > d).
+    Each slot is read once, for its rank, degree, special index and bound,
+    and the bundle's rank and degree are the sums of its slots'.  The bound
+    is an order sum of at most d - 1 on a line slot of degree d without a
+    special index (the rule's cases need a sum of at least d there), at most
+    d - 2 on one with a special index (its cases need at least d - 1), and
+    on an indecomposable slot of rank r an inexact P-order or an exact one
+    of at most d // r (then r * ord_p <= d, while the rule needs
+    r * ord_p > d).
     """
     structural: list[str] = []
     failures: list[str] = []
@@ -208,36 +210,42 @@ def validate_lls(series: LimitLinearSeries) -> ValidationReport:
         structural.append(f"series rank {rank} is below 1")
     degrees: list[int] = []
     for i, (bundle, table) in enumerate(zip(series.bundles, series.tables)):
-        if bundle.rank != rank:
-            structural.append(f"component {i + 1}: rank {bundle.rank} != {rank}")
-        if table.dimension != series.dimension:
-            structural.append(
-                f"component {i + 1}: table dimension {table.dimension} != {series.dimension}"
-            )
-        facts: list[tuple[Slot, int, int | None]] = []
-        bounds: list[tuple[bool, int]] = []  # (is a line slot, its bound)
+        # each slot read once: (is a line slot, its bound, the slot, its
+        # degree, its special index)
+        facts: list[tuple[bool, int, Slot, int, int | None]] = []
+        total_rank = total_degree = 0
         for s in bundle.slots:
-            d = s.degree
             if isinstance(s, LineBundleClass):
+                d = s.a + s.b
                 special = s.special_index()
-                bounds.append((True, d - 1 if special is None else d - 2))
+                facts.append((True, d - 1 if special is None else d - 2, s, d, special))
+                total_rank += 1
             else:
-                special = None
-                bounds.append((False, d // s.rank))
-            facts.append((s, d, special))
-        degrees.append(sum(d for _, d, _ in facts))
-        for row in table.rows:
+                d = s.degree
+                facts.append((False, d // s.rank, s, d, None))
+                total_rank += s.rank
+            total_degree += d
+        degrees.append(total_degree)
+        if total_rank != rank:
+            structural.append(f"component {i + 1}: rank {total_rank} != {rank}")
+        rows = table.rows
+        if len(rows) != series.dimension:
+            structural.append(
+                f"component {i + 1}: table dimension {len(rows)} != {series.dimension}"
+            )
+        n = len(facts)
+        for row in rows:
             slot = row.slot
-            if not 0 <= slot < len(facts):
+            if not 0 <= slot < n:
                 structural.append(f"component {i + 1}: row in missing slot {slot}")
                 continue
-            line, bound = bounds[slot]
+            line, bound, s, d, special = facts[slot]
             if line:
                 if row.ord_p + row.ord_q <= bound:
                     continue
             elif not row.exact_p or row.ord_p <= bound:
                 continue
-            conflict = _row_class_conflict(*facts[slot], row)
+            conflict = _row_class_conflict(s, d, special, row)
             if conflict:
                 structural.append(f"component {i + 1}, slot {slot}: {conflict}")
     if len(series.gluing.nodes) != m - 1:

@@ -58,6 +58,7 @@ from ellchain.elliptic import (
 DEFAULT_PRIME = (1 << 61) - 1
 
 _rows = operator.attrgetter("rows")
+_symbol = operator.attrgetter("symbol")
 _factor_a = operator.attrgetter("factor_a")
 _factor_b = operator.attrgetter("factor_b")
 
@@ -127,9 +128,10 @@ ROW_BITS = 20
 class _Formed:
     """What :func:`product_sections`' previous call formed: its columns, the
     oracle column planned on each (``None`` until :func:`oracle_plan` plans
-    it), the row numbering and row table they were formed with, and the
-    products it returned, kept (else ``None``) only when that call was the
-    first given this ``_Formed`` or reused a column."""
+    it), the row table they were formed with, and the products it returned,
+    kept (else ``None``) only when that call was the first given this
+    ``_Formed`` or reused a column; and the factor-row numbering of every
+    call given it (a run's, see :func:`product_sections`)."""
 
     __slots__ = ("columns", "oracle", "number", "shared", "products")
 
@@ -159,15 +161,22 @@ def product_sections(
     and the pair list are the very objects (``is``) that column was formed
     from and its width is equal: an endo run hands each verdict the same
     tables off the last component.  Such a call keeps the previous call's
-    row numbering and row table too, and the oracle column planned on a
-    reused column (:func:`oracle_plan`); a call that reuses no column
-    starts them all afresh, so a petri verdict, whose tables are all new,
-    holds its own rows only.  Rows of equal value are one shared
-    :class:`ProductRow` object, keyed by one integer that packs the product
-    slot with the numbers of its two factor rows, :data:`ROW_BITS` bits
-    each: each distinct factor row is numbered once, so no pair hashes a
-    :class:`SectionSymbol`, and a number that does not fit raises
-    :class:`AlgebraError` rather than let two keys collide.
+    row table too, and the oracle column planned on a reused column
+    (:func:`oracle_plan`); a call that reuses no column, as a petri verdict,
+    whose tables are all new, starts a row table of its own.
+
+    Rows of equal value are one shared :class:`ProductRow` object, keyed by
+    one integer that packs the product slot with the numbers of its two
+    factor rows, :data:`ROW_BITS` bits each.  Each distinct factor row is
+    numbered once in ``formed.number``, for every call given ``formed``, so
+    no pair hashes a :class:`SectionSymbol` and a key means the same row in
+    every call: a row not in this call's table is taken from the previous
+    call's before a new one is made, and only the rows of this call and the
+    previous one are alive.  A call that reuses no column and whose factor
+    rows could take the numbering past ``2 ** ROW_BITS`` numbers them
+    afresh, as a first call; a number of the call's own rows that does not
+    fit raises :class:`AlgebraError` rather than let two keys collide.  An
+    empty pair list numbers nothing.
     """
     if series_a.chain != series_b.chain:
         raise AlgebraError("product sections need both series on the same chain")
@@ -185,14 +194,23 @@ def product_sections(
         and old[i][3] is pairs
         for i, (ta, tb, width) in enumerate(sources)
     ]
+    previous: dict[int, ProductRow] = {}
     if not any(reused):
         old = formed.columns = formed.oracle = []
-        formed.number, formed.shared, formed.products = {}, {}, None
+        previous, formed.shared, formed.products = formed.shared, {}, None
+        # the tables' rows bound the numbers this call can add
+        if pairs and len(formed.number) + sum(
+            len(ta.rows) + len(tb.rows) for ta, tb, _ in sources
+        ) > 1 << ROW_BITS:
+            formed.number, previous = {}, {}
     number, shared = formed.number, formed.shared
     columns: list[Column] = []
     for i, (table_a, table_b, width) in enumerate(sources):
         if reused[i]:
             columns.append(old[i])
+            continue
+        if not pairs:
+            columns.append((table_a, table_b, width, pairs, ()))
             continue
         # per factor row: (its part of the packed key, the row); the two
         # parts add up to the key of their product row
@@ -215,7 +233,10 @@ def product_sections(
             key = key_a + key_b
             row = shared.get(key)
             if row is None:
-                row = shared[key] = ProductRow(key >> 2 * ROW_BITS, ra, rb)
+                row = previous.get(key)
+                if row is None:
+                    row = ProductRow(key >> 2 * ROW_BITS, ra, rb)
+                shared[key] = row
             rows.append(row)
         columns.append((table_a, table_b, width, pairs, tuple(rows)))
     formed.columns = columns
@@ -243,10 +264,8 @@ def product_series(
     bundles = tuple(
         product_bundle(ba, bb) for ba, bb in zip(series_a.bundles, series_b.bundles)
     )
-    tables = tuple(
-        VanishingTable(tuple(p.rows[i].symbol for p in products))
-        for i in range(series_a.chain.components)
-    )
+    columns = zip(*map(_rows, products)) if products else [()] * series_a.chain.components
+    tables = tuple(VanishingTable(tuple(map(_symbol, rows))) for rows in columns)
     return LimitLinearSeries(
         chain=series_a.chain,
         rank=series_a.rank * series_b.rank,

@@ -334,6 +334,18 @@ def _petri_dual(
     n_struct = width * blocks
     dual_bundles = _dual_bundles(p, primary)
 
+    # read once per component 1..g-1 when there are rows: its block (-1 off
+    # the structured range) and the special index of each of its r slots
+    walk: list[tuple[int, list[int | None]]] = []
+    for i, bundle in enumerate(dual_bundles[:-1] if p.alpha else (), start=1):
+        specials: list[int | None] = []
+        for c in range(r):
+            cls = bundle.slots[c]
+            if not isinstance(cls, LineBundleClass):
+                raise BuildError(i, f"dual slot {c} is not a line class")
+            specials.append(cls.special_index())
+        walk.append((_structured_position(i, width)[0] if i <= n_struct else -1, specials))
+
     # rows are appended in section-id order (mbar - 1) * r + c
     tables: list[list[SectionSymbol]] = [[] for _ in range(g - 1)]
     required_level: dict[tuple[int, int], int] = {}
@@ -341,21 +353,17 @@ def _petri_dual(
         for c in range(r):
             sid = (mbar - 1) * r + c
             pi = mbar - 1
-            for i in range(1, g):
-                cls = dual_bundles[i - 1].slots[c]
-                assert isinstance(cls, LineBundleClass)
-                abar = cls.special_index()
-                in_block = i <= n_struct and _structured_position(i, width)[0] == mbar - 1
+            for i, (table, (block, specials)) in enumerate(zip(tables, walk), start=1):
+                abar = specials[c]
                 if abar is not None and pi == abar:
-                    if not in_block:
+                    if block != mbar - 1:
                         raise BuildError(i, f"dual row {sid} meets a foreign coincidence")
-                    row = SectionSymbol(c, pi, dbar1 - pi)
+                    table.append(SectionSymbol(c, pi, dbar1 - pi))  # stays at pi
                 else:
                     if abar is not None and pi == abar - 1:
                         raise BuildError(i, f"dual row {sid} hits a merged order")
-                    row = SectionSymbol(c, pi, dbar1 - 1 - pi)
-                tables[i - 1].append(row)
-                pi = dbar1 - row.ord_q
+                    table.append(SectionSymbol(c, pi, dbar1 - 1 - pi))
+                    pi += 1
             required_level[(mbar, c)] = pi
 
     # the last component hands out its rows by level, then places them by (mbar, c)
@@ -421,7 +429,10 @@ class Run:
       keyed by (g, r), so a run shared across (g, r) runs serves each its own;
     * ``formed``: the product columns of the last
       :func:`~ellchain.independence.product_sections` call and the oracle
-      columns planned on them, reused for the very same factor tables;
+      columns planned on them, reused for the very same factor tables; the
+      run's factor-row numbering; and that call's row table, from which the
+      next call takes its rows of equal value, so at most two verdicts'
+      rows are alive at a time;
     * ``jets``: the oracle's jet keys, each numbered once, and the scalars
       drawn for them per (prime, seed, trial), so none is hashed twice;
     * ``decided``: the endo verdict of each h = gcd(r, d - g + 1) class with

@@ -17,6 +17,10 @@ package computes, so a test can compare the two.
 * ``validate_every_row`` is the series validator that asks the class rule
   (``chain._row_class_conflict``) about every row, with no per-slot bound in
   front of it; ``chain.validate_lls`` must return exactly its report.
+  ``validate_in_passes`` is the bounded validator as it read each bundle in
+  three passes (``bundle.rank``, a loop over the slots' facts and a sum of
+  their degrees); ``chain.validate_lls`` reads each slot once and must
+  return its report too, message for message.
 * ``coeff`` is the oracle's jet scalar hashed from its key string alone;
   every scalar the oracle draws must equal it.
 * ``assert_same_text`` asserts two texts are equal and, when they are not,
@@ -272,6 +276,115 @@ def validate_every_row(series: LimitLinearSeries) -> ValidationReport:
                 f"component {i + 1}: degree {d_i} outside"
                 f" [{series.a * series.rank}, {(series.a + 1) * series.rank})"
             )
+    return ValidationReport((), Conditions(cond1, cond2, cond3), tuple(failures))
+
+
+def validate_in_passes(series: LimitLinearSeries) -> ValidationReport:
+    """``chain.validate_lls`` as it read each bundle in three passes."""
+    structural: list[str] = []
+    failures: list[str] = []
+    m = series.chain.components
+    if len(series.bundles) != m or len(series.tables) != m:
+        structural.append(
+            f"chain has {m} components but {len(series.bundles)} bundles"
+            f" / {len(series.tables)} tables"
+        )
+        return ValidationReport(tuple(structural), Conditions(False, False, False), ())
+    rank, a = series.rank, series.a
+    if rank < 1:
+        structural.append(f"series rank {rank} is below 1")
+    degrees: list[int] = []
+    for i, (bundle, table) in enumerate(zip(series.bundles, series.tables)):
+        if bundle.rank != rank:
+            structural.append(f"component {i + 1}: rank {bundle.rank} != {rank}")
+        if table.dimension != series.dimension:
+            structural.append(
+                f"component {i + 1}: table dimension {table.dimension} != {series.dimension}"
+            )
+        facts: list[tuple[Slot, int, int | None]] = []
+        bounds: list[tuple[bool, int]] = []  # (is a line slot, its bound)
+        for s in bundle.slots:
+            d = s.degree
+            if isinstance(s, LineBundleClass):
+                special = s.special_index()
+                bounds.append((True, d - 1 if special is None else d - 2))
+            else:
+                special = None
+                bounds.append((False, d // s.rank))
+            facts.append((s, d, special))
+        degrees.append(sum(d for _, d, _ in facts))
+        for row in table.rows:
+            slot = row.slot
+            if not 0 <= slot < len(facts):
+                structural.append(f"component {i + 1}: row in missing slot {slot}")
+                continue
+            line, bound = bounds[slot]
+            if line:
+                if row.ord_p + row.ord_q <= bound:
+                    continue
+            elif not row.exact_p or row.ord_p <= bound:
+                continue
+            conflict = _row_class_conflict(*facts[slot], row)
+            if conflict:
+                structural.append(f"component {i + 1}, slot {slot}: {conflict}")
+    if len(series.gluing.nodes) != m - 1:
+        structural.append(f"{len(series.gluing.nodes)} gluing nodes for {m} components")
+    else:
+        for n, node in enumerate(series.gluing.nodes):
+            if node.matched is None:
+                continue
+            lslots, rslots = series.bundles[n].slots, series.bundles[n + 1].slots
+            for left, right in node.matched:
+                if not (0 <= left < len(lslots) and 0 <= right < len(rslots)):
+                    structural.append(f"node {n + 1}: matched slot out of range")
+                    continue
+                rl, rr = lslots[left].rank, rslots[right].rank
+                if rl != rr:
+                    structural.append(f"node {n + 1}: matched slots of ranks {rl} != {rr}")
+    for node, ids in series.gluing.distinguished:
+        if not 0 <= node < m - 1:
+            structural.append(f"distinguished entry at missing node index {node}")
+        elif any(not 0 <= t < series.dimension for t in ids):
+            structural.append(f"node {node + 1}: distinguished section id out of range")
+    if series.pairings is not None and len(series.pairings) != m - 1:
+        structural.append("pairings do not cover every node")
+    elif series.pairings is not None:
+        for n, pairs in enumerate(series.pairings):
+            if any(not 0 <= t < series.dimension for pair in pairs for t in pair):
+                structural.append(f"node {n + 1}: paired row out of range")
+    if structural:
+        return ValidationReport(tuple(structural), Conditions(False, False, False), ())
+
+    lhs = sum(degrees) - rank * (m - 1) * a
+    cond1 = lhs == series.degree
+    if not cond1:
+        failures.append(f"degree bookkeeping: {lhs} != {series.degree}")
+
+    cond2 = True
+    for n in range(m - 1):
+        left, right = series.tables[n].rows, series.tables[n + 1].rows
+        if series.pairings is None:  # identity: row t meets row t
+            short = [
+                (t, t, got) for t, (rl, rr) in enumerate(zip(left, right))
+                if (got := rl.ord_q + rr.ord_p) < a
+            ]
+        else:
+            short = [
+                (tl, tr, got) for tl, tr in series.pairings[n]
+                if (got := left[tl].ord_q + right[tr].ord_p) < a
+            ]
+        for tl, tr, got in short:
+            cond2 = False
+            failures.append(
+                f"node {n + 1}: rows ({tl}, {tr}) have order sum {got} < a = {a}"
+            )
+
+    cond3 = True
+    low, high = a * rank, (a + 1) * rank
+    for i, d_i in enumerate(degrees):
+        if not low <= d_i < high:
+            cond3 = False
+            failures.append(f"component {i + 1}: degree {d_i} outside [{low}, {high})")
     return ValidationReport((), Conditions(cond1, cond2, cond3), tuple(failures))
 
 

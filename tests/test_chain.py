@@ -32,7 +32,9 @@ from ellchain.elliptic import (
     SectionSymbol,
     VanishingTable,
 )
-from reference import validate_every_row
+from ellchain.independence import product_sections, product_series
+from ellchain.pipelines import BuildError, ParamsError, petri_build, petri_params
+from reference import validate_every_row, validate_in_passes
 
 
 def orders(table):
@@ -422,3 +424,42 @@ def stated_series(draw):
 @settings(max_examples=400, deadline=None)
 def test_bounded_validation_equals_asking_the_class_rule_of_every_row(series):
     assert validate_lls(series) == validate_every_row(series)
+
+
+@st.composite
+def misshapen_series(draw):
+    """A stated series whose rank, or one table's dimension, may be off."""
+    series = draw(stated_series())
+    tables = list(series.tables)
+    if draw(st.booleans()):  # one table a row short
+        i = draw(st.integers(0, len(tables) - 1))
+        tables[i] = VanishingTable(tables[i].rows[:-1])
+    return replace(series, rank=series.rank + draw(st.integers(-1, 1)), tables=tuple(tables))
+
+
+@given(misshapen_series())
+@settings(max_examples=400, deadline=None)
+def test_one_pass_validation_equals_the_three_pass_one(series):
+    # every message, in the same order: line and atom slots, wrong bundle
+    # ranks, wrong table dimensions and rows in missing slots
+    assert validate_lls(series) == validate_in_passes(series)
+
+
+def test_one_pass_validation_equals_the_three_pass_one_on_petri_series():
+    # the primary, dual and product series of every admitted petri tuple
+    # with g <= 5 and r <= 3
+    checked = 0
+    for g in range(2, 6):
+        for r in range(1, 4):
+            for d in range(1, 4 * g + 1):
+                for k in range(1, 4 * g + 1):
+                    try:
+                        build = petri_build(petri_params(g, r, d, k))
+                    except (ParamsError, BuildError):
+                        continue
+                    primary, dual = build.primary, build.dual
+                    products = product_series(primary, dual, product_sections(primary, dual))
+                    for series in (primary, dual, products):
+                        assert validate_lls(series) == validate_in_passes(series)
+                        checked += 1
+    assert checked == 3 * 307

@@ -1,12 +1,13 @@
 """Product sections, elimination certificates, and the rank oracle."""
 
+import itertools
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellchain import independence
+from ellchain import independence, serialize
 from ellchain.chain import canonical_series, redistribute, survives
 from ellchain.cli import PARAMS, _verdict_exit
 from ellchain.elliptic import AlgebraError, SectionSymbol, VanishingTable
@@ -37,11 +38,12 @@ from ellchain.pipelines import (
     endo_build,
     endo_instance,
     petri_build,
+    petri_certificate,
     petri_instance,
     petri_params,
     poin_params,
 )
-from reference import coeff
+from reference import assert_same_text, coeff
 
 
 def _petri_5273_factors():
@@ -764,8 +766,9 @@ def test_a_replaced_table_forms_its_column_alone_again():
 
 
 def test_consecutive_petri_verdicts_share_no_column():
-    # petri builds new tables for every verdict: each call starts afresh and
-    # its row table holds that verdict's rows only
+    # petri builds new tables for every verdict: no call reuses a column, and
+    # each call's row table holds that verdict's rows only (these tuples have
+    # no row value in common; see the test below for two that do)
     run = Run()
     previous, previous_ids = [], set()
     for d, k in ((7, 3), (8, 1), (7, 3)):  # two consecutive tuples of the run, then one again
@@ -775,6 +778,76 @@ def test_consecutive_petri_verdicts_share_no_column():
         assert not ids & previous_ids
         assert not any(a is b for a, b in zip(_columns(run.formed), previous))
         previous, previous_ids = _columns(run.formed), ids
+
+
+def test_consecutive_petri_verdicts_share_their_equal_rows():
+    # (5, 2, 8, 2) then (5, 2, 8, 3): the second verdict's tables are new, so
+    # it reuses no column, but the run's factor-row numbering carries over,
+    # and a row equal to one of the first verdict's is taken from its table
+    run = Run()
+    first = petri_instance(petri_build(petri_params(5, 2, 8, 2)), run)[0]
+    columns = _columns(run.formed)
+    second = petri_instance(petri_build(petri_params(5, 2, 8, 3)), run)[0]
+    assert not any(a is b for a, b in zip(_columns(run.formed), columns))
+    earlier = {row: row for prod in first for row in prod.rows}
+    rows = {id(row): row for prod in second for row in prod.rows}
+    assert len(rows) == len(set(rows.values())) == 30
+    equal = [row for row in rows.values() if row in earlier]
+    assert len(equal) == 9
+    assert all(earlier[row] is row for row in equal)
+    # the row table holds the current verdict's rows only
+    assert len(run.formed.shared) == len(rows)
+    assert {id(row) for row in run.formed.shared.values()} == rows.keys()
+
+
+def _petri_run(g, r):
+    """The admitted tuples of the petri sweep's (g, r) run, in sweep order."""
+    tuples = []
+    for d, k in itertools.product(*(f(g, r) for f in PARAMS["petri"].values())):
+        try:
+            petri_params(g, r, d, k)
+        except ParamsError:
+            continue
+        tuples.append((g, r, d, k))
+    return tuples
+
+
+def test_a_run_numbering_that_would_overflow_starts_afresh(monkeypatch):
+    # the (5, 2) run numbers 63 distinct factor rows, and no verdict of it
+    # more than 28 of its own: with 5-bit row numbers the run's numbering
+    # overflows but no verdict's does, so a verdict whose rows could take it
+    # past 32 numbers them afresh, and every verdict keeps its cold bytes
+    tuples = _petri_run(5, 2)
+    assert len(tuples) == 41
+    cold = [serialize.to_text(petri_certificate(*t), "  ") for t in tuples]
+    monkeypatch.setattr(independence, "ROW_BITS", 5)
+    run, sizes = Run(), []
+    for t, text in zip(tuples, cold):
+        assert_same_text(serialize.to_text(petri_certificate(*t, run=run), "  "), text)
+        sizes.append(len(run.formed.number))
+    assert max(sizes) <= 32
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    # a call whose own rows overflow still raises, warm as cold: (5, 2, 4, 2)
+    # numbers 28 factor rows
+    monkeypatch.setattr(independence, "ROW_BITS", 4)
+    build = petri_build(petri_params(5, 2, 4, 2))
+    for formed in (run.formed, _Formed()):
+        with pytest.raises(AlgebraError, match="overflow a 4-bit row number$"):
+            product_sections(build.primary, build.dual, None, formed)
+
+
+def test_an_empty_pair_list_numbers_no_row():
+    build = petri_build(petri_params(5, 2, 7, 3))
+    formed = _Formed()
+    product_sections(build.primary, build.dual, None, formed)
+    number = dict(formed.number)
+    assert number
+    assert product_sections(build.primary, build.dual, [], formed) == ()
+    assert formed.number == number
+    # a zero-product verdict's series: one empty table per component
+    series = product_series(build.primary, build.dual, ())
+    assert series.tables == (VanishingTable(()),) * 5
+    assert series.dimension == 0
 
 
 def test_product_row_symbol_follows_replace(petri_5273):

@@ -16,7 +16,7 @@ from ellchain.chain import (
     validate_rank1,
 )
 from ellchain.cli import _verdict_exit, main
-from ellchain.elliptic import VanishingTable
+from ellchain.elliptic import IndecomposableSlot, VanishingTable
 from ellchain.independence import product_sections, product_series
 from ellchain.pipelines import (
     CASE_A,
@@ -232,6 +232,22 @@ def test_rank_one_outside_the_hypothesis(monkeypatch):
         assert v.certificate_error == (
             f"build failed: component {g}: structured range {g} exceeds g - 1 = {g - 1}"
         )
+
+
+def test_an_atom_among_the_dual_line_slots_fails_the_build(monkeypatch):
+    # components 1..g-1 of the dual carry line slots: an atom there is a
+    # build failure, not an AttributeError once the optimiser drops asserts
+    real = pipelines._dual_bundles
+
+    def with_an_atom(p, primary):
+        bundles = list(real(p, primary))
+        bundles[1] = replace(bundles[1], slots=(IndecomposableSlot(2, 5),) + bundles[1].slots[1:])
+        return tuple(bundles)
+
+    monkeypatch.setattr(pipelines, "_dual_bundles", with_an_atom)
+    v = petri_certificate(5, 2, 7, 3)
+    assert v.status == "not-proven"
+    assert v.certificate_error == "build failed: component 2: dual slot 0 is not a line class"
 
 
 def test_builds_are_pinned():
